@@ -15,7 +15,6 @@ from .network import (
     covariant_linear,
     covariant_normalize,
     invariant_features,
-    layer_forward,
     network_forward,
     tau_schedule,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "backward_linear", "cg_block", "cg_nonlinearity",
     "clebsch_gordan_coeff", "covariant_linear", "covariant_normalize",
     "forward_sht", "init_weights", "invariant_features", "inverse_sht",
-    "layer_forward", "loss_and_grad", "network_forward", "random_rotation",
+    "loss_and_grad", "network_forward", "random_rotation",
     "rotate_coefficients", "spherical_harmonic", "tau_schedule",
     "train_loop", "wigner_D", "wigner_d_small",
 ]

@@ -175,7 +175,16 @@ def audit_equivariance(weights, norm_states, trials: int, seed: int = 0):
 def cmd_audit(args) -> int:
     weights, norm_states, _, _ = load_checkpoint(args.checkpoint)
     if args.corrupt_cg:
-        l1, l2, l, idx = (int(x) for x in args.corrupt_cg.split(","))
+        try:
+            l1, l2, l, idx = (int(x) for x in args.corrupt_cg.split(","))
+        except ValueError:
+            l1 = l2 = l = idx = None  # malformed: matches no block below
+        if (l1, l2, l) not in weights.spec.cg_blocks():
+            # corrupting nothing would let the audit report a vacuous pass
+            print(f"error: --corrupt-cg {args.corrupt_cg}: not a CG block "
+                  f"L1,L2,L the network evaluates, plus an entry IDX",
+                  file=sys.stderr)
+            return EXIT_USAGE
         corrupt_cg_entry(l1, l2, l, idx)
     try:
         layer_err, head_err = audit_equivariance(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .network import ActivationType, NetworkSpec, tau_schedule
+from .network import PAIR_POLICIES, ActivationType, NetworkSpec, tau_schedule
 
 REGIMES = ("NR/NR", "NR/R", "R/R")
 
@@ -52,6 +52,13 @@ class ExperimentConfig:
         if self.regime not in REGIMES:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}")
+        if self.pair_policy not in PAIR_POLICIES:
+            raise ConfigError(f"pair_policy must be one of {PAIR_POLICIES}, "
+                              f"got {self.pair_policy!r}")
+        try:
+            self.tau_vector()
+        except ValueError as exc:
+            raise ConfigError(f"bad value for tau {self.tau!r}: {exc}")
 
     def tau_vector(self) -> ActivationType:
         """Resolve the tau field into a per-degree fragment-count vector."""

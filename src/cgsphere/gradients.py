@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
-    NORM_EPS,
     CovariantActivation,
     NetworkSpec,
-    NormState,
     cg_pairs,
-    cg_nonlinearity,
-    covariant_normalize,
-    invariant_features,
+    layer_out_ell_max,
+    network_forward,
     _pair_table,
+    _real_matmul,
 )
+# the forward stages stay reachable through this module too
+from .network import cg_nonlinearity, covariant_normalize  # noqa: F401
 
 
 class NumericError(Exception):
@@ -124,17 +124,14 @@ def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
         if t1 == 0 or t2 == 0 or abs(l1 - l2) > out_ell_max:
             continue
         table = _pair_table(l1, l2, out_ell_max)
-        if table.matrix is None:
-            continue
-        d1, d2 = 2 * l1 + 1, 2 * l2 + 1
-        slabs = []
+        d1, d2, n = 2 * l1 + 1, 2 * l2 + 1, t1 * t2
+        y_bar = np.concatenate([
+            H_bar[l][:, :, offsets[l]:offsets[l] + n].transpose(1, 0, 2)
+            for l in table.ells])
         for l in table.ells:
-            o = offsets[l]
-            blk = H_bar[l][:, :, o:o + t1 * t2]
-            offsets[l] = o + t1 * t2
-            slabs.append(blk.transpose(1, 0, 2).reshape(2 * l + 1, B * t1 * t2))
-        y_bar = np.vstack(slabs)
-        k_bar = (table.matrix @ y_bar).reshape(d1, d2, B, t1, t2)
+            offsets[l] += n
+        k_bar = _real_matmul(table.matrix, y_bar.reshape(-1, B * n)).reshape(
+            d1, d2, B, t1, t2)
         F_bar[l1] += np.einsum("mnbij,bnj->bmi", k_bar, F2.conj())
         F_bar[l2] += np.einsum("mnbij,bmi->bnj", k_bar, F1.conj())
     return F_bar
@@ -144,11 +141,13 @@ def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
 
 @dataclass
 class ForwardTape:
-    """Everything the backward pass needs from one forward evaluation."""
+    """Everything the backward pass needs from one forward evaluation.
+
+    Layer s's CG input is ``input`` for s = 0 and ``outputs[s - 1]`` after.
+    """
 
     input: CovariantActivation
-    cg_inputs: list      # activation entering each layer's CG transform
-    norm_denoms: list    # per layer: per-l denominators actually divided by
+    norm_denoms: list    # per layer: per-l denominators, None if unnormalized
     normed: list         # post-CG, post-normalization activations
     outputs: list        # per-layer outputs
     features: np.ndarray
@@ -159,42 +158,20 @@ class ForwardTape:
 def forward_with_tape(coeffs: CovariantActivation, weights: NetworkWeights,
                       norm_states: list | None = None,
                       training: bool = False) -> ForwardTape:
-    spec = weights.spec
-    L = spec.bandlimit
-    F = coeffs
-    cg_inputs, norm_denoms, normed, outputs = [], [], [], []
-    for s in range(spec.n_layers):
-        out_max = 0 if s == spec.n_layers - 1 else L
-        cg_inputs.append(F)
-        H = cg_nonlinearity(F, spec.pair_policy, out_max)
-        if norm_states is not None:
-            H = covariant_normalize(H, norm_states[s], training)
-            denoms = [np.where(s_l < NORM_EPS, 1.0, s_l)
-                      for s_l in norm_states[s].scales]
-        else:
-            denoms = [np.ones(h.shape[2]) for h in H.fragments]
-        norm_denoms.append(denoms)
-        normed.append(H)
-        F = CovariantActivation(
-            L, [h @ w for h, w in zip(H.fragments, weights.layers[s])])
-        outputs.append(F)
-    feats = invariant_features(outputs, coeffs.fragments[0])
+    """``network_forward`` plus the classifier head, recording the tape."""
+    feats, outputs, normed, denoms = network_forward(
+        coeffs, weights.layers, norm_states, training,
+        weights.spec.pair_policy, return_normed=True)
     hid_pre = feats @ weights.head.w1 + weights.head.b1
     logits = np.maximum(hid_pre, 0.0) @ weights.head.w2 + weights.head.b2
-    return ForwardTape(coeffs, cg_inputs, norm_denoms, normed, outputs,
-                       feats, hid_pre, logits)
+    return ForwardTape(coeffs, denoms, normed, outputs, feats, hid_pre,
+                       logits)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def _zero_like_weights(weights: NetworkWeights):
-    layers = [[np.zeros_like(w) for w in layer] for layer in weights.layers]
-    head = HeadWeights(*[np.zeros_like(a) for a in weights.head.arrays()])
-    return layers, head
 
 
 def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
@@ -221,47 +198,40 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
         raise NumericError("non-finite loss", None)
 
     spec = weights.spec
-    g_layers, g_head = _zero_like_weights(weights)
 
     # head backward
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
     hid = np.maximum(tape.hidden_pre, 0.0)
-    g_head.w2[:] = hid.T @ dlogits
-    g_head.b2[:] = dlogits.sum(axis=0)
     dhid = (dlogits @ weights.head.w2.T) * (tape.hidden_pre > 0.0)
-    g_head.w1[:] = tape.features.T @ dhid
-    g_head.b1[:] = dhid.sum(axis=0)
+    g_head = HeadWeights(tape.features.T @ dhid, dhid.sum(axis=0),
+                         hid.T @ dlogits, dlogits.sum(axis=0))
     dfeats = dhid @ weights.head.w1.T
 
     # split the feature cotangent back into complex l=0 adjoints
+    # (the input's own l=0 slice, split off last, has no parameters)
     dcomplex = np.ascontiguousarray(dfeats).view(complex)  # (B, sum tau0 + n_in)
-    col = 0
-    head_adjoints = []
-    for s in range(spec.n_layers):
-        t0 = spec.layer_types[s].tau[0]
-        head_adjoints.append(dcomplex[:, col:col + t0])
-        col += t0
-    # the input's own l=0 slice carries no trainable parameters
+    head_adjoints = np.split(
+        dcomplex, np.cumsum([t.tau[0] for t in spec.layer_types]), axis=1)
 
     # walk the layers backwards
     L = spec.bandlimit
-    F_out_bar = None
-    for s in range(spec.n_layers - 1, -1, -1):
-        out_max = 0 if s == spec.n_layers - 1 else L
-        G_bar = [np.zeros_like(f) for f in tape.outputs[s].fragments]
-        if F_out_bar is not None:
-            for ell in range(L + 1):
-                G_bar[ell] += F_out_bar[ell]
+    S = spec.n_layers
+    g_layers = [None] * S
+    # the last layer's output is read by the head only
+    G_bar = [np.zeros_like(f) for f in tape.outputs[-1].fragments]
+    for s in range(S - 1, -1, -1):
         G_bar[0][:, 0, :] += head_adjoints[s]
         H_bar, W_bar = backward_linear(G_bar, tape.normed[s],
                                        weights.layers[s])
-        for ell in range(L + 1):
-            g_layers[s][ell][:] = W_bar[ell]
-            H_bar[ell] = H_bar[ell] / tape.norm_denoms[s][ell][None, None, :]
-        F_out_bar = backward_cg(H_bar, tape.cg_inputs[s], spec.pair_policy,
-                                out_max)
+        # ADAM steps complex gradients through their float64 view
+        g_layers[s] = [np.ascontiguousarray(w) for w in W_bar]
+        for h, d in zip(H_bar, tape.norm_denoms[s] or ()):
+            h /= d[None, None, :]
+        cg_input = tape.input if s == 0 else tape.outputs[s - 1]
+        G_bar = backward_cg(H_bar, cg_input, spec.pair_policy,
+                            layer_out_ell_max(s, S, L))
 
     if l2:
         for layer, g_layer in zip(weights.layers, g_layers):

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .sht import HarmonicCoefficients
 from .so3 import cg_block
 
 
@@ -32,10 +30,6 @@ class ActivationType:
     @property
     def bandlimit(self) -> int:
         return len(self.tau) - 1
-
-    def total_entries(self) -> int:
-        """Total number of complex scalars in one activation of this type."""
-        return sum((2 * ell + 1) * t for ell, t in enumerate(self.tau))
 
 
 class CovariantActivation:
@@ -72,11 +66,6 @@ class CovariantActivation:
         return ActivationType(tuple(f.shape[2] for f in self.fragments))
 
     @classmethod
-    def from_coefficients(cls, coeffs: HarmonicCoefficients) -> "CovariantActivation":
-        """Layer-0 activation: each input channel contributes one fragment per l."""
-        return cls(coeffs.bandlimit, [b.copy() for b in coeffs.blocks])
-
-    @classmethod
     def stack(cls, activations: list) -> "CovariantActivation":
         """Stack single-example activations into one batch."""
         L = activations[0].bandlimit
@@ -99,6 +88,9 @@ class CovariantActivation:
 
 # --- Clebsch-Gordan pair bookkeeping ---
 
+PAIR_POLICIES = ("unordered", "ordered")
+
+
 def cg_pairs(L: int, policy: str = "unordered"):
     """Degree pairs entering the tensor-product nonlinearity."""
     if policy == "unordered":
@@ -108,13 +100,23 @@ def cg_pairs(L: int, policy: str = "unordered"):
     raise ValueError(f"unknown pair policy {policy!r}")
 
 
+def _cg_paths(tau: ActivationType, policy: str, out_ell_max: int):
+    """(l1, l2, l, t) for every CG block a product of type ``tau`` uses,
+    where t = tau_l1 * tau_l2 is the number of column pairs it maps."""
+    for l1, l2 in cg_pairs(tau.bandlimit, policy):
+        t = tau.tau[l1] * tau.tau[l2]
+        if t:
+            for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1):
+                yield l1, l2, l, t
+
+
 @dataclass(frozen=True)
 class _PairTable:
-    """Stacked sparse CG matrix for one (l1, l2) pair, clipped at out_ell_max."""
+    """Stacked dense CG matrix for one (l1, l2) pair, clipped at out_ell_max."""
 
     ells: tuple
-    matrix: sp.csr_matrix      # shape (d1*d2, sum_l (2l+1))
-    nnz_per_ell: tuple
+    matrix: np.ndarray | None  # real, shape (d1*d2, sum_l (2l+1))
+    nnz: dict                  # stored nonzero coefficients per degree l
 
 
 _PAIR_CACHE: dict = {}
@@ -154,8 +156,8 @@ def _pair_table(ell1: int, ell2: int, out_ell_max: int) -> _PairTable:
         ells = tuple(l for l in range(abs(ell1 - ell2), ell1 + ell2 + 1)
                      if l <= out_ell_max)
         mats = [_block_dense(ell1, ell2, l) for l in ells]
-        stacked = sp.csr_matrix(np.hstack(mats)) if mats else None
-        nnz = tuple(int(np.count_nonzero(m)) for m in mats)
+        stacked = np.hstack(mats) if mats else None
+        nnz = {l: int(np.count_nonzero(m)) for l, m in zip(ells, mats)}
         _PAIR_CACHE[key] = _PairTable(ells, stacked, nnz)
     return _PAIR_CACHE[key]
 
@@ -167,38 +169,34 @@ def cg_output_type(tau: ActivationType, policy: str = "unordered",
     if out_ell_max is None:
         out_ell_max = L
     out = [0] * (L + 1)
-    for l1, l2 in cg_pairs(L, policy):
-        t = tau.tau[l1] * tau.tau[l2]
-        if t == 0:
-            continue
-        for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1):
-            out[l] += t
+    for _, _, l, t in _cg_paths(tau, policy, out_ell_max):
+        out[l] += t
     return ActivationType(tuple(out))
 
 
 def cg_madd_count(tau: ActivationType, policy: str = "unordered",
                   out_ell_max: int | None = None) -> int:
-    """Multiply-add count of the sparse CG transform for one example.
-
-    Each stored coefficient touches tau_{l1} * tau_{l2} column pairs.
+    """Multiply-add count of the CG transform for one example under the
+    paper's cost model: each stored nonzero CG coefficient touches
+    tau_{l1} * tau_{l2} column pairs.  This is not the flop count of the
+    dense kernel in ``cg_nonlinearity``, which also multiplies the zeros.
     """
-    L = tau.bandlimit
     if out_ell_max is None:
-        out_ell_max = L
-    total = 0
-    for l1, l2 in cg_pairs(L, policy):
-        t = tau.tau[l1] * tau.tau[l2]
-        if t == 0:
-            continue
-        table = _pair_table(l1, l2, out_ell_max)
-        total += sum(table.nnz_per_ell) * t
-    return total
+        out_ell_max = tau.bandlimit
+    return sum(_pair_table(l1, l2, out_ell_max).nnz[l] * t
+               for l1, l2, l, t in _cg_paths(tau, policy, out_ell_max))
+
+
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``a @ z`` for a real matrix ``a`` and a complex matrix ``z``, as one
+    real matmul on the float64 re/im view of a C-contiguous ``z``."""
+    return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
 def cg_nonlinearity(F: CovariantActivation, policy: str = "unordered",
                     out_ell_max: int | None = None) -> CovariantActivation:
     """Tensor-product nonlinearity: all pairwise Kronecker products,
-    decomposed into irreducible fragments through the sparse CG matrices.
+    decomposed into irreducible fragments through the dense CG matrices.
 
     Output blocks with the same degree are concatenated horizontally, in
     pair order (l1 ascending, then l2), then degree ascending within a pair.
@@ -207,33 +205,26 @@ def cg_nonlinearity(F: CovariantActivation, policy: str = "unordered",
     if out_ell_max is None:
         out_ell_max = L
     B = F.batch_size
+    # (2l+1, B, tau_l) copies, so the Kronecker product below comes out
+    # C-contiguous with the (m1, m2) axis leading
+    G = [np.ascontiguousarray(f.transpose(1, 0, 2)) for f in F.fragments]
     out: list = [[] for _ in range(L + 1)]
     for l1, l2 in cg_pairs(L, policy):
-        F1, F2 = F.fragments[l1], F.fragments[l2]
-        t1, t2 = F1.shape[2], F2.shape[2]
-        if t1 == 0 or t2 == 0:
-            continue
-        if abs(l1 - l2) > out_ell_max:
+        t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        if t1 == 0 or t2 == 0 or abs(l1 - l2) > out_ell_max:
             continue
         table = _pair_table(l1, l2, out_ell_max)
-        if table.matrix is None:
-            continue
         d1, d2 = 2 * l1 + 1, 2 * l2 + 1
-        kron = np.einsum("bmi,bnj->bmnij", F1, F2).reshape(B, d1 * d2, t1 * t2)
-        y = table.matrix.T @ kron.transpose(1, 0, 2).reshape(d1 * d2, B * t1 * t2)
-        start = 0
-        for l in table.ells:
-            n = 2 * l + 1
-            block = y[start:start + n].reshape(n, B, t1 * t2).transpose(1, 0, 2)
-            out[l].append(block)
-            start += n
-    frags = []
-    for ell in range(L + 1):
-        if out[ell]:
-            frags.append(np.concatenate(out[ell], axis=2))
-        else:
-            frags.append(np.zeros((B, 2 * ell + 1, 0), dtype=complex))
-    return CovariantActivation(L, frags)
+        kron = G[l1][:, None, :, :, None] * G[l2][None, :, :, None, :]
+        y = _real_matmul(table.matrix.T, kron.reshape(d1 * d2, B * t1 * t2))
+        y = y.reshape(-1, B, t1 * t2)
+        splits = np.cumsum([2 * l + 1 for l in table.ells[:-1]])
+        for l, block in zip(table.ells, np.split(y, splits)):
+            out[l].append(block.transpose(1, 0, 2))
+    return CovariantActivation(L, [
+        np.concatenate(blocks, axis=2) if blocks
+        else np.zeros((B, 2 * ell + 1, 0), dtype=complex)
+        for ell, blocks in enumerate(out)])
 
 
 # --- covariant linear mixing ---
@@ -272,6 +263,15 @@ class NormState:
     def copy(self) -> "NormState":
         return NormState([s.copy() for s in self.scales], self.count)
 
+    def denominators(self) -> list:
+        """Per-degree divisors of the normalization.
+
+        Dead fragments (identically-zero CG outputs, e.g. odd-degree
+        self-couplings of a column with itself) pass through unscaled:
+        dividing their rounding noise by a tiny floor would amplify it.
+        """
+        return [np.where(s < NORM_EPS, 1.0, s) for s in self.scales]
+
 
 def covariant_normalize(F: CovariantActivation, norm: NormState,
                         training: bool = False) -> CovariantActivation:
@@ -294,15 +294,9 @@ def covariant_normalize(F: CovariantActivation, norm: NormState,
             norm.scales[ell] = (norm.count * norm.scales[ell] + batch_rms) \
                 / (norm.count + 1)
         norm.count += 1
-    frags = []
-    for ell, f in enumerate(F.fragments):
-        s = norm.scales[ell]
-        # Dead fragments (identically-zero CG outputs, e.g. odd-degree
-        # self-couplings of a column with itself) pass through unscaled:
-        # dividing their rounding noise by a tiny floor would amplify it.
-        denom = np.where(s < NORM_EPS, 1.0, s)
-        frags.append(f / denom[None, None, :])
-    return CovariantActivation(F.bandlimit, frags)
+    return CovariantActivation(F.bandlimit, [
+        f / d[None, None, :]
+        for f, d in zip(F.fragments, norm.denominators())])
 
 
 # --- layer and network composition ---
@@ -337,11 +331,20 @@ class NetworkSpec:
     def input_type(self) -> ActivationType:
         return ActivationType((self.n_in,) * (self.bandlimit + 1))
 
+    def _layer_cg(self, s: int) -> tuple:
+        """Input type, pair policy and degree cap of layer s's CG product."""
+        prev = self.input_type() if s == 0 else self.layer_types[s - 1]
+        return (prev, self.pair_policy,
+                layer_out_ell_max(s, self.n_layers, self.bandlimit))
+
     def cg_input_type(self, s: int) -> ActivationType:
         """Post-CG (pre-mixing) type feeding layer s's weights (s = 0-based)."""
-        prev = self.input_type() if s == 0 else self.layer_types[s - 1]
-        out_max = 0 if s == self.n_layers - 1 else self.bandlimit
-        return cg_output_type(prev, self.pair_policy, out_max)
+        return cg_output_type(*self._layer_cg(s))
+
+    def cg_blocks(self) -> set:
+        """Every (l1, l2, l) CG block the forward pass multiplies by."""
+        return {(l1, l2, l) for s in range(self.n_layers)
+                for l1, l2, l, _ in _cg_paths(*self._layer_cg(s))}
 
     def head_width(self) -> int:
         """Length of the invariant feature vector."""
@@ -354,15 +357,10 @@ def tau_schedule(L: int, width: int = 12) -> ActivationType:
         int(np.ceil(width / np.sqrt(2 * ell + 1))) for ell in range(L + 1)))
 
 
-def layer_forward(F: CovariantActivation, weights: list,
-                  norm: NormState | None = None, training: bool = False,
-                  policy: str = "unordered",
-                  out_ell_max: int | None = None) -> CovariantActivation:
-    """One network layer: CG nonlinearity, optional normalization, linear mix."""
-    H = cg_nonlinearity(F, policy, out_ell_max)
-    if norm is not None:
-        H = covariant_normalize(H, norm, training)
-    return covariant_linear(H, weights)
+def layer_out_ell_max(s: int, n_layers: int, bandlimit: int) -> int:
+    """Highest degree layer s keeps after its CG product: the final layer
+    produces invariants only."""
+    return 0 if s == n_layers - 1 else bandlimit
 
 
 def invariant_features(layer_outputs: list, input_l0: np.ndarray) -> np.ndarray:
@@ -380,23 +378,33 @@ def invariant_features(layer_outputs: list, input_l0: np.ndarray) -> np.ndarray:
 
 def network_forward(coeffs: CovariantActivation, weights: list,
                     norm_states: list | None = None, training: bool = False,
-                    policy: str = "unordered", return_layers: bool = False):
-    """Full covariant forward pass: S layers then the invariant head.
+                    policy: str = "unordered", return_layers: bool = False,
+                    return_normed: bool = False):
+    """Full covariant forward pass: S layers (CG nonlinearity, optional
+    normalization, linear mix) then the invariant head.
 
-    ``weights[s]`` is the per-degree weight list of layer s.  The final
-    layer only produces l=0 output.  Returns the invariant feature vector
-    (B, head_width), and optionally the list of per-layer activations.
+    ``weights[s]`` is the per-degree weight list of layer s.  Returns the
+    invariant features (B, head_width); with ``return_layers`` also the
+    per-layer outputs; with ``return_normed`` also each layer's normalized
+    CG output and its denominators (None without normalization).
     """
     S = len(weights)
     L = coeffs.bandlimit
-    acts = []
+    outputs, normed, denoms = [], [], []
     F = coeffs
     for s in range(S):
-        out_max = 0 if s == S - 1 else L
+        H = cg_nonlinearity(F, policy, layer_out_ell_max(s, S, L))
         norm = norm_states[s] if norm_states is not None else None
-        F = layer_forward(F, weights[s], norm, training, policy, out_max)
-        acts.append(F)
-    feats = invariant_features(acts, coeffs.fragments[0])
+        if norm is not None:
+            H = covariant_normalize(H, norm, training)
+        if return_normed:
+            normed.append(H)
+            denoms.append(norm.denominators() if norm is not None else None)
+        F = covariant_linear(H, weights[s])
+        outputs.append(F)
+    feats = invariant_features(outputs, coeffs.fragments[0])
+    if return_normed:
+        return feats, outputs, normed, denoms
     if return_layers:
-        return feats, acts
+        return feats, outputs
     return feats

@@ -175,8 +175,29 @@ def _parse_manifest(text: str) -> dict:
     return out
 
 
+def _read_blob(path: Path, expected: int) -> bytes:
+    blob = path.read_bytes()
+    if len(blob) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes from the "
+                         f"manifest, found {len(blob)}")
+    return blob
+
+
+def _split(flat: np.ndarray, shapes: list) -> list:
+    """Copies of consecutive runs of ``flat``, one array per shape."""
+    out, pos = [], 0
+    for shape in shapes:
+        n = int(np.prod(shape))
+        out.append(flat[pos:pos + n].reshape(shape).copy())
+        pos += n
+    return out
+
+
 def load_checkpoint(path):
-    """Load (weights, norm_states, adam_or_None, manifest_dict)."""
+    """Load (weights, norm_states, adam_or_None, manifest_dict).
+
+    Every blob's size is checked against the manifest before it is parsed.
+    """
     path = Path(path)
     manifest = _parse_manifest((path / "model.manifest").read_text())
     if manifest.get("format") != "CGNET1":
@@ -191,56 +212,41 @@ def load_checkpoint(path):
         for s in range(S))
     spec = NetworkSpec(L, n_in, taus, manifest.get("pair_policy", "unordered"))
 
-    blob = (path / "weights.bin").read_bytes()
-    n_complex = sum(spec.cg_input_type(s).tau[ell] * taus[s].tau[ell]
-                    for s in range(S) for ell in range(L + 1))
-    raw = np.frombuffer(blob[:16 * n_complex], dtype="<c16")
-    pos = 0
-    layers = []
-    for s in range(S):
-        fan = spec.cg_input_type(s).tau
-        mats = []
-        for ell in range(L + 1):
-            n = fan[ell] * taus[s].tau[ell]
-            mats.append(raw[pos:pos + n].reshape(fan[ell], taus[s].tau[ell]).copy())
-            pos += n
-        layers.append(mats)
-    head_raw = np.frombuffer(blob[16 * n_complex:], dtype="<f8")
+    fans = [spec.cg_input_type(s).tau for s in range(S)]
     d = spec.head_width()
-    shapes = [(d, hidden), (hidden,), (hidden, n_out), (n_out,)]
-    head_arrays, hpos = [], 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        head_arrays.append(head_raw[hpos:hpos + n].reshape(shape).copy())
-        hpos += n
-    weights = NetworkWeights(spec, layers, HeadWeights(*head_arrays))
+    layer_shapes = [(fan[ell], tau.tau[ell])
+                    for fan, tau in zip(fans, taus) for ell in range(L + 1)]
+    head_shapes = [(d, hidden), (hidden,), (hidden, n_out), (n_out,)]
+    n_complex = sum(a * b for a, b in layer_shapes)
+    n_head = sum(int(np.prod(shape)) for shape in head_shapes)
+    n_scales = sum(sum(fan) for fan in fans)
+    blob = _read_blob(path / "weights.bin", 16 * n_complex + 8 * n_head)
+    norm_raw = _read_blob(path / "norm.bin", 8 * S + 8 * n_scales)
 
-    norm_raw = (path / "norm.bin").read_bytes()
+    mats = _split(np.frombuffer(blob[:16 * n_complex], dtype="<c16"),
+                  layer_shapes)
+    head = _split(np.frombuffer(blob[16 * n_complex:], dtype="<f8"),
+                  head_shapes)
+    layers = [mats[s * (L + 1):(s + 1) * (L + 1)] for s in range(S)]
+    weights = NetworkWeights(spec, layers, HeadWeights(*head))
+
     counts = np.frombuffer(norm_raw[:8 * S], dtype="<i8")
-    scales_flat = np.frombuffer(norm_raw[8 * S:], dtype="<f8")
-    norm_states, pos = [], 0
-    for s in range(S):
-        tau_bar = spec.cg_input_type(s).tau
-        scales = []
-        for t in tau_bar:
-            scales.append(scales_flat[pos:pos + t].copy())
-            pos += t
-        norm_states.append(NormState(scales, int(counts[s])))
+    scales = _split(np.frombuffer(norm_raw[8 * S:], dtype="<f8"),
+                    [(t,) for fan in fans for t in fan])
+    norm_states = [NormState(scales[s * (L + 1):(s + 1) * (L + 1)],
+                             int(counts[s])) for s in range(S)]
 
     adam = None
     adam_path = path / "adam.bin"
     if adam_path.exists():
-        raw = adam_path.read_bytes()
+        raw = _read_blob(adam_path, 48 + 16 * (2 * n_complex + n_head))
         step = int(np.frombuffer(raw[:8], dtype="<i8")[0])
         lr, b1, b2, eps, wd = np.frombuffer(raw[8:48], dtype="<f8")
         adam = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps,
                          weight_decay=wd, step=step)
-        flat = np.frombuffer(raw[48:], dtype="<f8")
-        pos = 0
-        for arr in weights.arrays():
-            f = arr.view(float) if np.iscomplexobj(arr) else arr
-            adam.m.append(flat[pos:pos + f.size].reshape(f.shape).copy())
-            pos += f.size
-            adam.v.append(flat[pos:pos + f.size].reshape(f.shape).copy())
-            pos += f.size
+        # m and v alternate, each shaped like the parameter's float64 view
+        shapes = [(a.view(float) if np.iscomplexobj(a) else a).shape
+                  for a in weights.arrays() for _ in range(2)]
+        moments = _split(np.frombuffer(raw[48:], dtype="<f8"), shapes)
+        adam.m, adam.v = moments[0::2], moments[1::2]
     return weights, norm_states, adam, manifest

@@ -230,7 +230,7 @@ def test_sparse_equals_dense_and_cost_model():
     monotone = all(a < b for a, b in zip(growth, growth[1:]))
     ok = (sd_err <= 1e-13 and abs(r1 / 4 - 1) <= 0.15
           and abs(r2 / 4 - 1) <= 0.15 and monotone)
-    report("sparse kernel vs dense reference", ok,
+    report("CG kernel vs dense reference", ok,
            f"max deviation {sd_err:.2e} (tol 1e-13); count ratios "
            f"{r1:.2f}, {r2:.2f} for N doubling (target 4 +/- 15%); "
            f"count increases with band limit: {monotone}")

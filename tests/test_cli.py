@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cgsphere
 from cgsphere.cli import (
     EXIT_AUDIT,
     EXIT_NUMERIC,
@@ -108,6 +113,22 @@ def test_audit_detects_corrupted_coefficient(workspace, capsys):
     assert "AUDIT FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["1,1,5,0", "4,4,4,0", "1,1", "1,1,x,0"])
+def test_audit_rejects_unused_or_malformed_corruption(workspace, capsys,
+                                                      value):
+    # a triangle violation, a degree above the band limit, and two values
+    # that are not four integers: nothing would be corrupted
+    try:
+        code = main(["audit", "--checkpoint", str(workspace["ckpt"]),
+                     "--trials", "1", "--corrupt-cg", value])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "audit passed" not in captured.out
+    assert value in captured.err
+
+
 def test_audit_restores_tables_after_corruption(workspace, capsys):
     # the corruption from the previous invocation must not leak
     code = main(["audit", "--checkpoint", str(workspace["ckpt"]),
@@ -152,6 +173,16 @@ def test_missing_dataset_is_numeric_error(workspace, capsys):
     code = main(["eval", "--checkpoint", str(workspace["ckpt"]),
                  "--data", str(workspace["root"] / "nope")])
     assert code == EXIT_NUMERIC
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(cgsphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cgsphere.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_nr_r_test_sets_share_examples(workspace):

@@ -58,6 +58,14 @@ def test_validation_rules():
         ExperimentConfig(classes=1)
     with pytest.raises(ConfigError):
         ExperimentConfig(regime="sideways")
+    with pytest.raises(ConfigError, match="pair_policy"):
+        ExperimentConfig(pair_policy="bogus")
+    with pytest.raises(ConfigError, match="tau"):
+        ExperimentConfig(tau="rule:x")
+    with pytest.raises(ConfigError, match="tau"):
+        ExperimentConfig(tau="-1")
+    with pytest.raises(ConfigError, match="tau"):
+        parse_config("tau = 4,4\n")
 
 
 def test_tau_vector_forms():

@@ -13,7 +13,6 @@ from cgsphere.network import (
     covariant_linear,
     covariant_normalize,
     invariant_features,
-    layer_forward,
     network_forward,
     tau_schedule,
 )
@@ -273,16 +272,23 @@ def build_network(spec, seed=0):
     return weights, make_norm_states(spec)
 
 
-def test_layer_forward_composition():
+def test_network_forward_layer_composition():
     spec = desk_spec()
     weights, norms = build_network(spec)
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
-    by_hand = covariant_linear(
-        covariant_normalize(cg_nonlinearity(F), norms[0].copy()),
-        weights.layers[0])
-    composed = layer_forward(F, weights.layers[0], norms[0].copy())
-    for a, b in zip(by_hand.fragments, composed.fragments):
+    by_hand_normed = covariant_normalize(cg_nonlinearity(F), norms[0].copy())
+    by_hand = covariant_linear(by_hand_normed, weights.layers[0])
+    _, outputs, normed, denoms = network_forward(
+        F, weights.layers, [n.copy() for n in norms], return_normed=True)
+    for a, b in zip(by_hand.fragments, outputs[0].fragments):
         np.testing.assert_allclose(a, b, atol=1e-14)
+    for a, b in zip(by_hand_normed.fragments, normed[0].fragments):
+        np.testing.assert_allclose(a, b, atol=1e-14)
+    for d, s in zip(denoms[0], norms[0].scales):
+        np.testing.assert_array_equal(d, s)
+    _, _, _, no_denoms = network_forward(F, weights.layers,
+                                         return_normed=True)
+    assert no_denoms == [None] * spec.n_layers
 
 
 def test_network_forward_shapes():

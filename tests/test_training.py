@@ -190,3 +190,22 @@ def test_checkpoint_bad_format(tmp_path):
     (d / "model.manifest").write_text("format=WRONG\n")
     with pytest.raises(ValueError):
         load_checkpoint(d)
+
+
+@pytest.mark.parametrize("blob", ["weights.bin", "norm.bin", "adam.bin"])
+@pytest.mark.parametrize("damage", ["truncated", "padded"])
+def test_checkpoint_blob_size_checked(tmp_path, blob, damage):
+    _, _, _, weights, norms, adam = make_toy_problem()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, weights, norms, adam)
+    path = ckpt / blob
+    data = path.read_bytes()
+    expected = len(data)
+    data = data[:-16] if damage == "truncated" else data + bytes(16)
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    message = str(err.value)
+    assert blob in message
+    assert f"expected {expected} bytes" in message
+    assert f"found {len(data)}" in message
