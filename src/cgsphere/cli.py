@@ -58,6 +58,15 @@ def batched_activation(dataset: Dataset, L: int) -> CovariantActivation:
         L, [blk.T[:, :, None] for blk in coeffs.blocks])
 
 
+def _check_labels(dataset: Dataset, n_classes: int, prefix) -> None:
+    """Reject labels the model has no output class for."""
+    bad = dataset.labels[dataset.labels >= n_classes]
+    if bad.size:
+        raise ValueError(
+            f"{Path(prefix).with_suffix('.labels')}: label {bad[0]} is not "
+            f"below the model's class count {n_classes}")
+
+
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -103,6 +112,7 @@ def cmd_train(args) -> int:
         adam = AdamState.for_weights(
             weights, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
             eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+    _check_labels(train, weights.head.b2.shape[0], data_dir / "train")
 
     steps = args.steps if args.steps is not None else cfg.steps
     log_path = out / "train.log"
@@ -122,12 +132,13 @@ def cmd_eval(args) -> int:
     dataset = read_dataset(args.data)
     if len(dataset) == 0:
         raise ValueError(f"dataset {args.data} is empty")
+    n_out = int(manifest["n_out"])
+    _check_labels(dataset, n_out, args.data)
     L = weights.spec.bandlimit
     acts = batched_activation(dataset, L)
     tape = forward_with_tape(acts, weights, norm_states, training=False)
     preds = np.argmax(tape.logits, axis=1)
     acc = accuracy(tape.logits, dataset.labels)
-    n_out = int(manifest["n_out"])
     confusion = np.zeros((n_out, n_out), dtype=int)
     for truth, pred in zip(dataset.labels, preds):
         confusion[truth, pred] += 1

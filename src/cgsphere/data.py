@@ -97,12 +97,19 @@ def write_dataset(prefix, dataset: Dataset) -> None:
 
 
 def read_dataset(prefix) -> Dataset:
+    """Read ``<prefix>.sph`` and ``<prefix>.labels``; every label must be a
+    non-negative integer, one per example."""
     prefix = Path(prefix)
     signal = read_signal(prefix.with_suffix(".sph"))
-    text = prefix.with_suffix(".labels").read_text().split()
+    labels_path = prefix.with_suffix(".labels")
+    text = labels_path.read_text().split()
+    bad = [t for t in text if not t.isdecimal()]
+    if bad:
+        raise ValueError(
+            f"{labels_path}: label {bad[0]!r} is not a non-negative integer")
     labels = np.asarray([int(t) for t in text], dtype=int)
     if labels.shape[0] != signal.n_channels:
         raise ValueError(
-            f"label count {labels.shape[0]} does not match "
+            f"{labels_path}: label count {labels.shape[0]} does not match "
             f"{signal.n_channels} examples")
     return Dataset(signal, labels)

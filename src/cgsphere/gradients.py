@@ -141,12 +141,8 @@ def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
 
 @dataclass
 class ForwardTape:
-    """Everything the backward pass needs from one forward evaluation.
+    """Everything the backward pass needs from one forward evaluation."""
 
-    Layer s's CG input is ``input`` for s = 0 and ``outputs[s - 1]`` after.
-    """
-
-    input: CovariantActivation
     norm_denoms: list    # per layer: per-l denominators, None if unnormalized
     normed: list         # post-CG, post-normalization activations
     outputs: list        # per-layer outputs
@@ -164,8 +160,7 @@ def forward_with_tape(coeffs: CovariantActivation, weights: NetworkWeights,
         weights.spec.pair_policy, return_normed=True)
     hid_pre = feats @ weights.head.w1 + weights.head.b1
     logits = np.maximum(hid_pre, 0.0) @ weights.head.w2 + weights.head.b2
-    return ForwardTape(coeffs, denoms, normed, outputs, feats, hid_pre,
-                       logits)
+    return ForwardTape(denoms, normed, outputs, feats, hid_pre, logits)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -176,9 +171,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
                   weights: NetworkWeights, norm_states: list | None = None,
-                  training: bool = False, l2: float = 0.0):
-    """Mean softmax cross-entropy (+ optional L2 penalty) and its gradient
-    with respect to every parameter.
+                  training: bool = False):
+    """Mean softmax cross-entropy and its gradient with respect to every
+    parameter.
 
     Returns (loss, NetworkWeights-shaped gradients, logits).
     """
@@ -227,20 +222,12 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
                                        weights.layers[s])
         # ADAM steps complex gradients through their float64 view
         g_layers[s] = [np.ascontiguousarray(w) for w in W_bar]
+        if s == 0:
+            break  # the network input has no parameters behind it
         for h, d in zip(H_bar, tape.norm_denoms[s] or ()):
             h /= d[None, None, :]
-        cg_input = tape.input if s == 0 else tape.outputs[s - 1]
-        G_bar = backward_cg(H_bar, cg_input, spec.pair_policy,
+        G_bar = backward_cg(H_bar, tape.outputs[s - 1], spec.pair_policy,
                             layer_out_ell_max(s, S, L))
-
-    if l2:
-        for layer, g_layer in zip(weights.layers, g_layers):
-            for w, g in zip(layer, g_layer):
-                loss += l2 * np.sum(np.abs(w) ** 2)
-                g += 2.0 * l2 * w
-        for w, g in zip(weights.head.arrays(), g_head.arrays()):
-            loss += l2 * np.sum(w ** 2)
-            g += 2.0 * l2 * w
 
     grads = NetworkWeights(spec, g_layers, g_head)
     return loss, grads, tape.logits

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .so3 import EulerAngles, spherical_harmonic, wigner_D
 
 _MAGIC = b"SPH1"
+_HEADER_BYTES = 12  # magic, then bandwidth and channel count as uint32
 
 
 @dataclass
@@ -175,22 +177,23 @@ def write_signal(path, signal: SphericalSignal) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", signal.bandwidth, signal.n_channels))
-        inter = np.empty(signal.samples.size * 2)
-        inter[0::2] = signal.samples.real.ravel()
-        inter[1::2] = signal.samples.imag.ravel()
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(signal.samples.astype("<c16").tobytes())
 
 
 def read_signal(path) -> SphericalSignal:
-    """Read a SphericalSignal from a SPH1 file."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a SPH1 file: bad magic {magic!r}")
-        b, n_ch = struct.unpack("<II", fh.read(8))
-        n = 2 * b
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-        if raw.size != 2 * n_ch * n * n:
-            raise ValueError("SPH1 payload size does not match header")
-        samples = (raw[0::2] + 1j * raw[1::2]).reshape(n_ch, n, n)
-    return SphericalSignal(b, samples)
+    """Read a SphericalSignal from a SPH1 file, checking the file size
+    against the header before the samples are parsed."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a SPH1 file: bad magic {raw[:4]!r}")
+    if len(raw) < _HEADER_BYTES:
+        raise ValueError(f"{path}: expected at least {_HEADER_BYTES} bytes "
+                         f"for the SPH1 header, found {len(raw)}")
+    b, n_ch = struct.unpack_from("<II", raw, 4)
+    n = 2 * b
+    expected = _HEADER_BYTES + 16 * n_ch * n * n
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes from the SPH1 "
+                         f"header (b={b}, {n_ch} channels), found {len(raw)}")
+    samples = np.frombuffer(raw, dtype="<c16", offset=_HEADER_BYTES)
+    return SphericalSignal(b, samples.reshape(n_ch, n, n).astype(complex))

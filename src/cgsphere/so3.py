@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Factorials up to (4*MAX_DEGREE + 2)! appear in the CG formula; the table is
-# sized so every valid call with ell <= MAX_DEGREE stays in range.
+# Wigner-d is verified up to this degree; for Racah's CG formula it bounds the
+# log-factorial table, which holds up to (4*MAX_DEGREE + 2)!.
 MAX_DEGREE = 64
 
 _LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4 * MAX_DEGREE + 3)))))
 
 
 class CapacityError(Exception):
-    """Requested degree exceeds the precomputed factorial table."""
+    """Requested degree exceeds MAX_DEGREE."""
 
 
 def _log_fact(n: int) -> float:
@@ -41,7 +41,8 @@ def _check_degree(ell: int) -> None:
         raise ValueError(f"degree must be non-negative, got {ell}")
     if ell > MAX_DEGREE:
         raise CapacityError(
-            f"degree {ell} exceeds the factorial-table limit {MAX_DEGREE}"
+            f"degree {ell} exceeds MAX_DEGREE = {MAX_DEGREE}, the verified "
+            f"bound for Wigner-d and the factorial-table bound for CG"
         )
 
 
@@ -93,34 +94,20 @@ class CGBlock:
 
 
 def wigner_d_small(ell: int, beta: float) -> np.ndarray:
-    """Wigner little-d matrix d^ell(beta), real orthogonal, via the explicit sum.
+    """Wigner little-d matrix d^ell(beta) = exp(-i beta J_y), real orthogonal.
 
-    Rows and columns are indexed by m' and m running over -ell..ell.
+    Rows and columns are indexed by m' and m running over -ell..ell.  The
+    eigenvalues of the Hermitian tridiagonal J_y are exactly -ell..ell, in
+    the ascending order eigh returns; eigenvector phases cancel in V(.)V^H.
+    I + V diag(expm1) V^H is exactly the identity at beta = 0.
     """
     _check_degree(ell)
-    n = 2 * ell + 1
-    d = np.zeros((n, n))
-    cos_half = math.cos(beta / 2.0)
-    sin_half = math.sin(beta / 2.0)
-    for mp in range(-ell, ell + 1):
-        for m in range(-ell, ell + 1):
-            pref = 0.5 * (_log_fact(ell + mp) + _log_fact(ell - mp)
-                          + _log_fact(ell + m) + _log_fact(ell - m))
-            k_min = max(0, m - mp)
-            k_max = min(ell + m, ell - mp)
-            total = 0.0
-            for k in range(k_min, k_max + 1):
-                p_cos = 2 * ell + m - mp - 2 * k
-                p_sin = mp - m + 2 * k
-                # 0^0 = 1 keeps the endpoints beta = 0, pi exact.
-                term = pref - (_log_fact(ell + m - k) + _log_fact(k)
-                               + _log_fact(ell - mp - k) + _log_fact(mp - m + k))
-                mag = math.exp(term)
-                c = cos_half ** p_cos if p_cos > 0 else 1.0
-                s = sin_half ** p_sin if p_sin > 0 else 1.0
-                total += (-1.0) ** (k + mp - m) * mag * c * s
-            d[mp + ell, m + ell] = total
-    return d
+    m = np.arange(-ell, ell + 1)
+    # <m|J_y|m+1> = (i/2) sqrt(l(l+1) - m(m+1)); eigh reads only this triangle
+    off = 0.5j * np.sqrt(ell * (ell + 1) - m[:-1] * (m[:-1] + 1))
+    _, v = np.linalg.eigh(np.diag(off, 1), UPLO="U")
+    d = (v * np.expm1(-1j * beta * m)) @ v.conj().T
+    return np.eye(2 * ell + 1) + d.real
 
 
 def wigner_D(ell: int, angles: EulerAngles) -> WignerD:

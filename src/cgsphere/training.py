@@ -77,11 +77,10 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 def train_loop(coeffs: CovariantActivation, labels: np.ndarray,
                weights: NetworkWeights, norm_states: list, adam: AdamState,
                steps: int, batch_size: int, seed: int = 0,
-               log_file=None, l2: float = 0.0) -> list:
+               log_file=None) -> list:
     """Minibatch training; deterministic for a fixed seed and data order.
 
-    Weight decay is applied by the optimizer; ``l2`` optionally adds an
-    explicit penalty to the reported loss as well.  Returns the per-step
+    Weight decay is applied by the optimizer.  Returns the per-step
     (loss, accuracy) history and writes one tab-separated log line per step:
     ``step  loss  train_acc  lr  wall_ms``.
     """
@@ -94,7 +93,7 @@ def train_loop(coeffs: CovariantActivation, labels: np.ndarray,
         batch = CovariantActivation(
             coeffs.bandlimit, [f[idx] for f in coeffs.fragments])
         loss, grads, logits = loss_and_grad(
-            batch, labels[idx], weights, norm_states, training=True, l2=l2)
+            batch, labels[idx], weights, norm_states, training=True)
         adam_step(adam, weights, grads)
         acc = accuracy(logits, labels[idx])
         history.append((loss, acc))

@@ -175,6 +175,34 @@ def test_missing_dataset_is_numeric_error(workspace, capsys):
     assert code == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("label", ["-1", "3", "1.5", "x"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_label_rejected_naming_file(workspace, tmp_path, capsys, command,
+                                        label):
+    # the model has 3 classes, so 3 is the smallest label out of range
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train", "test"):
+        (data / f"{name}.sph").write_bytes(
+            (workspace["data"] / f"{name}.sph").read_bytes())
+        labels = (workspace["data"] / f"{name}.labels").read_text().split()
+        labels[-1] = label
+        (data / f"{name}.labels").write_text("\n".join(labels) + "\n")
+    if command == "train":
+        argv = ["train", "--config", str(workspace["cfg"]),
+                "--out", str(tmp_path / "run"), "--data", str(data),
+                "--steps", "1"]
+        bad_file = data / "train.labels"
+    else:
+        argv = ["eval", "--checkpoint", str(workspace["ckpt"]),
+                "--data", str(data / "test")]
+        bad_file = data / "test.labels"
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert str(bad_file) in err
+    assert label in err
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(cgsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -170,17 +170,6 @@ def test_gradient_wrt_input_not_needed_but_norm_frozen():
         np.testing.assert_array_equal(a, b)
 
 
-def test_l2_penalty_shifts_loss_and_grad():
-    spec, weights, norms, coeffs, labels = setup_problem()
-    l0, g0, _ = loss_and_grad(coeffs, labels, weights, norms)
-    lam = 0.01
-    l1_, g1, _ = loss_and_grad(coeffs, labels, weights, norms, l2=lam)
-    penalty = sum(np.sum(np.abs(w) ** 2) for w in weights.arrays())
-    assert l1_ == pytest.approx(l0 + lam * penalty, rel=1e-10)
-    w = weights.layers[0][0]
-    np.testing.assert_allclose(g1.layers[0][0], g0.layers[0][0] + 2 * lam * w)
-
-
 def test_empty_batch_rejected():
     spec, weights, norms, coeffs, labels = setup_problem()
     with pytest.raises(ValueError):

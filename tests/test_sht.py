@@ -169,3 +169,19 @@ def test_sph1_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         read_signal(path)
+
+
+@pytest.mark.parametrize("size", [10, 1003, 1012, 1044])
+def test_sph1_size_checked_against_header(tmp_path, size):
+    # b = 4, one channel: 12 header bytes + 16 * 8 * 8 payload bytes
+    path = tmp_path / "sig.sph"
+    write_signal(path, SphericalSignal(4, np.ones((1, 8, 8))))
+    raw = path.read_bytes()
+    assert len(raw) == 1036
+    path.write_bytes((raw + b"\x00" * 8)[:size])
+    with pytest.raises(ValueError) as err:
+        read_signal(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert str(size) in message
+    assert ("1036" if size >= 12 else "12") in message

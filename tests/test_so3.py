@@ -37,21 +37,40 @@ def test_wigner_d_identity_rotation():
     np.testing.assert_allclose(wigner_d_small(4, 0.0), np.eye(9), atol=1e-15)
 
 
-def test_wigner_d_matches_high_precision_sum():
-    d = wigner_d_small(2, math.pi / 3)
-    ref = oracles.wigner_d_highprec(2, math.pi / 3)
+@pytest.mark.parametrize("ell", [2, 16, 32])
+def test_wigner_d_matches_high_precision_sum(ell):
+    d = wigner_d_small(ell, math.pi / 3)
+    ref = oracles.wigner_d_highprec(ell, math.pi / 3)
     np.testing.assert_allclose(d, ref, atol=1e-12)
 
 
-@pytest.mark.parametrize("ell", [1, 3, 6, 10])
+@pytest.mark.parametrize("ell", [1, 3, 6, 10, 16, 32, 48, 64])
 def test_wigner_d_orthogonal(ell):
     beta = RNG.uniform(0.0, math.pi)
     d = wigner_d_small(ell, beta)
     np.testing.assert_allclose(d.T @ d, np.eye(2 * ell + 1), atol=1e-12)
 
 
+# Above the degrees the 50-digit oracle reaches in test time, d is checked
+# against two identities it does not share code with.
+@pytest.mark.parametrize("ell", [3, 48, 64])
+def test_wigner_d_angle_addition(ell):
+    product = wigner_d_small(ell, 0.7) @ wigner_d_small(ell, 1.9)
+    np.testing.assert_allclose(product, wigner_d_small(ell, 2.6), atol=1e-12)
+
+
+@pytest.mark.parametrize("ell", [3, 48, 64])
+def test_wigner_d_zero_column_is_harmonic(ell):
+    # d^l_{m'0}(beta) = sqrt(4 pi / (2l+1)) Y_l^{m'}(beta, 0)
+    beta = 1.3
+    y = [spherical_harmonic(ell, mp, beta, 0.0) for mp in range(-ell, ell + 1)]
+    np.testing.assert_allclose(
+        wigner_d_small(ell, beta)[:, ell],
+        math.sqrt(4.0 * math.pi / (2 * ell + 1)) * np.array(y), atol=1e-12)
+
+
 def test_wigner_d_endpoints():
-    # beta = pi is handled by the closed-form sum without special casing
+    # beta = pi needs no special case
     d = wigner_d_small(3, math.pi)
     ref = oracles.wigner_d_highprec(3, math.pi)
     np.testing.assert_allclose(d, ref, atol=1e-13)
@@ -277,7 +296,7 @@ def test_random_rotation_trivial_representation_mean():
 
 # --- property tests ---
 
-@given(st.integers(0, 8),
+@given(st.integers(0, 64),
        st.floats(0.0, math.pi, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_wigner_d_orthogonality_property(ell, beta):
