@@ -97,21 +97,31 @@ def backward_linear(G_bar: list, F: CovariantActivation, weights: list):
     """Adjoint of the per-degree mix G_l = F_l W_l.
 
     ``G_bar`` is a list of cotangent arrays matching the output fragments.
-    Returns (F_bar fragments, W_bar list).
+    Both products are 2-D matmuls over the (B*(2l+1), tau) rows; W_bar is
+    computed as (G^H F)^H, which conjugates the narrow cotangent rather
+    than the wide activation.  Returns (F_bar fragments, W_bar list).
     """
     F_bar, W_bar = [], []
     for ell, (g, f, w) in enumerate(zip(G_bar, F.fragments, weights)):
         if w.shape != (f.shape[2], g.shape[2]):
             raise ValueError(f"adjoint shape mismatch at l={ell}")
-        F_bar.append(g @ w.conj().T)
-        W_bar.append(np.einsum("bmi,bmj->ij", f.conj(), g))
+        rows = f.shape[0] * f.shape[1]
+        g2 = g.reshape(rows, g.shape[2])
+        F_bar.append((g2 @ w.conj().T).reshape(f.shape))
+        W_bar.append((g2.conj().T @ f.reshape(rows, f.shape[2])).conj().T)
     return F_bar, W_bar
 
 
 def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
                 out_ell_max: int | None = None) -> list:
-    """Adjoint of the CG nonlinearity; mirrors the forward concatenation
-    order exactly.  Self-pairs accumulate both branch gradients."""
+    """Adjoint of the CG nonlinearity; mirrors the forward column order
+    exactly.  Self-pairs accumulate both branch gradients.
+
+    Per pair, the CG matrix maps the output cotangent back to the Kronecker
+    cotangent, laid out as one (d1*t1, d2*t2) matrix per example; each
+    factor's cotangent is then a batched mat-vec with the other factor's
+    conjugate.
+    """
     L = F.bandlimit
     if out_ell_max is None:
         out_ell_max = L
@@ -130,10 +140,15 @@ def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
             for l in table.ells])
         for l in table.ells:
             offsets[l] += n
-        k_bar = _real_matmul(table.matrix, y_bar.reshape(-1, B * n)).reshape(
-            d1, d2, B, t1, t2)
-        F_bar[l1] += np.einsum("mnbij,bnj->bmi", k_bar, F2.conj())
-        F_bar[l2] += np.einsum("mnbij,bmi->bnj", k_bar, F1.conj())
+        k_bar = _real_matmul(table.matrix, y_bar.reshape(-1, B * n))
+        # (m1, m2, b, i, j) -> (b, (m1, i), (m2, j))
+        k_bar = np.ascontiguousarray(
+            k_bar.reshape(d1, d2, B, t1, t2).transpose(2, 0, 3, 1, 4)
+        ).reshape(B, d1 * t1, d2 * t2)
+        F_bar[l1] += (k_bar @ F2.conj().reshape(B, d2 * t2, 1)).reshape(
+            B, d1, t1)
+        F_bar[l2] += (F1.conj().reshape(B, 1, d1 * t1) @ k_bar).reshape(
+            B, d2, t2)
     return F_bar
 
 
@@ -141,7 +156,12 @@ def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
 
 @dataclass
 class ForwardTape:
-    """Everything the backward pass needs from one forward evaluation."""
+    """Everything the backward pass needs from one forward evaluation.
+
+    ``loss_and_grad`` sets ``normed[s]`` to None once ``backward_linear``
+    has read it, so a layer's wide normalized activation is freed before
+    the CG adjoint below it runs.
+    """
 
     norm_denoms: list    # per layer: per-l denominators, None if unnormalized
     normed: list         # post-CG, post-normalization activations
@@ -220,6 +240,7 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
         G_bar[0][:, 0, :] += head_adjoints[s]
         H_bar, W_bar = backward_linear(G_bar, tape.normed[s],
                                        weights.layers[s])
+        tape.normed[s] = None  # nothing reads it again; free it before CG
         # ADAM steps complex gradients through their float64 view
         g_layers[s] = [np.ascontiguousarray(w) for w in W_bar]
         if s == 0:

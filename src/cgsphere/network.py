@@ -198,33 +198,38 @@ def cg_nonlinearity(F: CovariantActivation, policy: str = "unordered",
     """Tensor-product nonlinearity: all pairwise Kronecker products,
     decomposed into irreducible fragments through the dense CG matrices.
 
-    Output blocks with the same degree are concatenated horizontally, in
-    pair order (l1 ascending, then l2), then degree ascending within a pair.
+    Output blocks with the same degree sit side by side, in pair order
+    (l1 ascending, then l2), then degree ascending within a pair.  Each
+    degree's output is allocated once, at the width ``cg_output_type``
+    gives, and every pair writes its blocks straight into their columns.
     """
     L = F.bandlimit
     if out_ell_max is None:
         out_ell_max = L
     B = F.batch_size
+    widths = cg_output_type(F.type, policy, out_ell_max).tau
+    out = [np.empty((B, 2 * ell + 1, w), dtype=complex)
+           for ell, w in enumerate(widths)]
+    offsets = [0] * (L + 1)
     # (2l+1, B, tau_l) copies, so the Kronecker product below comes out
     # C-contiguous with the (m1, m2) axis leading
     G = [np.ascontiguousarray(f.transpose(1, 0, 2)) for f in F.fragments]
-    out: list = [[] for _ in range(L + 1)]
     for l1, l2 in cg_pairs(L, policy):
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
         if t1 == 0 or t2 == 0 or abs(l1 - l2) > out_ell_max:
             continue
         table = _pair_table(l1, l2, out_ell_max)
-        d1, d2 = 2 * l1 + 1, 2 * l2 + 1
+        d1, d2, n = 2 * l1 + 1, 2 * l2 + 1, t1 * t2
         kron = G[l1][:, None, :, :, None] * G[l2][None, :, :, None, :]
-        y = _real_matmul(table.matrix.T, kron.reshape(d1 * d2, B * t1 * t2))
-        y = y.reshape(-1, B, t1 * t2)
-        splits = np.cumsum([2 * l + 1 for l in table.ells[:-1]])
-        for l, block in zip(table.ells, np.split(y, splits)):
-            out[l].append(block.transpose(1, 0, 2))
-    return CovariantActivation(L, [
-        np.concatenate(blocks, axis=2) if blocks
-        else np.zeros((B, 2 * ell + 1, 0), dtype=complex)
-        for ell, blocks in enumerate(out)])
+        y = _real_matmul(table.matrix.T, kron.reshape(d1 * d2, B * n))
+        row = 0
+        for l in table.ells:
+            d = 2 * l + 1
+            out[l][:, :, offsets[l]:offsets[l] + n] = \
+                y[row:row + d].reshape(d, B, n).transpose(1, 0, 2)
+            row += d
+            offsets[l] += n
+    return CovariantActivation(L, out)
 
 
 # --- covariant linear mixing ---
@@ -240,7 +245,9 @@ def covariant_linear(F: CovariantActivation, weights: list) -> CovariantActivati
                 f"weight rows ({w.shape[0]}) must match input fragment count "
                 f"({f.shape[2]}) at l={ell}"
             )
-        frags.append(f @ w)
+        B, d, t = f.shape
+        # as one 2-D matmul: numpy runs the 3-D (B, 2l+1, tau) form far slower
+        frags.append((f.reshape(B * d, t) @ w).reshape(B, d, w.shape[1]))
     return CovariantActivation(F.bandlimit, frags)
 
 

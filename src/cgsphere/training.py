@@ -8,6 +8,8 @@ order is documented in the manifest.
 
 from __future__ import annotations
 
+import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,8 +117,33 @@ _BLOB_DOC = ("layer weights by layer then degree as complex128 "
 def save_checkpoint(path, weights: NetworkWeights, norm_states: list,
                     adam: AdamState | None = None, n_out: int | None = None,
                     extra: dict | None = None) -> None:
+    """Write a checkpoint directory atomically.
+
+    Every file goes into a temporary sibling directory, which then replaces
+    ``path`` by rename, so a failure while writing leaves the previous
+    checkpoint at ``path`` as it was.
+    """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.partial-{os.getpid()}")
+    old = path.with_name(f".{path.name}.old-{os.getpid()}")
+    shutil.rmtree(partial, ignore_errors=True)
+    partial.mkdir()
+    try:
+        _write_checkpoint(partial, weights, norm_states, adam, n_out, extra)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if path.exists():
+        shutil.rmtree(old, ignore_errors=True)
+        os.replace(path, old)
+    os.replace(partial, path)
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def _write_checkpoint(path: Path, weights: NetworkWeights, norm_states: list,
+                      adam: AdamState | None, n_out: int | None,
+                      extra: dict | None) -> None:
     spec = weights.spec
     if n_out is None:
         n_out = weights.head.b2.shape[0]

@@ -106,6 +106,65 @@ def test_backward_cg_out_ell_max_zero():
     assert F_bar[1][idx].real == pytest.approx(fd, abs=1e-7)
 
 
+# --- adjoint identities at wide and zero-width shapes ---
+
+def random_like(arrays, rng=RNG):
+    return [rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+            for a in arrays]
+
+
+def assert_adjoint(lhs, rhs):
+    """Re<G_bar, J dF> equals Re<J^T G_bar, dF> to 1e-12 relative."""
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("tau_in, tau_out", [
+    ((2, 0, 3, 1), (1, 2, 0, 1)),
+    ((300, 0, 450, 7), (5, 3, 0, 2)),
+])
+def test_backward_linear_adjoint_identity(batch, tau_in, tau_out):
+    F = random_activation(3, tau_in, batch=batch)
+    w = [RNG.standard_normal((a, b)) + 1j * RNG.standard_normal((a, b))
+         for a, b in zip(tau_in, tau_out)]
+    dF, dw = random_like(F.fragments), random_like(w)
+    # the mix is bilinear in (F, W): J (dF, dW) = dF W + F dW
+    J = [df @ wl + f @ dwl
+         for df, wl, f, dwl in zip(dF, w, F.fragments, dw)]
+    G_bar = random_like(J)
+    F_bar, W_bar = backward_linear(G_bar, F, w)
+    assert_adjoint(real_inner(G_bar, J),
+                   real_inner(F_bar, dF) + real_inner(W_bar, dw))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("tau, out_ell_max", [
+    ((2, 0, 3, 1), 3),
+    ((2, 0, 3, 1), 0),
+    ((0, 3, 0, 2), 1),
+    ((8, 6, 5, 4), 3),   # post-CG widths in the hundreds
+])
+def test_backward_cg_adjoint_identity(batch, tau, out_ell_max):
+    L = len(tau) - 1
+    F = random_activation(L, tau, batch=batch)
+    dF = random_like(F.fragments)
+
+    def cg(frags):
+        return cg_nonlinearity(CovariantActivation(L, frags),
+                               out_ell_max=out_ell_max).fragments
+
+    # the product is quadratic in F, so the central difference is its
+    # linearisation in both factors exactly, up to rounding
+    plus = cg([f + d for f, d in zip(F.fragments, dF)])
+    minus = cg([f - d for f, d in zip(F.fragments, dF)])
+    J = [(p - m) / 2 for p, m in zip(plus, minus)]
+    if tau == (8, 6, 5, 4):
+        assert min(j.shape[2] for j in J) >= 100
+    H_bar = random_like(J)
+    F_bar = backward_cg(H_bar, F, out_ell_max=out_ell_max)
+    assert_adjoint(real_inner(H_bar, J), real_inner(F_bar, dF))
+
+
 # --- full network gradient ---
 
 def small_spec(L=2, S=2, width=3):

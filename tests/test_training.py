@@ -1,8 +1,10 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cgsphere import training
 from cgsphere.gradients import NetworkWeights, init_weights
 from cgsphere.network import ActivationType, CovariantActivation, NetworkSpec
 from cgsphere.training import (
@@ -209,3 +211,37 @@ def test_checkpoint_blob_size_checked(tmp_path, blob, damage):
     assert blob in message
     assert f"expected {expected} bytes" in message
     assert f"found {len(data)}" in message
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    _, coeffs, labels, weights, norms, adam = make_toy_problem()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, weights, norms, adam)
+    before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+    train_loop(coeffs, labels, weights, norms, adam, steps=2, batch_size=8)
+
+    def failing_open(path, *args, **kwargs):
+        if Path(path).name == "adam.bin":
+            raise OSError("disk full")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(training, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ckpt, weights, norms, adam)
+    monkeypatch.undo()
+
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+    w_old, _, a_old, _ = load_checkpoint(ckpt)
+    assert a_old.step == adam.step - 2
+    assert any(not np.array_equal(a, b)
+               for a, b in zip(w_old.arrays(), weights.arrays()))
+
+
+def test_save_replaces_the_whole_checkpoint(tmp_path):
+    _, _, _, weights, norms, adam = make_toy_problem()
+    save_checkpoint(tmp_path / "ckpt", weights, norms, adam)
+    save_checkpoint(tmp_path / "ckpt", weights, norms)
+    assert not (tmp_path / "ckpt" / "adam.bin").exists()
+    assert load_checkpoint(tmp_path / "ckpt")[2] is None
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
