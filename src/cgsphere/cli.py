@@ -128,11 +128,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    weights, norm_states, _, manifest = load_checkpoint(args.checkpoint)
+    weights, norm_states, _, _ = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.data)
     if len(dataset) == 0:
         raise ValueError(f"dataset {args.data} is empty")
-    n_out = int(manifest["n_out"])
+    n_out = weights.head.b2.shape[0]
     _check_labels(dataset, n_out, args.data)
     L = weights.spec.bandlimit
     acts = batched_activation(dataset, L)

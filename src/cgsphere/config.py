@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .network import PAIR_POLICIES, ActivationType, NetworkSpec, tau_schedule
+from .so3 import MAX_DEGREE
 
 REGIMES = ("NR/NR", "NR/R", "R/R")
 
@@ -43,6 +44,9 @@ class ExperimentConfig:
     regime: str = "R/R"
 
     def __post_init__(self):
+        if not 0 <= self.bandlimit <= MAX_DEGREE:
+            raise ConfigError(f"bandlimit must lie in 0..{MAX_DEGREE}, "
+                              f"got {self.bandlimit}")
         if self.bandlimit >= self.grid_bandwidth:
             raise ConfigError("bandlimit must be below grid_bandwidth")
         if self.layers < 1:

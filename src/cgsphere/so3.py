@@ -10,8 +10,8 @@ active rotations, so that
 and a function rotated by R has its degree-l harmonic coefficient vector
 multiplied by D^l(R).
 
-All functions are pure; the only precomputed state is an immutable
-log-factorial table.
+All functions are pure; the only precomputed state is an immutable table of
+log n! for the harmonic normalization.
 """
 
 from __future__ import annotations
@@ -21,19 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Wigner-d is verified up to this degree; for Racah's CG formula it bounds the
-# log-factorial table, which holds up to (4*MAX_DEGREE + 2)!.
+# Wigner-d and Clebsch-Gordan are verified up to this degree.
 MAX_DEGREE = 64
 
-_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4 * MAX_DEGREE + 3)))))
+# log n! for n = 0..2*MAX_DEGREE, the (l +- |m|)! of spherical_harmonic
+_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * MAX_DEGREE + 1)))))
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     """Requested degree exceeds MAX_DEGREE."""
-
-
-def _log_fact(n: int) -> float:
-    return _LOG_FACT[n]
 
 
 def _check_degree(ell: int) -> None:
@@ -42,7 +38,7 @@ def _check_degree(ell: int) -> None:
     if ell > MAX_DEGREE:
         raise CapacityError(
             f"degree {ell} exceeds MAX_DEGREE = {MAX_DEGREE}, the verified "
-            f"bound for Wigner-d and the factorial-table bound for CG"
+            f"bound for Wigner-d and Clebsch-Gordan"
         )
 
 
@@ -72,25 +68,31 @@ class WignerD:
 
 @dataclass(frozen=True)
 class CGBlock:
-    """Sparse Clebsch-Gordan block C_{l1,l2,l}.
+    """Clebsch-Gordan block C_{l1,l2,l}, a read-only real matrix.
 
-    ``entries`` is a list of ((m1, m2), m, value) with every stored triple
-    satisfying m1 + m2 = m.  The dense (2l1+1)(2l2+1) x (2l+1) matrix
-    assembled from the entries has orthonormal columns.
+    Row (m1+l1)*(2l2+1) + (m2+l2), column m+l of ``matrix`` holds
+    <l1 m1 l2 m2 | l m>, which vanishes unless m1 + m2 = m; the columns are
+    orthonormal.  Coefficients of magnitude at most 1e-14 are stored as
+    exact zeros.
     """
 
     ell1: int
     ell2: int
     ell: int
-    entries: tuple
+    matrix: np.ndarray
+
+    @property
+    def entries(self) -> tuple:
+        """The nonzero coefficients as ((m1, m2), m, value), m ascending,
+        then m1 ascending."""
+        d2 = 2 * self.ell2 + 1
+        cols, rows = (a.tolist() for a in np.nonzero(self.matrix.T))
+        return tuple(((r // d2 - self.ell1, r % d2 - self.ell2), c - self.ell,
+                      float(self.matrix[r, c])) for c, r in zip(cols, rows))
 
     def dense(self) -> np.ndarray:
-        """Assemble the dense block; row index is (m1+l1)*(2*l2+1) + (m2+l2)."""
-        mat = np.zeros(((2 * self.ell1 + 1) * (2 * self.ell2 + 1), 2 * self.ell + 1))
-        for (m1, m2), m, value in self.entries:
-            row = (m1 + self.ell1) * (2 * self.ell2 + 1) + (m2 + self.ell2)
-            mat[row, m + self.ell] = value
-        return mat
+        """A writable copy of ``matrix``."""
+        return self.matrix.copy()
 
 
 def wigner_d_small(ell: int, beta: float) -> np.ndarray:
@@ -121,7 +123,7 @@ def wigner_D(ell: int, angles: EulerAngles) -> WignerD:
 
 def clebsch_gordan_coeff(ell1: int, ell2: int, ell: int,
                          m1: int, m2: int, m: int) -> float:
-    """Clebsch-Gordan coefficient <l1 m1 l2 m2 | l m> (Racah's formula).
+    """Clebsch-Gordan coefficient <l1 m1 l2 m2 | l m>, read from ``cg_block``.
 
     Returns 0 when the selection rules m1 + m2 = m or the triangle
     inequality fail.
@@ -130,44 +132,52 @@ def clebsch_gordan_coeff(ell1: int, ell2: int, ell: int,
         _check_degree(l)
         if abs(mm) > l:
             raise ValueError(f"|m| = {abs(mm)} exceeds degree {l}")
-    if m1 + m2 != m:
+    if m1 + m2 != m or not abs(ell1 - ell2) <= ell <= ell1 + ell2:
         return 0.0
-    if ell < abs(ell1 - ell2) or ell > ell1 + ell2:
-        return 0.0
-
-    log_pref = 0.5 * (
-        math.log(2 * ell + 1)
-        + _log_fact(ell1 + ell2 - ell) + _log_fact(ell1 - ell2 + ell)
-        + _log_fact(-ell1 + ell2 + ell) - _log_fact(ell1 + ell2 + ell + 1)
-        + _log_fact(ell + m) + _log_fact(ell - m)
-        + _log_fact(ell1 + m1) + _log_fact(ell1 - m1)
-        + _log_fact(ell2 + m2) + _log_fact(ell2 - m2)
-    )
-    k_min = max(0, ell2 - ell - m1, ell1 - ell + m2)
-    k_max = min(ell1 + ell2 - ell, ell1 - m1, ell2 + m2)
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        log_den = (_log_fact(k) + _log_fact(ell1 + ell2 - ell - k)
-                   + _log_fact(ell1 - m1 - k) + _log_fact(ell2 + m2 - k)
-                   + _log_fact(ell - ell2 + m1 + k) + _log_fact(ell - ell1 - m2 + k))
-        total += (-1.0) ** k * math.exp(log_pref - log_den)
-    return total
+    row = (m1 + ell1) * (2 * ell2 + 1) + (m2 + ell2)
+    return float(cg_block(ell1, ell2, ell).matrix[row, m + ell])
 
 
 def cg_block(ell1: int, ell2: int, ell: int) -> CGBlock:
-    """Sparse CG block C_{l1,l2,l}; only entries with m1 + m2 = m are stored."""
+    """CG block C_{l1,l2,l} from the eigenvectors of J^2.
+
+    For each m, J^2 on the states |m1, m-m1> is real symmetric tridiagonal
+    with the exact eigenvalues l'(l'+1), l' = max(|m|, |l1-l2|)..l1+l2, in
+    eigh's ascending order; column m is the eigenvector of l(l+1).  The
+    Condon-Shortley signs are read off large entries only: J+ kills the
+    m = l column, so its entry m1 has the sign (-1)^(l1-m1), and each lower
+    column overlaps J- of the one above positively.
+    """
+    for l in (ell1, ell2, ell):
+        _check_degree(l)
     if ell < abs(ell1 - ell2) or ell > ell1 + ell2:
-        raise ValueError(
-            f"(l1, l2, l) = ({ell1}, {ell2}, {ell}) violates the triangle inequality"
-        )
-    entries = []
+        raise ValueError(f"(l1, l2, l) = ({ell1}, {ell2}, {ell}) violates "
+                         f"the triangle inequality")
+    d1, d2 = 2 * ell1 + 1, 2 * ell2 + 1
+    c1, c2 = ell1 * (ell1 + 1), ell2 * (ell2 + 1)
+    mat = np.zeros((d1 * d2, 2 * ell + 1))
     for m in range(-ell, ell + 1):
-        for m1 in range(max(-ell1, m - ell2), min(ell1, m + ell2) + 1):
-            m2 = m - m1
-            value = clebsch_gordan_coeff(ell1, ell2, ell, m1, m2, m)
-            if abs(value) > 1e-14:
-                entries.append(((m1, m2), m, value))
-    return CGBlock(ell1, ell2, ell, tuple(entries))
+        m1 = np.arange(max(-ell1, m - ell2), min(ell1, m + ell2) + 1)
+        m2 = m - m1
+        # <m1+1, m2-1| J1+ J2- |m1, m2>; eigh reads only this lower triangle
+        off = (np.sqrt(c1 - m1[:-1] * (m1[:-1] + 1))
+               * np.sqrt(c2 - m2[:-1] * (m2[:-1] - 1)))
+        _, v = np.linalg.eigh(np.diag(c1 + c2 + 2.0 * m1 * m2) + np.diag(off, -1))
+        mat[(m1 + ell1) * d2 + m2 + ell2, m + ell] = \
+            v[:, ell - max(abs(m), abs(ell1 - ell2))]
+
+    x = mat.reshape(d1, d2, 2 * ell + 1)
+    k1, k2 = np.arange(-ell1, ell1 + 1), np.arange(-ell2, ell2 + 1)
+    lowered = np.zeros_like(x[..., 1:])  # J- of columns m = -l+1..l
+    lowered[:-1] = np.sqrt(c1 - k1[1:] * (k1[1:] - 1))[:, None, None] * x[1:, :, 1:]
+    lowered[:, :-1] += np.sqrt(c2 - k2[1:] * (k2[1:] - 1))[:, None] * x[:, 1:, 1:]
+    peak = np.argmax(np.abs(mat[:, -1]))  # in row m1 = peak // d2 - l1
+    signs = np.sign(np.append(np.einsum("ijk,ijk->k", lowered, x[..., :-1]),
+                              (-1) ** (peak // d2) * mat[peak, -1]))
+    mat *= np.cumprod(signs[::-1])[::-1]
+    mat[np.abs(mat) <= 1e-14] = 0.0
+    mat.flags.writeable = False
+    return CGBlock(ell1, ell2, ell, mat)
 
 
 def _legendre_column(ell_max: int, m: int, x: np.ndarray) -> np.ndarray:
@@ -204,7 +214,7 @@ def spherical_harmonic(ell: int, m: int, theta, phi):
     ma = abs(m)
     p = _legendre_column(ell, ma, np.cos(theta))[ell - ma]
     log_norm = 0.5 * (math.log((2 * ell + 1) / (4.0 * math.pi))
-                      + _log_fact(ell - ma) - _log_fact(ell + ma))
+                      + _LOG_FACT[ell - ma] - _LOG_FACT[ell + ma])
     y = math.exp(log_norm) * p * np.exp(1j * ma * phi)
     if m < 0:
         y = (-1.0) ** ma * np.conj(y)
@@ -219,35 +229,3 @@ def random_rotation(rng: np.random.Generator) -> EulerAngles:
     beta = math.acos(rng.uniform(-1.0, 1.0))
     return EulerAngles(alpha, beta, gamma)
 
-
-# --- 3x3 rotation matrix helpers (composition and test oracles) ---
-
-def rotation_matrix(angles: EulerAngles) -> np.ndarray:
-    """3x3 active rotation matrix Rz(alpha) Ry(beta) Rz(gamma)."""
-    ca, sa = math.cos(angles.alpha), math.sin(angles.alpha)
-    cb, sb = math.cos(angles.beta), math.sin(angles.beta)
-    cg, sg = math.cos(angles.gamma), math.sin(angles.gamma)
-    rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry_b = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rz_g = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    return rz_a @ ry_b @ rz_g
-
-
-def euler_from_matrix(r: np.ndarray) -> EulerAngles:
-    """ZYZ Euler angles of a rotation matrix; gamma = 0 at the gimbal poles."""
-    beta = math.acos(min(1.0, max(-1.0, r[2, 2])))
-    if math.sin(beta) > 1e-10:
-        alpha = math.atan2(r[1, 2], r[0, 2])
-        gamma = math.atan2(r[2, 1], -r[2, 0])
-    elif r[2, 2] > 0.0:
-        alpha = math.atan2(r[1, 0], r[0, 0])
-        gamma = 0.0
-    else:
-        alpha = math.atan2(-r[1, 0], -r[0, 0])
-        gamma = 0.0
-    return EulerAngles(alpha % (2.0 * math.pi), beta, gamma % (2.0 * math.pi))
-
-
-def compose(r1: EulerAngles, r2: EulerAngles) -> EulerAngles:
-    """Euler angles of the composition r1 after r2 (matrix product R1 R2)."""
-    return euler_from_matrix(rotation_matrix(r1) @ rotation_matrix(r2))

@@ -201,6 +201,19 @@ def _parse_manifest(text: str) -> dict:
     return out
 
 
+def _manifest_value(manifest: dict, key: str, where: Path, many: bool = False):
+    """A required manifest key as an integer, or with ``many`` as a tuple of
+    comma-separated integers."""
+    if key not in manifest:
+        raise ValueError(f"{where}: missing key {key}")
+    text = manifest[key]
+    try:
+        return tuple(int(x) for x in text.split(",")) if many else int(text)
+    except ValueError:
+        kind = "a list of integers" if many else "an integer"
+        raise ValueError(f"{where}: {key}={text} is not {kind}") from None
+
+
 def _read_blob(path: Path, expected: int) -> bytes:
     blob = path.read_bytes()
     if len(blob) != expected:
@@ -225,20 +238,21 @@ def load_checkpoint(path):
     Every blob's size is checked against the manifest before it is parsed.
     """
     path = Path(path)
-    manifest = _parse_manifest((path / "model.manifest").read_text())
+    where = path / "model.manifest"
+    manifest = _parse_manifest(where.read_text())
     if manifest.get("format") != "CGNET1":
         raise ValueError(f"unsupported checkpoint format in {path}")
-    L = int(manifest["bandlimit"])
-    S = int(manifest["layers"])
-    n_in = int(manifest["n_in"])
-    n_out = int(manifest["n_out"])
-    hidden = int(manifest["hidden"])
-    taus = tuple(
-        ActivationType(tuple(int(t) for t in manifest[f"tau{s + 1}"].split(",")))
-        for s in range(S))
-    spec = NetworkSpec(L, n_in, taus, manifest.get("pair_policy", "unordered"))
-
-    fans = [spec.cg_input_type(s).tau for s in range(S)]
+    L, S, n_in, n_out, hidden = (
+        _manifest_value(manifest, key, where)
+        for key in ("bandlimit", "layers", "n_in", "n_out", "hidden"))
+    tau_counts = [_manifest_value(manifest, f"tau{s + 1}", where, many=True)
+                  for s in range(S)]
+    try:  # values that do not make a network
+        taus = tuple(map(ActivationType, tau_counts))
+        spec = NetworkSpec(L, n_in, taus, manifest.get("pair_policy", "unordered"))
+        fans = [spec.cg_input_type(s).tau for s in range(S)]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     d = spec.head_width()
     layer_shapes = [(fan[ell], tau.tau[ell])
                     for fan, tau in zip(fans, taus) for ell in range(L + 1)]

@@ -5,8 +5,12 @@ production code paths: extended-precision brute force via mpmath, direct
 dense linear algebra, and least-squares intertwiner recovery.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
+
+from cgsphere.so3 import EulerAngles
 
 mp.mp.dps = 50
 
@@ -31,6 +35,30 @@ def wigner_d_highprec(ell, beta):
                           * c ** (2 * ell + m - mprime - 2 * k)
                           * s ** (mprime - m + 2 * k))
             out[mp_idx, m_idx] = float(pref * total)
+    return out
+
+
+def cg_block_highprec(l1, l2, l):
+    """Dense Clebsch-Gordan block C_{l1,l2,l} (row (m1+l1)(2l2+1) + m2+l2,
+    column m+l) by Racah's alternating factorial sum in 50-digit
+    arithmetic."""
+    f = [mp.factorial(n) for n in range(l1 + l2 + l + 2)]
+    d2 = 2 * l2 + 1
+    out = np.zeros(((2 * l1 + 1) * d2, 2 * l + 1))
+    tri = (2 * l + 1) * f[l1 + l2 - l] * f[l1 - l2 + l] * f[-l1 + l2 + l] \
+        / f[l1 + l2 + l + 1]
+    for m in range(-l, l + 1):
+        for m1 in range(max(-l1, m - l2), min(l1, m + l2) + 1):
+            m2 = m - m1
+            pref = mp.sqrt(tri * f[l + m] * f[l - m] * f[l1 + m1] * f[l1 - m1]
+                           * f[l2 + m2] * f[l2 - m2])
+            total = mp.mpf(0)
+            for k in range(max(0, l2 - l - m1, l1 - l + m2),
+                           min(l1 + l2 - l, l1 - m1, l2 + m2) + 1):
+                total += (-1) ** k / (f[k] * f[l1 + l2 - l - k] * f[l1 - m1 - k]
+                                      * f[l2 + m2 - k] * f[l - l2 + m1 + k]
+                                      * f[l - l1 - m2 + k])
+            out[(m1 + l1) * d2 + m2 + l2, m + l] = float(pref * total)
     return out
 
 
@@ -136,3 +164,36 @@ def finite_difference(fn, array, index, step=1e-5, imag=False):
     minus = fn()
     array[index] = orig
     return (plus - minus) / (2.0 * step)
+
+
+# --- 3x3 rotation matrices, an oracle for Wigner-D and composition ---
+
+def rotation_matrix(angles: EulerAngles) -> np.ndarray:
+    """3x3 active rotation matrix Rz(alpha) Ry(beta) Rz(gamma)."""
+    ca, sa = math.cos(angles.alpha), math.sin(angles.alpha)
+    cb, sb = math.cos(angles.beta), math.sin(angles.beta)
+    cg, sg = math.cos(angles.gamma), math.sin(angles.gamma)
+    rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry_b = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rz_g = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
+    return rz_a @ ry_b @ rz_g
+
+
+def euler_from_matrix(r: np.ndarray) -> EulerAngles:
+    """ZYZ Euler angles of a rotation matrix; gamma = 0 at the gimbal poles."""
+    beta = math.acos(min(1.0, max(-1.0, r[2, 2])))
+    if math.sin(beta) > 1e-10:
+        alpha = math.atan2(r[1, 2], r[0, 2])
+        gamma = math.atan2(r[2, 1], -r[2, 0])
+    elif r[2, 2] > 0.0:
+        alpha = math.atan2(r[1, 0], r[0, 0])
+        gamma = 0.0
+    else:
+        alpha = math.atan2(-r[1, 0], -r[0, 0])
+        gamma = 0.0
+    return EulerAngles(alpha % (2.0 * math.pi), beta, gamma % (2.0 * math.pi))
+
+
+def compose(r1: EulerAngles, r2: EulerAngles) -> EulerAngles:
+    """Euler angles of the composition r1 after r2 (matrix product R1 R2)."""
+    return euler_from_matrix(rotation_matrix(r1) @ rotation_matrix(r2))

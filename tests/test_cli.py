@@ -150,6 +150,32 @@ def test_dump_cg_invalid_triple(capsys):
     assert main(["dump-cg", "1", "1", "5"]) == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("triple", [("65", "0", "65"), ("64", "64", "65")])
+def test_dump_cg_degree_above_max(capsys, triple):
+    assert main(["dump-cg", *triple]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: degree 65 exceeds MAX_DEGREE = 64")
+
+
+def test_eval_rejects_manifest_without_n_out(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    for path in workspace["ckpt"].iterdir():
+        (ckpt / path.name).write_bytes(path.read_bytes())
+    manifest = ckpt / "model.manifest"
+    manifest.write_text("".join(
+        line for line in manifest.read_text().splitlines(keepends=True)
+        if not line.startswith("n_out=")))
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(workspace["data"] / "test")])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "model.manifest" in err and "n_out" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

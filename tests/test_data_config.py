@@ -66,6 +66,10 @@ def test_validation_rules():
         ExperimentConfig(tau="-1")
     with pytest.raises(ConfigError, match="tau"):
         parse_config("tau = 4,4\n")
+    with pytest.raises(ConfigError, match="bandlimit must lie in 0..64"):
+        ExperimentConfig(bandlimit=-1)
+    with pytest.raises(ConfigError, match="bandlimit must lie in 0..64"):
+        ExperimentConfig(bandlimit=65, grid_bandwidth=66)
 
 
 def test_tau_vector_forms():

@@ -13,14 +13,10 @@ from cgsphere.sht import (
     rotate_coefficients,
     write_signal,
 )
-from cgsphere.so3 import (
-    EulerAngles,
-    random_rotation,
-    rotation_matrix,
-    spherical_harmonic,
-)
+from cgsphere.so3 import EulerAngles, random_rotation, spherical_harmonic
 
 import oracles
+from oracles import rotation_matrix
 
 RNG = np.random.default_rng(42)
 

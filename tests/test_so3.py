@@ -10,16 +10,14 @@ from cgsphere.so3 import (
     EulerAngles,
     cg_block,
     clebsch_gordan_coeff,
-    compose,
-    euler_from_matrix,
     random_rotation,
-    rotation_matrix,
     spherical_harmonic,
     wigner_D,
     wigner_d_small,
 )
 
 import oracles
+from oracles import compose, euler_from_matrix, rotation_matrix
 
 RNG = np.random.default_rng(20240817)
 
@@ -81,6 +79,13 @@ def test_capacity_error():
         wigner_d_small(65, 0.3)
     with pytest.raises(CapacityError):
         wigner_D(100, EulerAngles(0.1, 0.2, 0.3))
+    for l1, l2, l in [(65, 0, 65), (0, 65, 65), (64, 64, 65)]:
+        with pytest.raises(CapacityError, match="MAX_DEGREE = 64"):
+            cg_block(l1, l2, l)
+    with pytest.raises(CapacityError):
+        clebsch_gordan_coeff(65, 0, 65, 0, 0, 0)
+    # callers that catch ValueError for bad degrees catch this too
+    assert issubclass(CapacityError, ValueError)
 
 
 # --- Wigner D ---
@@ -196,6 +201,20 @@ def test_cg_block_220():
                                atol=1e-14)
 
 
+def test_cg_block_entries_view_the_matrix():
+    block = cg_block(3, 2, 3)
+    order = [(m, m1) for (m1, _), m, _ in block.entries]
+    assert order == sorted(order)  # m ascending, then m1
+    rebuilt = np.zeros_like(block.matrix)
+    for (m1, m2), m, value in block.entries:
+        rebuilt[(m1 + 3) * 5 + (m2 + 2), m + 3] = value
+    np.testing.assert_array_equal(rebuilt, block.matrix)
+    assert not block.matrix.flags.writeable
+    dense = block.dense()
+    dense[0, 0] = 7.0
+    assert block.matrix[0, 0] != 7.0
+
+
 def test_cg_block_invalid_triangle():
     with pytest.raises(ValueError):
         cg_block(1, 1, 3)
@@ -220,6 +239,64 @@ def test_cg_completeness():
                        for l in range(abs(l1 - l2), l1 + l2 + 1)])
         assert c.shape[0] == c.shape[1]
         np.testing.assert_allclose(c.T @ c, np.eye(c.shape[0]), atol=1e-12)
+
+
+# Up to MAX_DEGREE: the 50-digit Racah sum, completeness, orthonormality and
+# the intertwiner identity against the Wigner-D verified to the same degree.
+
+@pytest.mark.parametrize("l1, l2, l", [(2, 1, 2), (12, 12, 12), (20, 20, 20),
+                                       (32, 32, 31)])
+def test_cg_block_matches_high_precision_racah(l1, l2, l):
+    np.testing.assert_allclose(cg_block(l1, l2, l).matrix,
+                               oracles.cg_block_highprec(l1, l2, l),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("l1, l2", [(20, 20), (32, 32)])
+def test_cg_completeness_high_degree(l1, l2):
+    # C^T C = I for the stacked blocks of (l1, l2).  Columns of different m
+    # have disjoint supports (checked: every row with m1 + m2 != m is zero),
+    # so it is checked as one square Gram matrix per m.
+    m_of_row = np.add.outer(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1)).ravel()
+    rows = {m: np.flatnonzero(m_of_row == m)
+            for m in range(-(l1 + l2), l1 + l2 + 1)}
+    per_m = {m: [] for m in rows}
+    for l in range(abs(l1 - l2), l1 + l2 + 1):
+        c = cg_block(l1, l2, l).matrix
+        assert not c[m_of_row[:, None] != np.arange(-l, l + 1)].any()
+        for m in range(-l, l + 1):
+            per_m[m].append(c[rows[m], m + l])
+    for m, cols in per_m.items():
+        sub = np.array(cols)
+        assert sub.shape == (len(rows[m]), len(rows[m]))
+        np.testing.assert_allclose(sub @ sub.T, np.eye(len(cols)),
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("l1, l2, l", [(64, 64, 64), (64, 0, 64)])
+def test_cg_block_orthonormal_at_max_degree(l1, l2, l):
+    c = cg_block(l1, l2, l).matrix
+    np.testing.assert_allclose(c.T @ c, np.eye(2 * l + 1), rtol=0, atol=1e-13)
+
+
+def _intertwiner_error(l1, l2, l, rot):
+    """||C^T (D1 x D2) C - D||, applying D1 x D2 to each column of C as
+    D1 X D2^T on its (2l1+1, 2l2+1) reshape X."""
+    c = cg_block(l1, l2, l).matrix
+    x = c.T.reshape(2 * l + 1, 2 * l1 + 1, 2 * l2 + 1)
+    y = wigner_D(l1, rot).matrix @ x @ wigner_D(l2, rot).matrix.T
+    return np.linalg.norm(c.T @ y.reshape(2 * l + 1, -1).T
+                          - wigner_D(l, rot).matrix)
+
+
+# At (32, 64, 32) the largest-m1 entries of some columns, positive by the
+# Condon-Shortley convention, are near 1e-19, the smallest in the domain:
+# signs read off them would be rounding noise
+@pytest.mark.parametrize("l1, l2, l", [(32, 32, 32), (40, 24, 30),
+                                       (64, 64, 64), (32, 64, 32)])
+def test_intertwiner_identity_high_degree(l1, l2, l):
+    rot = random_rotation(np.random.default_rng(10))
+    assert _intertwiner_error(l1, l2, l, rot) < 1e-10
 
 
 def test_intertwiner_identity():
@@ -277,13 +354,36 @@ def test_random_rotation_deterministic():
     assert a == b
 
 
+def _degree_one_D(alpha, beta, gamma):
+    """Closed-form D^1 for arrays of Euler angles: shape (n, 3, 3), rows and
+    columns m = -1, 0, 1."""
+    c, s = np.cos(beta), np.sin(beta) / math.sqrt(2.0)
+    d = np.array([[(1 + c) / 2, s, (1 - c) / 2],
+                  [-s, c, s],
+                  [(1 - c) / 2, -s, (1 + c) / 2]]).transpose(2, 0, 1)
+    m = np.arange(-1, 2)
+    return (np.exp(-1j * np.multiply.outer(alpha, m))[:, :, None] * d
+            * np.exp(-1j * np.multiply.outer(gamma, m))[:, None, :])
+
+
+def _angle_arrays(rotations):
+    return np.array([(r.alpha, r.beta, r.gamma) for r in rotations]).T
+
+
+def test_degree_one_closed_form_matches_wigner_D():
+    rots = [random_rotation(np.random.default_rng(seed)) for seed in range(5)]
+    rots.append(EulerAngles(0.3, 0.0, 5.0))
+    rots.append(EulerAngles(6.0, math.pi, 0.1))
+    for rot, d in zip(rots, _degree_one_D(*_angle_arrays(rots))):
+        np.testing.assert_allclose(d, wigner_D(1, rot).matrix,
+                                   rtol=0, atol=1e-14)
+
+
 def test_random_rotation_haar_moments():
     rng = np.random.default_rng(77)
     n = 100_000
-    acc = np.zeros((3, 3), dtype=complex)
-    for _ in range(n):
-        acc += wigner_D(1, random_rotation(rng)).matrix
-    mean = acc / n
+    angles = _angle_arrays([random_rotation(rng) for _ in range(n)])
+    mean = _degree_one_D(*angles).mean(axis=0)
     # each entry has |D| <= 1, so the standard error is at most 1/sqrt(n)
     assert np.abs(mean).max() < 3.0 / math.sqrt(n)
 

@@ -213,6 +213,41 @@ def test_checkpoint_blob_size_checked(tmp_path, blob, damage):
     assert f"found {len(data)}" in message
 
 
+@pytest.mark.parametrize("key", ["bandlimit", "layers", "n_in", "n_out",
+                                 "hidden", "tau1", "tau2"])
+@pytest.mark.parametrize("damage", ["missing", "non-integer"])
+def test_manifest_key_checked(tmp_path, key, damage):
+    _, _, _, weights, norms, adam = make_toy_problem()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, weights, norms, adam)
+    path = ckpt / "model.manifest"
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    if damage == "non-integer":
+        lines.append(f"{key}=x")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    message = str(err.value)
+    assert "model.manifest" in message
+    assert key in message
+
+
+@pytest.mark.parametrize("key, value", [("layers", "0"), ("tau1", "3,3"),
+                                        ("tau2", "-1,0,0"),
+                                        ("pair_policy", "bogus")])
+def test_manifest_values_that_make_no_network(tmp_path, key, value):
+    _, _, _, weights, norms, adam = make_toy_problem()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, weights, norms, adam)
+    path = ckpt / "model.manifest"
+    path.write_text("".join(
+        f"{key}={value}\n" if line.startswith(f"{key}=") else line
+        for line in path.read_text().splitlines(keepends=True)))
+    with pytest.raises(ValueError, match="model.manifest"):
+        load_checkpoint(ckpt)
+
+
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     _, coeffs, labels, weights, norms, adam = make_toy_problem()
     ckpt = tmp_path / "ckpt"
