@@ -26,7 +26,6 @@ class ExperimentConfig:
     # either an explicit per-degree vector ("4,4,4,4,4,4"), a single count
     # ("4"), or the rule "rule:<width>" for tau_l = ceil(width/sqrt(2l+1))
     tau: str = "4"
-    n_in: int = 1
     pair_policy: str = "unordered"
     hidden: int = 64
     lr: float = 5e-4
@@ -53,6 +52,10 @@ class ExperimentConfig:
             raise ConfigError("need at least one layer")
         if self.classes < 2:
             raise ConfigError("need at least two classes")
+        for name, value in (("hidden", self.hidden),
+                            ("batch_size", self.batch_size)):
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.regime not in REGIMES:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}")
@@ -83,7 +86,8 @@ class ExperimentConfig:
         tau = self.tau_vector()
         last = ActivationType((tau.tau[0],) + (0,) * self.bandlimit)
         types = tuple([tau] * (self.layers - 1) + [last])
-        return NetworkSpec(self.bandlimit, self.n_in, types, self.pair_policy)
+        # the CLI's datasets have one channel per example
+        return NetworkSpec(self.bandlimit, 1, types, self.pair_policy)
 
     def train_rotated(self) -> bool:
         return self.regime == "R/R"

@@ -7,7 +7,8 @@ F_bar = G_bar W^H, W_bar = F^H G_bar, and the adjoint of a bilinear product
 contracts each factor's cotangent with the conjugate of the other factor.
 
 Normalization statistics are treated as constants during backpropagation:
-the running scales recorded on the forward tape are reused verbatim.
+the backward pass divides by the same ``NormState`` denominators as the
+forward pass, which nothing changes in between.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 from .network import (
     CovariantActivation,
     NetworkSpec,
-    cg_pairs,
     layer_out_ell_max,
     network_forward,
-    _pair_table,
+    _cg_layout,
+    _pair_matrix,
     _real_matmul,
 )
 # the forward stages stay reachable through this module too
@@ -122,25 +123,17 @@ def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
     factor's cotangent is then a batched mat-vec with the other factor's
     conjugate.
     """
-    L = F.bandlimit
-    if out_ell_max is None:
-        out_ell_max = L
     B = F.batch_size
     F_bar = [np.zeros_like(f) for f in F.fragments]
-    offsets = [0] * (L + 1)
-    for l1, l2 in cg_pairs(L, policy):
+    for l1, l2, ells, starts in _cg_layout(F.type, policy, out_ell_max)[1]:
         F1, F2 = F.fragments[l1], F.fragments[l2]
         t1, t2 = F1.shape[2], F2.shape[2]
-        if t1 == 0 or t2 == 0 or abs(l1 - l2) > out_ell_max:
-            continue
-        table = _pair_table(l1, l2, out_ell_max)
         d1, d2, n = 2 * l1 + 1, 2 * l2 + 1, t1 * t2
         y_bar = np.concatenate([
-            H_bar[l][:, :, offsets[l]:offsets[l] + n].transpose(1, 0, 2)
-            for l in table.ells])
-        for l in table.ells:
-            offsets[l] += n
-        k_bar = _real_matmul(table.matrix, y_bar.reshape(-1, B * n))
+            H_bar[l][:, :, c:c + n].transpose(1, 0, 2)
+            for l, c in zip(ells, starts)])
+        k_bar = _real_matmul(_pair_matrix(l1, l2, ells),
+                             y_bar.reshape(-1, B * n))
         # (m1, m2, b, i, j) -> (b, (m1, i), (m2, j))
         k_bar = np.ascontiguousarray(
             k_bar.reshape(d1, d2, B, t1, t2).transpose(2, 0, 3, 1, 4)
@@ -156,14 +149,15 @@ def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
 
 @dataclass
 class ForwardTape:
-    """Everything the backward pass needs from one forward evaluation.
+    """Everything the backward pass needs from one forward evaluation,
+    apart from the normalization denominators, which it reads from the
+    ``NormState`` list the forward pass used.
 
     ``loss_and_grad`` sets ``normed[s]`` to None once ``backward_linear``
     has read it, so a layer's wide normalized activation is freed before
     the CG adjoint below it runs.
     """
 
-    norm_denoms: list    # per layer: per-l denominators, None if unnormalized
     normed: list         # post-CG, post-normalization activations
     outputs: list        # per-layer outputs
     features: np.ndarray
@@ -172,15 +166,15 @@ class ForwardTape:
 
 
 def forward_with_tape(coeffs: CovariantActivation, weights: NetworkWeights,
-                      norm_states: list | None = None,
+                      norm_states: list,
                       training: bool = False) -> ForwardTape:
     """``network_forward`` plus the classifier head, recording the tape."""
-    feats, outputs, normed, denoms = network_forward(
+    feats, outputs, normed = network_forward(
         coeffs, weights.layers, norm_states, training,
-        weights.spec.pair_policy, return_normed=True)
+        weights.spec.pair_policy)
     hid_pre = feats @ weights.head.w1 + weights.head.b1
     logits = np.maximum(hid_pre, 0.0) @ weights.head.w2 + weights.head.b2
-    return ForwardTape(denoms, normed, outputs, feats, hid_pre, logits)
+    return ForwardTape(normed, outputs, feats, hid_pre, logits)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -190,7 +184,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
-                  weights: NetworkWeights, norm_states: list | None = None,
+                  weights: NetworkWeights, norm_states: list,
                   training: bool = False):
     """Mean softmax cross-entropy and its gradient with respect to every
     parameter.
@@ -245,7 +239,7 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
         g_layers[s] = [np.ascontiguousarray(w) for w in W_bar]
         if s == 0:
             break  # the network input has no parameters behind it
-        for h, d in zip(H_bar, tape.norm_denoms[s] or ()):
+        for h, d in zip(H_bar, norm_states[s].denominators()):
             h /= d[None, None, :]
         G_bar = backward_cg(H_bar, tape.outputs[s - 1], spec.pair_policy,
                             layer_out_ell_max(s, S, L))

@@ -65,19 +65,6 @@ class CovariantActivation:
     def type(self) -> ActivationType:
         return ActivationType(tuple(f.shape[2] for f in self.fragments))
 
-    @classmethod
-    def stack(cls, activations: list) -> "CovariantActivation":
-        """Stack single-example activations into one batch."""
-        L = activations[0].bandlimit
-        return cls(L, [
-            np.concatenate([a.fragments[ell] for a in activations], axis=0)
-            for ell in range(L + 1)
-        ])
-
-    def example(self, i: int) -> "CovariantActivation":
-        return CovariantActivation(
-            self.bandlimit, [f[i:i + 1] for f in self.fragments])
-
     def rotated(self, d_matrices: list) -> "CovariantActivation":
         """Apply D^l(R) to every fragment (the covariance ground truth)."""
         return CovariantActivation(self.bandlimit, [
@@ -100,23 +87,29 @@ def cg_pairs(L: int, policy: str = "unordered"):
     raise ValueError(f"unknown pair policy {policy!r}")
 
 
-def _cg_paths(tau: ActivationType, policy: str, out_ell_max: int):
-    """(l1, l2, l, t) for every CG block a product of type ``tau`` uses,
-    where t = tau_l1 * tau_l2 is the number of column pairs it maps."""
-    for l1, l2 in cg_pairs(tau.bandlimit, policy):
-        t = tau.tau[l1] * tau.tau[l2]
-        if t:
-            for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1):
-                yield l1, l2, l, t
+def _cg_layout(tau: ActivationType, policy: str, out_ell_max: int | None):
+    """Where the CG product of an activation of type ``tau`` puts its output.
 
-
-@dataclass(frozen=True)
-class _PairTable:
-    """Stacked dense CG matrix for one (l1, l2) pair, clipped at out_ell_max."""
-
-    ells: tuple
-    matrix: np.ndarray | None  # real, shape (d1*d2, sum_l (2l+1))
-    nnz: dict                  # stored nonzero coefficients per degree l
+    Returns the post-CG type and, for each pair that produces output,
+    ``(l1, l2, ells, starts)``: the pair's block of degree ``ells[i]``
+    fills columns ``starts[i]`` to ``starts[i] + tau_l1 * tau_l2``.  Blocks
+    of one degree sit side by side in pair order (l1 ascending, then l2).
+    Bookkeeping only: no CG table is built.
+    """
+    L = tau.bandlimit
+    if out_ell_max is None:
+        out_ell_max = L
+    widths = [0] * (L + 1)
+    pairs = []
+    for l1, l2 in cg_pairs(L, policy):
+        n = tau.tau[l1] * tau.tau[l2]
+        ells = tuple(range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1))
+        if n == 0 or not ells:
+            continue
+        pairs.append((l1, l2, ells, tuple(widths[l] for l in ells)))
+        for l in ells:
+            widths[l] += n
+    return ActivationType(tuple(widths)), pairs
 
 
 _PAIR_CACHE: dict = {}
@@ -150,28 +143,20 @@ def _block_dense(ell1: int, ell2: int, ell: int) -> np.ndarray:
     return mat
 
 
-def _pair_table(ell1: int, ell2: int, out_ell_max: int) -> _PairTable:
-    key = (ell1, ell2, out_ell_max)
+def _pair_matrix(ell1: int, ell2: int, ells: tuple) -> np.ndarray:
+    """The dense CG matrices of pair (ell1, ell2) for degrees ``ells``, side
+    by side: real, shape ((2 ell1+1)(2 ell2+1), sum_l (2l+1)).  Memoized."""
+    key = (ell1, ell2, ells)
     if key not in _PAIR_CACHE:
-        ells = tuple(l for l in range(abs(ell1 - ell2), ell1 + ell2 + 1)
-                     if l <= out_ell_max)
-        mats = [_block_dense(ell1, ell2, l) for l in ells]
-        stacked = np.hstack(mats) if mats else None
-        nnz = {l: int(np.count_nonzero(m)) for l, m in zip(ells, mats)}
-        _PAIR_CACHE[key] = _PairTable(ells, stacked, nnz)
+        _PAIR_CACHE[key] = np.hstack(
+            [_block_dense(ell1, ell2, l) for l in ells])
     return _PAIR_CACHE[key]
 
 
 def cg_output_type(tau: ActivationType, policy: str = "unordered",
                    out_ell_max: int | None = None) -> ActivationType:
     """Fragment counts after the CG nonlinearity (before linear mixing)."""
-    L = tau.bandlimit
-    if out_ell_max is None:
-        out_ell_max = L
-    out = [0] * (L + 1)
-    for _, _, l, t in _cg_paths(tau, policy, out_ell_max):
-        out[l] += t
-    return ActivationType(tuple(out))
+    return _cg_layout(tau, policy, out_ell_max)[0]
 
 
 def cg_madd_count(tau: ActivationType, policy: str = "unordered",
@@ -181,10 +166,10 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
     tau_{l1} * tau_{l2} column pairs.  This is not the flop count of the
     dense kernel in ``cg_nonlinearity``, which also multiplies the zeros.
     """
-    if out_ell_max is None:
-        out_ell_max = tau.bandlimit
-    return sum(_pair_table(l1, l2, out_ell_max).nnz[l] * t
-               for l1, l2, l, t in _cg_paths(tau, policy, out_ell_max))
+    return int(sum(
+        np.count_nonzero(_pair_matrix(l1, l2, ells))
+        * tau.tau[l1] * tau.tau[l2]
+        for l1, l2, ells, _ in _cg_layout(tau, policy, out_ell_max)[1]))
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -198,38 +183,31 @@ def cg_nonlinearity(F: CovariantActivation, policy: str = "unordered",
     """Tensor-product nonlinearity: all pairwise Kronecker products,
     decomposed into irreducible fragments through the dense CG matrices.
 
-    Output blocks with the same degree sit side by side, in pair order
-    (l1 ascending, then l2), then degree ascending within a pair.  Each
-    degree's output is allocated once, at the width ``cg_output_type``
-    gives, and every pair writes its blocks straight into their columns.
+    Output blocks of one degree sit side by side in pair order (l1
+    ascending, then l2), as ``_cg_layout`` places them.  Each degree's
+    output is allocated once, and every pair writes its blocks straight
+    into their columns.
     """
-    L = F.bandlimit
-    if out_ell_max is None:
-        out_ell_max = L
+    out_type, pairs = _cg_layout(F.type, policy, out_ell_max)
     B = F.batch_size
-    widths = cg_output_type(F.type, policy, out_ell_max).tau
     out = [np.empty((B, 2 * ell + 1, w), dtype=complex)
-           for ell, w in enumerate(widths)]
-    offsets = [0] * (L + 1)
+           for ell, w in enumerate(out_type.tau)]
     # (2l+1, B, tau_l) copies, so the Kronecker product below comes out
     # C-contiguous with the (m1, m2) axis leading
     G = [np.ascontiguousarray(f.transpose(1, 0, 2)) for f in F.fragments]
-    for l1, l2 in cg_pairs(L, policy):
-        t1, t2 = G[l1].shape[2], G[l2].shape[2]
-        if t1 == 0 or t2 == 0 or abs(l1 - l2) > out_ell_max:
-            continue
-        table = _pair_table(l1, l2, out_ell_max)
-        d1, d2, n = 2 * l1 + 1, 2 * l2 + 1, t1 * t2
+    for l1, l2, ells, starts in pairs:
+        d1, d2 = 2 * l1 + 1, 2 * l2 + 1
+        n = G[l1].shape[2] * G[l2].shape[2]
         kron = G[l1][:, None, :, :, None] * G[l2][None, :, :, None, :]
-        y = _real_matmul(table.matrix.T, kron.reshape(d1 * d2, B * n))
+        y = _real_matmul(_pair_matrix(l1, l2, ells).T,
+                         kron.reshape(d1 * d2, B * n))
         row = 0
-        for l in table.ells:
+        for l, c in zip(ells, starts):
             d = 2 * l + 1
-            out[l][:, :, offsets[l]:offsets[l] + n] = \
+            out[l][:, :, c:c + n] = \
                 y[row:row + d].reshape(d, B, n).transpose(1, 0, 2)
             row += d
-            offsets[l] += n
-    return CovariantActivation(L, out)
+    return CovariantActivation(F.bandlimit, out)
 
 
 # --- covariant linear mixing ---
@@ -351,7 +329,8 @@ class NetworkSpec:
     def cg_blocks(self) -> set:
         """Every (l1, l2, l) CG block the forward pass multiplies by."""
         return {(l1, l2, l) for s in range(self.n_layers)
-                for l1, l2, l, _ in _cg_paths(*self._layer_cg(s))}
+                for l1, l2, ells, _ in _cg_layout(*self._layer_cg(s))[1]
+                for l in ells}
 
     def head_width(self) -> int:
         """Length of the invariant feature vector."""
@@ -384,34 +363,25 @@ def invariant_features(layer_outputs: list, input_l0: np.ndarray) -> np.ndarray:
 
 
 def network_forward(coeffs: CovariantActivation, weights: list,
-                    norm_states: list | None = None, training: bool = False,
-                    policy: str = "unordered", return_layers: bool = False,
-                    return_normed: bool = False):
-    """Full covariant forward pass: S layers (CG nonlinearity, optional
+                    norm_states: list, training: bool = False,
+                    policy: str = "unordered"):
+    """Full covariant forward pass: S layers (CG nonlinearity,
     normalization, linear mix) then the invariant head.
 
-    ``weights[s]`` is the per-degree weight list of layer s.  Returns the
-    invariant features (B, head_width); with ``return_layers`` also the
-    per-layer outputs; with ``return_normed`` also each layer's normalized
-    CG output and its denominators (None without normalization).
+    ``weights[s]`` is the per-degree weight list of layer s and
+    ``norm_states[s]`` its ``NormState``; in training mode the forward pass
+    updates the states first.  Returns ``(features, outputs, normed)``: the
+    invariant features (B, head_width), the per-layer outputs, and each
+    layer's normalized CG output, the input of its linear mix.
     """
     S = len(weights)
     L = coeffs.bandlimit
-    outputs, normed, denoms = [], [], []
+    outputs, normed = [], []
     F = coeffs
     for s in range(S):
         H = cg_nonlinearity(F, policy, layer_out_ell_max(s, S, L))
-        norm = norm_states[s] if norm_states is not None else None
-        if norm is not None:
-            H = covariant_normalize(H, norm, training)
-        if return_normed:
-            normed.append(H)
-            denoms.append(norm.denominators() if norm is not None else None)
+        H = covariant_normalize(H, norm_states[s], training)
+        normed.append(H)
         F = covariant_linear(H, weights[s])
         outputs.append(F)
-    feats = invariant_features(outputs, coeffs.fragments[0])
-    if return_normed:
-        return feats, outputs, normed, denoms
-    if return_layers:
-        return feats, outputs
-    return feats
+    return invariant_features(outputs, coeffs.fragments[0]), outputs, normed

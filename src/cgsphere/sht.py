@@ -65,9 +65,6 @@ class HarmonicCoefficients:
     def n_channels(self) -> int:
         return self.blocks[0].shape[1]
 
-    def copy(self) -> "HarmonicCoefficients":
-        return HarmonicCoefficients(self.bandlimit, [b.copy() for b in self.blocks])
-
 
 def grid_angles(b: int):
     """Colatitudes and azimuths of the 2b x 2b Driscoll-Healy grid."""

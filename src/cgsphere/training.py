@@ -115,7 +115,7 @@ _BLOB_DOC = ("layer weights by layer then degree as complex128 "
 
 
 def save_checkpoint(path, weights: NetworkWeights, norm_states: list,
-                    adam: AdamState | None = None, n_out: int | None = None,
+                    adam: AdamState | None = None,
                     extra: dict | None = None) -> None:
     """Write a checkpoint directory atomically.
 
@@ -130,7 +130,7 @@ def save_checkpoint(path, weights: NetworkWeights, norm_states: list,
     shutil.rmtree(partial, ignore_errors=True)
     partial.mkdir()
     try:
-        _write_checkpoint(partial, weights, norm_states, adam, n_out, extra)
+        _write_checkpoint(partial, weights, norm_states, adam, extra)
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
@@ -142,18 +142,15 @@ def save_checkpoint(path, weights: NetworkWeights, norm_states: list,
 
 
 def _write_checkpoint(path: Path, weights: NetworkWeights, norm_states: list,
-                      adam: AdamState | None, n_out: int | None,
-                      extra: dict | None) -> None:
+                      adam: AdamState | None, extra: dict | None) -> None:
     spec = weights.spec
-    if n_out is None:
-        n_out = weights.head.b2.shape[0]
     lines = [
         "format=CGNET1",
         f"bandlimit={spec.bandlimit}",
         f"layers={spec.n_layers}",
         f"n_in={spec.n_in}",
         f"pair_policy={spec.pair_policy}",
-        f"n_out={n_out}",
+        f"n_out={weights.head.b2.shape[0]}",
         f"hidden={weights.head.b1.shape[0]}",
         f"head_width={spec.head_width()}",
         f"blob_order={_BLOB_DOC}",
@@ -245,6 +242,9 @@ def load_checkpoint(path):
     L, S, n_in, n_out, hidden = (
         _manifest_value(manifest, key, where)
         for key in ("bandlimit", "layers", "n_in", "n_out", "hidden"))
+    for key, value in (("n_in", n_in), ("n_out", n_out), ("hidden", hidden)):
+        if value < 1:
+            raise ValueError(f"{where}: {key}={value} is below 1")
     tau_counts = [_manifest_value(manifest, f"tau{s + 1}", where, many=True)
                   for s in range(S)]
     try:  # values that do not make a network

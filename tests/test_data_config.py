@@ -68,6 +68,12 @@ def test_validation_rules():
         parse_config("tau = 4,4\n")
     with pytest.raises(ConfigError, match="bandlimit must lie in 0..64"):
         ExperimentConfig(bandlimit=-1)
+    with pytest.raises(ConfigError, match="hidden"):
+        ExperimentConfig(hidden=0)
+    with pytest.raises(ConfigError, match="batch_size"):
+        ExperimentConfig(batch_size=0)
+    with pytest.raises(ConfigError, match="unknown key 'n_in'"):
+        parse_config("n_in = 2\n")
     with pytest.raises(ConfigError, match="bandlimit must lie in 0..64"):
         ExperimentConfig(bandlimit=65, grid_bandwidth=66)
 

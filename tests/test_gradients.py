@@ -232,8 +232,9 @@ def test_gradient_wrt_input_not_needed_but_norm_frozen():
 def test_empty_batch_rejected():
     spec, weights, norms, coeffs, labels = setup_problem()
     with pytest.raises(ValueError):
-        loss_and_grad(coeffs.example(0), np.zeros(0, dtype=int), weights,
-                      norms)
+        loss_and_grad(CovariantActivation(spec.bandlimit,
+                                          [f[0:1] for f in coeffs.fragments]),
+                      np.zeros(0, dtype=int), weights, norms)
 
 
 def test_non_finite_logits_reported_with_example_index():
@@ -248,7 +249,7 @@ def test_forward_with_tape_matches_network_forward():
     from cgsphere.network import network_forward
     spec, weights, norms, coeffs, labels = setup_problem()
     tape = forward_with_tape(coeffs, weights, norms)
-    feats = network_forward(coeffs, weights.layers, norms)
+    feats, _, _ = network_forward(coeffs, weights.layers, norms)
     np.testing.assert_allclose(tape.features, feats, atol=1e-14)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cgsphere import network
 from cgsphere.network import (
     ActivationType,
     CovariantActivation,
@@ -53,9 +54,11 @@ def test_activation_type_and_stack():
     a = random_activation(2, (3, 2, 1), batch=1)
     b = random_activation(2, (3, 2, 1), batch=1)
     assert a.type == ActivationType((3, 2, 1))
-    s = CovariantActivation.stack([a, b])
+    s = CovariantActivation(2, [np.concatenate([fa, fb])
+                                for fa, fb in zip(a.fragments, b.fragments)])
     assert s.batch_size == 2
-    np.testing.assert_array_equal(s.example(1).fragments[1], b.fragments[1])
+    second = CovariantActivation(2, [f[1:2] for f in s.fragments])
+    np.testing.assert_array_equal(second.fragments[1], b.fragments[1])
 
 
 # --- pair enumeration and type arithmetic ---
@@ -95,18 +98,51 @@ def test_tau_schedule_rule():
 
 # --- CG nonlinearity ---
 
-def test_cg_nonlinearity_matches_dense_oracle():
-    L = 3
-    tau = (2, 1, 2, 1)
+# every degree cap at L = 3, with and without a zero-width degree
+LAYOUT_CASES = [
+    pytest.param(tau, cap, id=f"tau{''.join(map(str, tau))}-cap{cap}")
+    for tau in ((2, 1, 2, 1), (2, 0, 2, 1)) for cap in range(4)]
+
+
+@pytest.mark.parametrize("tau, out_ell_max", LAYOUT_CASES)
+def test_cg_nonlinearity_matches_dense_oracle(tau, out_ell_max):
+    L = len(tau) - 1
     F = random_activation(L, tau, batch=3)
-    got = cg_nonlinearity(F)
+    got = cg_nonlinearity(F, out_ell_max=out_ell_max)
     pairs = cg_pairs(L)
     blocks = {(l1, l2, l): cg_block(l1, l2, l).dense()
               for l1, l2 in pairs
-              for l in range(abs(l1 - l2), min(l1 + l2, L) + 1)}
-    want = oracles.dense_cg_transform(F.fragments, pairs, blocks, L)
+              for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1)}
+    want = oracles.dense_cg_transform(F.fragments, pairs, blocks, out_ell_max)
     for ell in range(L + 1):
         np.testing.assert_allclose(got.fragments[ell], want[ell], atol=1e-13)
+
+
+@pytest.mark.parametrize("tau, out_ell_max", LAYOUT_CASES)
+def test_cg_madd_count_recounts_stored_entries(tau, out_ell_max):
+    L = len(tau) - 1
+    want = sum(len(cg_block(l1, l2, l).entries) * tau[l1] * tau[l2]
+               for l1, l2 in cg_pairs(L)
+               for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1))
+    got = cg_madd_count(ActivationType(tau), out_ell_max=out_ell_max)
+    assert type(got) is int
+    assert got == want
+
+
+def test_type_queries_build_no_cg_table(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a type query built a CG table")
+
+    monkeypatch.setattr(network, "cg_block", no_tables)
+    monkeypatch.setattr(network, "_PAIR_CACHE", {})
+    L = 64
+    spec = desk_spec(L=L, S=2, width=1)
+    assert cg_output_type(spec.input_type()).tau[L] > 0
+    assert spec.cg_input_type(1).tau[1:] == (0,) * L
+    weights = init_weights(spec, n_out=2, hidden=4)
+    assert weights.layers[0][L].shape[0] == spec.cg_input_type(0).tau[L]
+    norms = make_norm_states(spec)
+    assert [len(n.scales) for n in norms] == [L + 1, L + 1]
 
 
 def test_cg_nonlinearity_out_ell_max_zero():
@@ -278,25 +314,19 @@ def test_network_forward_layer_composition():
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
     by_hand_normed = covariant_normalize(cg_nonlinearity(F), norms[0].copy())
     by_hand = covariant_linear(by_hand_normed, weights.layers[0])
-    _, outputs, normed, denoms = network_forward(
-        F, weights.layers, [n.copy() for n in norms], return_normed=True)
+    _, outputs, normed = network_forward(
+        F, weights.layers, [n.copy() for n in norms])
     for a, b in zip(by_hand.fragments, outputs[0].fragments):
         np.testing.assert_allclose(a, b, atol=1e-14)
     for a, b in zip(by_hand_normed.fragments, normed[0].fragments):
         np.testing.assert_allclose(a, b, atol=1e-14)
-    for d, s in zip(denoms[0], norms[0].scales):
-        np.testing.assert_array_equal(d, s)
-    _, _, _, no_denoms = network_forward(F, weights.layers,
-                                         return_normed=True)
-    assert no_denoms == [None] * spec.n_layers
 
 
 def test_network_forward_shapes():
     spec = desk_spec(L=3, S=3, n_in=1, width=4)
     weights, norms = build_network(spec)
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=5)
-    feats, acts = network_forward(F, weights.layers, norms, training=True,
-                                  return_layers=True)
+    feats, acts, _ = network_forward(F, weights.layers, norms, training=True)
     assert feats.shape == (5, spec.head_width())
     assert feats.dtype == np.float64
     assert len(acts) == 3
@@ -309,10 +339,10 @@ def test_network_forward_invariant_under_rotation():
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
     # freeze statistics with one training pass, then evaluate
     network_forward(F, weights.layers, norms, training=True)
-    base = network_forward(F, weights.layers, norms)
+    base, _, _ = network_forward(F, weights.layers, norms)
     for _ in range(5):
         d = d_matrices(spec.bandlimit, random_rotation(RNG))
-        rot = network_forward(F.rotated(d), weights.layers, norms)
+        rot, _, _ = network_forward(F.rotated(d), weights.layers, norms)
         np.testing.assert_allclose(rot, base, atol=1e-8)
 
 
@@ -322,9 +352,8 @@ def test_network_forward_intermediate_covariance():
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
     network_forward(F, weights.layers, norms, training=True)
     d = d_matrices(spec.bandlimit, random_rotation(RNG))
-    _, acts = network_forward(F, weights.layers, norms, return_layers=True)
-    _, acts_r = network_forward(F.rotated(d), weights.layers, norms,
-                                return_layers=True)
+    _, acts, _ = network_forward(F, weights.layers, norms)
+    _, acts_r, _ = network_forward(F.rotated(d), weights.layers, norms)
     for a, ar in zip(acts, acts_r):
         expect = a.rotated(d)
         for x, y in zip(ar.fragments, expect.fragments):

@@ -235,7 +235,9 @@ def test_manifest_key_checked(tmp_path, key, damage):
 
 @pytest.mark.parametrize("key, value", [("layers", "0"), ("tau1", "3,3"),
                                         ("tau2", "-1,0,0"),
-                                        ("pair_policy", "bogus")])
+                                        ("pair_policy", "bogus"),
+                                        ("n_out", "0"), ("n_out", "-2"),
+                                        ("hidden", "0"), ("n_in", "0")])
 def test_manifest_values_that_make_no_network(tmp_path, key, value):
     _, _, _, weights, norms, adam = make_toy_problem()
     ckpt = tmp_path / "ckpt"
