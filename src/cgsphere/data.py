@@ -62,7 +62,7 @@ def generate_split(cfg: ExperimentConfig, per_class: int, rotated: bool,
     rng = np.random.default_rng(seed)
     rot_rng = np.random.default_rng(
         seed + 1 if rotation_seed is None else rotation_seed)
-    grids, labels = [], []
+    examples, labels = [], []
     for k in range(cfg.classes):
         for _ in range(per_class):
             blocks = [
@@ -76,11 +76,12 @@ def generate_split(cfg: ExperimentConfig, per_class: int, rotated: bool,
             if rotated:
                 blocks = [wigner_D(ell, rot).matrix @ blk
                           for ell, blk in enumerate(blocks)]
-            coeffs = HarmonicCoefficients(L, blocks)
-            grids.append(inverse_sht(coeffs, b).samples[0])
+            examples.append(blocks)
             labels.append(k)
-    return Dataset(SphericalSignal(b, np.stack(grids)),
-                   np.asarray(labels, dtype=int))
+    # one transform for the split: examples ride the channel axis
+    coeffs = HarmonicCoefficients(L, [np.hstack([ex[ell] for ex in examples])
+                                      for ell in range(L + 1)])
+    return Dataset(inverse_sht(coeffs, b), np.asarray(labels, dtype=int))
 
 
 def dataset_coefficients(dataset: Dataset, L: int) -> HarmonicCoefficients:

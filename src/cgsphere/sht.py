@@ -1,10 +1,12 @@
 """Spherical harmonic transforms on the Driscoll-Healy equiangular grid.
 
 The grid is 2b x 2b with pole-avoiding colatitudes theta_j = pi(2j+1)/(4b)
-and azimuths phi_k = pi k / b.  Forward and inverse transforms are direct
-summations (desk scale, correctness over speed); quadrature uses the
-closed-form Driscoll-Healy weights, which integrate band-limited functions
-exactly.
+and azimuths phi_k = pi k / b.  Both transforms are semi-naive (Driscoll &
+Healy 1994; Healy, Rockmore, Kostelec & Moore 2003): an FFT over phi, then
+for each order m one matrix of orthonormal Legendre values over theta,
+rebuilt from ``so3.legendre`` on every call, O(L^2 b) floats.  Quadrature
+uses the closed-form Driscoll-Healy weights, which integrate band-limited
+functions exactly.
 
 Signal files use the SPH1 binary format: magic ``SPH1``, then bandwidth b
 and channel count as little-endian uint32, then interleaved real/imag
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .so3 import EulerAngles, spherical_harmonic, wigner_D
+from .so3 import EulerAngles, legendre, wigner_D
 
 _MAGIC = b"SPH1"
 _HEADER_BYTES = 12  # magic, then bandwidth and channel count as uint32
@@ -81,43 +83,18 @@ def quadrature_weights(b: int) -> np.ndarray:
     sphere quadrature is (pi/b) * sum_{j,k} w_j f(theta_j, phi_k).
     """
     theta, _ = grid_angles(b)
-    k = np.arange(b)
-    w = np.zeros(2 * b)
-    for j in range(2 * b):
-        w[j] = (2.0 / b) * np.sin(theta[j]) * np.sum(
-            np.sin((2 * k + 1) * theta[j]) / (2 * k + 1)
-        )
-    return w
+    k = 2 * np.arange(b) + 1
+    return (2.0 / b) * np.sin(theta) * np.sum(np.sin(np.outer(theta, k)) / k, axis=1)
 
 
-def _harmonic_matrix(b: int, L: int) -> np.ndarray:
-    """Y_l^m on the grid, shape ((L+1)^2, 2b, 2b); rows ordered (l, m)."""
-    theta, phi = grid_angles(b)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    rows = []
-    for ell in range(L + 1):
-        for m in range(-ell, ell + 1):
-            rows.append(spherical_harmonic(ell, m, th, ph))
-    return np.stack(rows)
-
-
-_MATRIX_CACHE: dict = {}
-
-
-def _cached_harmonics(b: int, L: int) -> np.ndarray:
-    key = (b, L)
-    if key not in _MATRIX_CACHE:
-        _MATRIX_CACHE[key] = _harmonic_matrix(b, L)
-    return _MATRIX_CACHE[key]
-
-
-def _split_blocks(flat: np.ndarray, L: int) -> list:
-    blocks, start = [], 0
-    for ell in range(L + 1):
-        n = 2 * ell + 1
-        blocks.append(flat[start:start + n])
-        start += n
-    return blocks
+def _colatitude_factors(b: int, L: int) -> np.ndarray:
+    """Real factors q[m + L, l, j] with Y_l^m(theta_j, phi) = q[m + L, l, j]
+    e^{i m phi} for |m| <= l <= L, zero for |m| > l: one Legendre matrix
+    per m, m = -L..L."""
+    p = legendre(L, grid_angles(b)[0]).transpose(2, 1, 0)  # [m, l, j], m >= 0
+    # Y_l^{-m} = (-1)^m conj(Y_l^m)
+    sign = (-1.0) ** np.arange(L, 0, -1)
+    return np.concatenate([sign[:, None, None] * p[:0:-1], p])
 
 
 def forward_sht(signal: SphericalSignal, L: int) -> HarmonicCoefficients:
@@ -128,12 +105,13 @@ def forward_sht(signal: SphericalSignal, L: int) -> HarmonicCoefficients:
     b = signal.bandwidth
     if L >= b:
         raise ValueError(f"bandlimit L={L} must be below grid bandwidth b={b}")
-    y = _cached_harmonics(b, L)
-    w = quadrature_weights(b)
-    n2 = (2 * b) * (2 * b)
-    proj = (np.conj(y) * w[None, :, None]).reshape(-1, n2) * (np.pi / b)
-    flat = proj @ signal.samples.reshape(signal.n_channels, n2).T
-    return HarmonicCoefficients(L, _split_blocks(flat, L))
+    # g[c, j, m] = (pi/b) w_j sum_k f_c(theta_j, phi_k) e^{-i m phi_k}
+    g = np.fft.fft(signal.samples, axis=-1)[..., np.arange(-L, L + 1)]
+    g *= (np.pi / b) * quadrature_weights(b)[:, None]
+    g = np.ascontiguousarray(g.transpose(2, 1, 0))
+    flat = (_colatitude_factors(b, L) @ g.view(float)).view(complex)  # [m, l, c]
+    return HarmonicCoefficients(
+        L, [flat[L - ell:L + ell + 1, ell].copy() for ell in range(L + 1)])
 
 
 def inverse_sht(coeffs: HarmonicCoefficients, b: int) -> SphericalSignal:
@@ -141,11 +119,14 @@ def inverse_sht(coeffs: HarmonicCoefficients, b: int) -> SphericalSignal:
     L = coeffs.bandlimit
     if L >= b:
         raise ValueError(f"bandlimit L={L} must be below grid bandwidth b={b}")
-    y = _cached_harmonics(b, L)
-    flat = np.concatenate(coeffs.blocks, axis=0)
-    n = 2 * b
-    grid = np.tensordot(flat.T, y.reshape(-1, n, n), axes=(1, 0))
-    return SphericalSignal(b, grid)
+    flat = np.zeros((2 * L + 1, L + 1, coeffs.n_channels), dtype=complex)
+    for ell, block in enumerate(coeffs.blocks):
+        flat[L - ell:L + ell + 1, ell] = block
+    q = _colatitude_factors(b, L).transpose(0, 2, 1)
+    h = (q @ flat.view(float)).view(complex)  # [m, j, c]
+    spectrum = np.zeros((coeffs.n_channels, 2 * b, 2 * b), dtype=complex)
+    spectrum[..., np.arange(-L, L + 1)] = h.transpose(2, 1, 0)
+    return SphericalSignal(b, np.fft.ifft(spectrum, axis=-1, norm="forward"))
 
 
 def rotate_coefficients(coeffs: HarmonicCoefficients,

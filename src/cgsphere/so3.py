@@ -1,7 +1,8 @@
 """Numerics for the rotation group SO(3).
 
 Wigner little-d and big-D matrices, Clebsch-Gordan coefficients, spherical
-harmonics and Haar-distributed rotation sampling.  Everything uses the
+harmonics and the orthonormal associated Legendre functions under them, and
+Haar-distributed rotation sampling.  Everything uses the
 Condon-Shortley sign convention and the ZYZ Euler angle convention for
 active rotations, so that
 
@@ -10,8 +11,7 @@ active rotations, so that
 and a function rotated by R has its degree-l harmonic coefficient vector
 multiplied by D^l(R).
 
-All functions are pure; the only precomputed state is an immutable table of
-log n! for the harmonic normalization.
+All functions are pure and keep no state between calls.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Wigner-d and Clebsch-Gordan are verified up to this degree.
+# Wigner-d, Clebsch-Gordan and the Legendre functions are verified up to
+# this degree.
 MAX_DEGREE = 64
-
-# log n! for n = 0..2*MAX_DEGREE, the (l +- |m|)! of spherical_harmonic
-_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * MAX_DEGREE + 1)))))
 
 
 class CapacityError(ValueError):
@@ -38,7 +36,7 @@ def _check_degree(ell: int) -> None:
     if ell > MAX_DEGREE:
         raise CapacityError(
             f"degree {ell} exceeds MAX_DEGREE = {MAX_DEGREE}, the verified "
-            f"bound for Wigner-d and Clebsch-Gordan"
+            f"bound for Wigner-d, Clebsch-Gordan and the Legendre functions"
         )
 
 
@@ -180,24 +178,33 @@ def cg_block(ell1: int, ell2: int, ell: int) -> CGBlock:
     return CGBlock(ell1, ell2, ell, mat)
 
 
-def _legendre_column(ell_max: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Associated Legendre P_l^m(x) for l = m..ell_max, with Condon-Shortley phase.
+def legendre(L: int, theta) -> np.ndarray:
+    """Orthonormal associated Legendre values with the Condon-Shortley phase.
 
-    Returns array of shape (ell_max - m + 1,) + x.shape.
+    ``out[..., l, m]`` for 0 <= m <= l <= L, zero for m > l, with the shape
+    of ``theta`` in front, so that Y_l^m(theta, phi) = out[..., l, m]
+    e^{i m phi} for m >= 0.  All m run at once through the three-term
+    recurrence in l on the normalized functions, started from the diagonal
+    P_m^m = (-1)^m sqrt((2m+1)!! / (4 pi (2m)!!)) sin^m(theta); no
+    factorial is formed, so nothing overflows up to MAX_DEGREE.
     """
-    x = np.asarray(x, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    # P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}
-    pmm = np.full(x.shape, (-1.0) ** m)
-    for i in range(1, m + 1):
-        pmm = pmm * (2 * i - 1) * s
-    out = [pmm]
-    if ell_max > m:
-        out.append(x * (2 * m + 1) * pmm)
-        for l in range(m + 2, ell_max + 1):
-            nxt = ((2 * l - 1) * x * out[-1] - (l + m - 1) * out[-2]) / (l - m)
-            out.append(nxt)
-    return np.stack(out)
+    _check_degree(L)
+    theta = np.asarray(theta, dtype=float)
+    x, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    m = np.arange(L + 1)
+    diag = np.cumprod(np.append(1.0 / math.sqrt(4.0 * math.pi),
+                                -np.sqrt(1.0 + 0.5 / m[1:])))
+    p = np.zeros(theta.shape + (L + 1, L + 1))
+    p[..., m, m] = diag * s ** m
+    for l in range(1, L + 1):
+        k = m[:l]
+        a = np.sqrt((4 * l * l - 1) / (l * l - k * k))
+        p[..., l, :l] = a * x * p[..., l - 1, :l]
+        if l > 1:  # at l = 1 only m = l - 1 runs, where this term vanishes
+            b = np.sqrt((2 * l + 1) * ((l - 1) ** 2 - k * k)
+                        / ((2 * l - 3) * (l * l - k * k)))
+            p[..., l, :l] -= b * p[..., l - 2, :l]
+    return p
 
 
 def spherical_harmonic(ell: int, m: int, theta, phi):
@@ -209,17 +216,12 @@ def spherical_harmonic(ell: int, m: int, theta, phi):
     _check_degree(ell)
     if abs(m) > ell:
         raise ValueError(f"|m| = {abs(m)} exceeds degree {ell}")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     ma = abs(m)
-    p = _legendre_column(ell, ma, np.cos(theta))[ell - ma]
-    log_norm = 0.5 * (math.log((2 * ell + 1) / (4.0 * math.pi))
-                      + _LOG_FACT[ell - ma] - _LOG_FACT[ell + ma])
-    y = math.exp(log_norm) * p * np.exp(1j * ma * phi)
+    phi = np.asarray(phi, dtype=float)
+    y = legendre(ell, theta)[..., ell, ma] * np.exp(1j * ma * phi)
     if m < 0:
         y = (-1.0) ** ma * np.conj(y)
-    out = y[()] if y.ndim == 0 else y
-    return out
+    return y[()] if y.ndim == 0 else y
 
 
 def random_rotation(rng: np.random.Generator) -> EulerAngles:

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .gradients import HeadWeights, NetworkWeights, loss_and_grad
-from .network import ActivationType, CovariantActivation, NetworkSpec, NormState
+from .network import (PAIR_POLICIES, ActivationType, CovariantActivation,
+                      NetworkSpec, NormState)
 
 
 @dataclass
@@ -242,17 +243,28 @@ def load_checkpoint(path):
     L, S, n_in, n_out, hidden = (
         _manifest_value(manifest, key, where)
         for key in ("bandlimit", "layers", "n_in", "n_out", "hidden"))
-    for key, value in (("n_in", n_in), ("n_out", n_out), ("hidden", hidden)):
+    for key, value in (("layers", S), ("n_in", n_in), ("n_out", n_out),
+                       ("hidden", hidden)):
         if value < 1:
             raise ValueError(f"{where}: {key}={value} is below 1")
-    tau_counts = [_manifest_value(manifest, f"tau{s + 1}", where, many=True)
-                  for s in range(S)]
-    try:  # values that do not make a network
-        taus = tuple(map(ActivationType, tau_counts))
-        spec = NetworkSpec(L, n_in, taus, manifest.get("pair_policy", "unordered"))
-        fans = [spec.cg_input_type(s).tau for s in range(S)]
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    policy = manifest.get("pair_policy", "unordered")
+    if policy not in PAIR_POLICIES:
+        raise ValueError(f"{where}: pair_policy={policy} is not one of "
+                         f"{', '.join(PAIR_POLICIES)}")
+    taus = []
+    for s in range(S):
+        key = f"tau{s + 1}"
+        counts = _manifest_value(manifest, key, where, many=True)
+        for bad, why in ((len(counts) != L + 1,
+                          f"has {len(counts)} entries, need {L + 1}"),
+                         (min(counts) < 0, "has a negative entry"),
+                         (s == S - 1 and any(counts[1:]),
+                          "is not zero above l=0 in the final layer")):
+            if bad:
+                raise ValueError(f"{where}: {key}={manifest[key]} {why}")
+        taus.append(ActivationType(counts))
+    spec = NetworkSpec(L, n_in, tuple(taus), policy)
+    fans = [spec.cg_input_type(s).tau for s in range(S)]
     d = spec.head_width()
     layer_shapes = [(fan[ell], tau.tau[ell])
                     for fan, tau in zip(fans, taus) for ell in range(L + 1)]

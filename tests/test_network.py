@@ -312,6 +312,8 @@ def test_network_forward_layer_composition():
     spec = desk_spec()
     weights, norms = build_network(spec)
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
+    # one training pass, so the divisors are not all 1
+    network_forward(F, weights.layers, norms, training=True)
     by_hand_normed = covariant_normalize(cg_nonlinearity(F), norms[0].copy())
     by_hand = covariant_linear(by_hand_normed, weights.layers[0])
     _, outputs, normed = network_forward(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from cgsphere.sht import (
     rotate_coefficients,
     write_signal,
 )
-from cgsphere.so3 import EulerAngles, random_rotation, spherical_harmonic
+from cgsphere.so3 import EulerAngles, legendre, random_rotation, spherical_harmonic
 
 import oracles
 from oracles import rotation_matrix
@@ -128,6 +130,54 @@ def test_transform_equivariance_against_grid_rotation():
     reference = rotate_coefficients(coeffs, rot)
     for a, b_ in zip(from_grid.blocks, reference.blocks):
         np.testing.assert_allclose(a, b_, atol=1e-8)
+
+
+def _synthesize_points(coeffs, theta, phi):
+    """Evaluate a one-channel expansion at points, with Y_l^m taken from
+    the Legendre values and Y_l^{-m} = (-1)^m conj(Y_l^m)."""
+    p = legendre(coeffs.bandlimit, theta)
+    out = np.zeros(theta.shape, dtype=complex)
+    for ell, block in enumerate(coeffs.blocks):
+        m = np.arange(-ell, ell + 1)
+        y = (np.where(m < 0, (-1.0) ** m, 1.0) * p[:, ell, np.abs(m)]
+             * np.exp(1j * np.outer(phi, m)))
+        out += y @ block[:, 0]
+    return out
+
+
+def test_round_trip_at_high_degree():
+    coeffs = random_coefficients(63)
+    back = forward_sht(inverse_sht(coeffs, 64), 63)
+    for a, b in zip(coeffs.blocks, back.blocks):
+        np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def test_round_trip_at_high_degree_stays_small():
+    coeffs = random_coefficients(63)
+    tracemalloc.start()
+    try:
+        forward_sht(inverse_sht(coeffs, 64), 63)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_equivariance_at_high_degree_on_sampled_points():
+    b, L = 64, 63
+    coeffs = random_coefficients(L)
+    rot = random_rotation(RNG)
+    j, k = RNG.integers(0, 2 * b, size=(2, 40))
+    rotated = inverse_sht(rotate_coefficients(coeffs, rot), b).samples[0, j, k]
+    # the unrotated expansion at R^-1 x for each sampled grid point x
+    theta, phi = grid_angles(b)
+    th, ph = theta[j], phi[k]
+    xyz = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                    np.cos(th)], axis=-1)
+    v = xyz @ rotation_matrix(rot)
+    expected = _synthesize_points(coeffs, np.arccos(np.clip(v[:, 2], -1.0, 1.0)),
+                                  np.arctan2(v[:, 1], v[:, 0]))
+    np.testing.assert_allclose(rotated, expected, atol=1e-9)
 
 
 def test_signal_validation():

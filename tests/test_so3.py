@@ -10,6 +10,7 @@ from cgsphere.so3 import (
     EulerAngles,
     cg_block,
     clebsch_gordan_coeff,
+    legendre,
     random_rotation,
     spherical_harmonic,
     wigner_D,
@@ -332,6 +333,23 @@ def test_harmonic_against_high_precision():
         mine = spherical_harmonic(ell, m, 0.7, 1.1)
         ref = oracles.spherical_harmonic_highprec(ell, m, 0.7, 1.1)
         assert abs(mine - ref) < 1e-12
+
+
+def test_legendre_against_high_precision_up_to_max_degree():
+    # (l, m, theta) where the 50-digit oracle converges quickly; near the
+    # poles it does not for large m
+    points = [(63, 0, 0.05), (57, 3, 0.05), (33, 7, 0.05),
+              (63, 17, 0.4), (63, 32, 0.4), (50, 25, 0.4),
+              (63, 1, 1.1), (63, 48, 1.1), (63, 62, 1.1), (63, 63, 1.1),
+              (40, 40, 1.1), (64, 64, 1.1), (63, 20, 1.6), (64, 0, 2.3)]
+    for ell, m, theta in points:
+        mine = legendre(64, theta)[ell, m]
+        ref = oracles.spherical_harmonic_highprec(ell, m, theta, 0.0).real
+        assert abs(mine - ref) <= 1e-13 * abs(ref), (ell, m, theta)
+    # negative m through the harmonic
+    mine = spherical_harmonic(63, -48, 1.1, 0.3)
+    ref = oracles.spherical_harmonic_highprec(63, -48, 1.1, 0.3)
+    assert abs(mine - ref) <= 1e-13 * abs(ref)
 
 
 def test_harmonic_orthonormality_by_quadrature():

@@ -234,7 +234,7 @@ def test_manifest_key_checked(tmp_path, key, damage):
 
 
 @pytest.mark.parametrize("key, value", [("layers", "0"), ("tau1", "3,3"),
-                                        ("tau2", "-1,0,0"),
+                                        ("tau2", "-1,0,0"), ("tau2", "1,1,0"),
                                         ("pair_policy", "bogus"),
                                         ("n_out", "0"), ("n_out", "-2"),
                                         ("hidden", "0"), ("n_in", "0")])
@@ -246,8 +246,11 @@ def test_manifest_values_that_make_no_network(tmp_path, key, value):
     path.write_text("".join(
         f"{key}={value}\n" if line.startswith(f"{key}=") else line
         for line in path.read_text().splitlines(keepends=True)))
-    with pytest.raises(ValueError, match="model.manifest"):
+    with pytest.raises(ValueError) as err:
         load_checkpoint(ckpt)
+    message = str(err.value)
+    assert "model.manifest" in message
+    assert f"{key}={value}" in message
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
