@@ -164,11 +164,9 @@ def audit_equivariance(weights, norm_states, trials: int, seed: int = 0):
             for ell in range(L + 1)])
         rot = random_rotation(rng)
         d_mats = [wigner_D(ell, rot).matrix for ell in range(L + 1)]
-        feats, acts, _ = network_forward(
-            F0, weights.layers, norm_states, policy=spec.pair_policy)
+        feats, acts, _ = network_forward(F0, weights.layers, norm_states)
         feats_r, acts_r, _ = network_forward(
-            F0.rotated(d_mats), weights.layers, norm_states,
-            policy=spec.pair_policy)
+            F0.rotated(d_mats), weights.layers, norm_states)
         for act, act_r in zip(acts, acts_r):
             expected = act.rotated(d_mats)
             for f_exp, f_rot in zip(expected.fragments, act_r.fragments):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .network import PAIR_POLICIES, ActivationType, NetworkSpec, tau_schedule
+from .network import ActivationType, NetworkSpec, tau_schedule
 from .so3 import MAX_DEGREE
 
 REGIMES = ("NR/NR", "NR/R", "R/R")
@@ -26,7 +26,6 @@ class ExperimentConfig:
     # either an explicit per-degree vector ("4,4,4,4,4,4"), a single count
     # ("4"), or the rule "rule:<width>" for tau_l = ceil(width/sqrt(2l+1))
     tau: str = "4"
-    pair_policy: str = "unordered"
     hidden: int = 64
     lr: float = 5e-4
     beta1: float = 0.9
@@ -53,15 +52,14 @@ class ExperimentConfig:
         if self.classes < 2:
             raise ConfigError("need at least two classes")
         for name, value in (("hidden", self.hidden),
-                            ("batch_size", self.batch_size)):
+                            ("batch_size", self.batch_size),
+                            ("train_per_class", self.train_per_class),
+                            ("test_per_class", self.test_per_class)):
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.regime not in REGIMES:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.pair_policy not in PAIR_POLICIES:
-            raise ConfigError(f"pair_policy must be one of {PAIR_POLICIES}, "
-                              f"got {self.pair_policy!r}")
         try:
             self.tau_vector()
         except ValueError as exc:
@@ -87,7 +85,7 @@ class ExperimentConfig:
         last = ActivationType((tau.tau[0],) + (0,) * self.bandlimit)
         types = tuple([tau] * (self.layers - 1) + [last])
         # the CLI's datasets have one channel per example
-        return NetworkSpec(self.bandlimit, 1, types, self.pair_policy)
+        return NetworkSpec(self.bandlimit, 1, types)
 
     def train_rotated(self) -> bool:
         return self.regime == "R/R"

@@ -50,18 +50,17 @@ def class_templates(classes: int, L: int, seed: int) -> list:
 
 
 def generate_split(cfg: ExperimentConfig, per_class: int, rotated: bool,
-                   seed: int, rotation_seed: int | None = None) -> Dataset:
+                   seed: int) -> Dataset:
     """Draw a class-balanced split.
 
-    ``seed`` fixes templates and noise; ``rotation_seed`` fixes the rotation
-    draw separately so the same underlying examples can be produced both
+    Templates come from ``cfg.seed``; ``seed`` fixes the noise and the
+    rotation draws, so one seed gives the same underlying examples both
     unrotated and rotated.
     """
     L, b = cfg.bandlimit, cfg.grid_bandwidth
     templates = class_templates(cfg.classes, L, cfg.seed)
     rng = np.random.default_rng(seed)
-    rot_rng = np.random.default_rng(
-        seed + 1 if rotation_seed is None else rotation_seed)
+    rot_rng = np.random.default_rng(seed + 1)
     examples, labels = [], []
     for k in range(cfg.classes):
         for _ in range(per_class):

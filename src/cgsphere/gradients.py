@@ -113,7 +113,7 @@ def backward_linear(G_bar: list, F: CovariantActivation, weights: list):
     return F_bar, W_bar
 
 
-def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
+def backward_cg(H_bar: list, F: CovariantActivation,
                 out_ell_max: int | None = None) -> list:
     """Adjoint of the CG nonlinearity; mirrors the forward column order
     exactly.  Self-pairs accumulate both branch gradients.
@@ -125,7 +125,7 @@ def backward_cg(H_bar: list, F: CovariantActivation, policy: str = "unordered",
     """
     B = F.batch_size
     F_bar = [np.zeros_like(f) for f in F.fragments]
-    for l1, l2, ells, starts in _cg_layout(F.type, policy, out_ell_max)[1]:
+    for l1, l2, ells, starts in _cg_layout(F.type, out_ell_max)[1]:
         F1, F2 = F.fragments[l1], F.fragments[l2]
         t1, t2 = F1.shape[2], F2.shape[2]
         d1, d2, n = 2 * l1 + 1, 2 * l2 + 1, t1 * t2
@@ -170,8 +170,7 @@ def forward_with_tape(coeffs: CovariantActivation, weights: NetworkWeights,
                       training: bool = False) -> ForwardTape:
     """``network_forward`` plus the classifier head, recording the tape."""
     feats, outputs, normed = network_forward(
-        coeffs, weights.layers, norm_states, training,
-        weights.spec.pair_policy)
+        coeffs, weights.layers, norm_states, training)
     hid_pre = feats @ weights.head.w1 + weights.head.b1
     logits = np.maximum(hid_pre, 0.0) @ weights.head.w2 + weights.head.b2
     return ForwardTape(normed, outputs, feats, hid_pre, logits)
@@ -241,7 +240,7 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
             break  # the network input has no parameters behind it
         for h, d in zip(H_bar, norm_states[s].denominators()):
             h /= d[None, None, :]
-        G_bar = backward_cg(H_bar, tape.outputs[s - 1], spec.pair_policy,
+        G_bar = backward_cg(H_bar, tape.outputs[s - 1],
                             layer_out_ell_max(s, S, L))
 
     grads = NetworkWeights(spec, g_layers, g_head)

@@ -11,6 +11,7 @@ output is the invariant feature vector built from all l=0 fragments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,19 +76,13 @@ class CovariantActivation:
 
 # --- Clebsch-Gordan pair bookkeeping ---
 
-PAIR_POLICIES = ("unordered", "ordered")
+def cg_pairs(L: int):
+    """Degree pairs entering the tensor-product nonlinearity, l1 <= l2
+    (the (l2, l1) columns would repeat them up to sign)."""
+    return [(l1, l2) for l1 in range(L + 1) for l2 in range(l1, L + 1)]
 
 
-def cg_pairs(L: int, policy: str = "unordered"):
-    """Degree pairs entering the tensor-product nonlinearity."""
-    if policy == "unordered":
-        return [(l1, l2) for l1 in range(L + 1) for l2 in range(l1, L + 1)]
-    if policy == "ordered":
-        return [(l1, l2) for l1 in range(L + 1) for l2 in range(L + 1)]
-    raise ValueError(f"unknown pair policy {policy!r}")
-
-
-def _cg_layout(tau: ActivationType, policy: str, out_ell_max: int | None):
+def _cg_layout(tau: ActivationType, out_ell_max: int | None):
     """Where the CG product of an activation of type ``tau`` puts its output.
 
     Returns the post-CG type and, for each pair that produces output,
@@ -101,7 +96,7 @@ def _cg_layout(tau: ActivationType, policy: str, out_ell_max: int | None):
         out_ell_max = L
     widths = [0] * (L + 1)
     pairs = []
-    for l1, l2 in cg_pairs(L, policy):
+    for l1, l2 in cg_pairs(L):
         n = tau.tau[l1] * tau.tau[l2]
         ells = tuple(range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1))
         if n == 0 or not ells:
@@ -153,10 +148,10 @@ def _pair_matrix(ell1: int, ell2: int, ells: tuple) -> np.ndarray:
     return _PAIR_CACHE[key]
 
 
-def cg_output_type(tau: ActivationType, policy: str = "unordered",
+def cg_output_type(tau: ActivationType,
                    out_ell_max: int | None = None) -> ActivationType:
     """Fragment counts after the CG nonlinearity (before linear mixing)."""
-    return _cg_layout(tau, policy, out_ell_max)[0]
+    return _cg_layout(tau, out_ell_max)[0]
 
 
 def cg_madd_count(tau: ActivationType, policy: str = "unordered",
@@ -165,11 +160,14 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
     paper's cost model: each stored nonzero CG coefficient touches
     tau_{l1} * tau_{l2} column pairs.  This is not the flop count of the
     dense kernel in ``cg_nonlinearity``, which also multiplies the zeros.
+    ``policy`` must be ``NetworkSpec.pair_policy``.
     """
+    if policy != NetworkSpec.pair_policy:
+        raise ValueError(f"pair policy {policy!r} is not unordered")
     return int(sum(
         np.count_nonzero(_pair_matrix(l1, l2, ells))
         * tau.tau[l1] * tau.tau[l2]
-        for l1, l2, ells, _ in _cg_layout(tau, policy, out_ell_max)[1]))
+        for l1, l2, ells, _ in _cg_layout(tau, out_ell_max)[1]))
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -178,7 +176,7 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
-def cg_nonlinearity(F: CovariantActivation, policy: str = "unordered",
+def cg_nonlinearity(F: CovariantActivation,
                     out_ell_max: int | None = None) -> CovariantActivation:
     """Tensor-product nonlinearity: all pairwise Kronecker products,
     decomposed into irreducible fragments through the dense CG matrices.
@@ -188,7 +186,7 @@ def cg_nonlinearity(F: CovariantActivation, policy: str = "unordered",
     output is allocated once, and every pair writes its blocks straight
     into their columns.
     """
-    out_type, pairs = _cg_layout(F.type, policy, out_ell_max)
+    out_type, pairs = _cg_layout(F.type, out_ell_max)
     B = F.batch_size
     out = [np.empty((B, 2 * ell + 1, w), dtype=complex)
            for ell, w in enumerate(out_type.tau)]
@@ -297,7 +295,9 @@ class NetworkSpec:
     bandlimit: int
     n_in: int
     layer_types: tuple
-    pair_policy: str = "unordered"
+    # bench/workload.py::cg_counts passes this to cg_madd_count's policy;
+    # both stay until that call goes
+    pair_policy: ClassVar[str] = "unordered"
 
     def __post_init__(self):
         if self.n_layers < 1:
@@ -317,10 +317,9 @@ class NetworkSpec:
         return ActivationType((self.n_in,) * (self.bandlimit + 1))
 
     def _layer_cg(self, s: int) -> tuple:
-        """Input type, pair policy and degree cap of layer s's CG product."""
+        """Input type and degree cap of layer s's CG product."""
         prev = self.input_type() if s == 0 else self.layer_types[s - 1]
-        return (prev, self.pair_policy,
-                layer_out_ell_max(s, self.n_layers, self.bandlimit))
+        return prev, layer_out_ell_max(s, self.n_layers, self.bandlimit)
 
     def cg_input_type(self, s: int) -> ActivationType:
         """Post-CG (pre-mixing) type feeding layer s's weights (s = 0-based)."""
@@ -363,8 +362,7 @@ def invariant_features(layer_outputs: list, input_l0: np.ndarray) -> np.ndarray:
 
 
 def network_forward(coeffs: CovariantActivation, weights: list,
-                    norm_states: list, training: bool = False,
-                    policy: str = "unordered"):
+                    norm_states: list, training: bool = False):
     """Full covariant forward pass: S layers (CG nonlinearity,
     normalization, linear mix) then the invariant head.
 
@@ -379,7 +377,7 @@ def network_forward(coeffs: CovariantActivation, weights: list,
     outputs, normed = [], []
     F = coeffs
     for s in range(S):
-        H = cg_nonlinearity(F, policy, layer_out_ell_max(s, S, L))
+        H = cg_nonlinearity(F, layer_out_ell_max(s, S, L))
         H = covariant_normalize(H, norm_states[s], training)
         normed.append(H)
         F = covariant_linear(H, weights[s])

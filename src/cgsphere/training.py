@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .gradients import HeadWeights, NetworkWeights, loss_and_grad
-from .network import (PAIR_POLICIES, ActivationType, CovariantActivation,
-                      NetworkSpec, NormState)
+from .network import ActivationType, CovariantActivation, NetworkSpec, NormState
 
 
 @dataclass
@@ -150,7 +149,6 @@ def _write_checkpoint(path: Path, weights: NetworkWeights, norm_states: list,
         f"bandlimit={spec.bandlimit}",
         f"layers={spec.n_layers}",
         f"n_in={spec.n_in}",
-        f"pair_policy={spec.pair_policy}",
         f"n_out={weights.head.b2.shape[0]}",
         f"hidden={weights.head.b1.shape[0]}",
         f"head_width={spec.head_width()}",
@@ -247,10 +245,10 @@ def load_checkpoint(path):
                        ("hidden", hidden)):
         if value < 1:
             raise ValueError(f"{where}: {key}={value} is below 1")
+    # earlier checkpoints name the pair rule; l1 <= l2 is the only one
     policy = manifest.get("pair_policy", "unordered")
-    if policy not in PAIR_POLICIES:
-        raise ValueError(f"{where}: pair_policy={policy} is not one of "
-                         f"{', '.join(PAIR_POLICIES)}")
+    if policy != "unordered":
+        raise ValueError(f"{where}: pair_policy={policy} is not unordered")
     taus = []
     for s in range(S):
         key = f"tau{s + 1}"
@@ -263,7 +261,7 @@ def load_checkpoint(path):
             if bad:
                 raise ValueError(f"{where}: {key}={manifest[key]} {why}")
         taus.append(ActivationType(counts))
-    spec = NetworkSpec(L, n_in, tuple(taus), policy)
+    spec = NetworkSpec(L, n_in, tuple(taus))
     fans = [spec.cg_input_type(s).tau for s in range(S)]
     d = spec.head_width()
     layer_shapes = [(fan[ell], tau.tau[ell])

@@ -195,6 +195,15 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
                  "--out", str(tmp_path / "d")]) == EXIT_USAGE
 
 
+def test_gen_data_rejects_empty_split_naming_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CFG.replace("train_per_class = 8",
+                                     "train_per_class = 0"))
+    assert main(["gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "d")]) == EXIT_USAGE
+    assert "train_per_class" in capsys.readouterr().err
+
+
 def test_missing_dataset_is_numeric_error(workspace, capsys):
     code = main(["eval", "--checkpoint", str(workspace["ckpt"]),
                  "--data", str(workspace["root"] / "nope")])

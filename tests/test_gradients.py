@@ -70,18 +70,17 @@ def test_backward_linear_shape_check():
 
 # --- backward_cg against finite differences ---
 
-@pytest.mark.parametrize("policy", ["unordered", "ordered"])
-def test_backward_cg_finite_difference(policy):
+def test_backward_cg_finite_difference():
     L = 2
     F = random_activation(L, (2, 1, 1), batch=2)
-    out = cg_nonlinearity(F, policy)
+    out = cg_nonlinearity(F)
     probe = [RNG.standard_normal(f.shape) + 1j * RNG.standard_normal(f.shape)
              for f in out.fragments]
 
     def scalar():
-        return real_inner(probe, cg_nonlinearity(F, policy).fragments)
+        return real_inner(probe, cg_nonlinearity(F).fragments)
 
-    F_bar = backward_cg(probe, F, policy)
+    F_bar = backward_cg(probe, F)
     for ell in range(L + 1):
         arr = F.fragments[ell]
         for _ in range(3):

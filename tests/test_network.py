@@ -65,9 +65,13 @@ def test_activation_type_and_stack():
 
 def test_cg_pairs_policies():
     assert cg_pairs(1) == [(0, 0), (0, 1), (1, 1)]
-    assert cg_pairs(1, "ordered") == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    with pytest.raises(ValueError):
-        cg_pairs(1, "banana")
+    assert all(l1 <= l2 for l1, l2 in cg_pairs(4))
+    assert len(cg_pairs(4)) == 5 * 6 // 2
+    # cg_madd_count keeps a policy argument that only accepts the one rule
+    tau = ActivationType((2, 2))
+    assert cg_madd_count(tau, NetworkSpec.pair_policy) == cg_madd_count(tau)
+    with pytest.raises(ValueError, match="ordered"):
+        cg_madd_count(tau, "ordered")
 
 
 def test_cg_output_type_by_hand():
@@ -360,13 +364,3 @@ def test_network_forward_intermediate_covariance():
         expect = a.rotated(d)
         for x, y in zip(ar.fragments, expect.fragments):
             np.testing.assert_allclose(x, y, atol=1e-9)
-
-
-def test_ordered_policy_runs_and_differs():
-    spec_u = desk_spec(L=2, S=2)
-    tau_in = spec_u.input_type()
-    assert (cg_output_type(tau_in, "ordered").tau
-            != cg_output_type(tau_in, "unordered").tau)
-    F = random_activation(2, tau_in.tau, batch=1)
-    out = cg_nonlinearity(F, policy="ordered")
-    assert out.type == cg_output_type(tau_in, "ordered")

@@ -186,6 +186,20 @@ def test_checkpoint_resume_equivalence(tmp_path):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_checkpoint_with_unordered_pair_policy_line_loads(tmp_path):
+    # earlier checkpoints carry the line; it names the only pair rule
+    _, _, _, weights, norms, adam = make_toy_problem()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, weights, norms, adam)
+    path = ckpt / "model.manifest"
+    assert "pair_policy" not in path.read_text()
+    path.write_text(path.read_text() + "pair_policy=unordered\n")
+    w2, _, _, _ = load_checkpoint(ckpt)
+    assert w2.spec == weights.spec
+    for a, b in zip(weights.arrays(), w2.arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_checkpoint_bad_format(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
@@ -235,7 +249,7 @@ def test_manifest_key_checked(tmp_path, key, damage):
 
 @pytest.mark.parametrize("key, value", [("layers", "0"), ("tau1", "3,3"),
                                         ("tau2", "-1,0,0"), ("tau2", "1,1,0"),
-                                        ("pair_policy", "bogus"),
+                                        ("pair_policy", "ordered"),
                                         ("n_out", "0"), ("n_out", "-2"),
                                         ("hidden", "0"), ("n_in", "0")])
 def test_manifest_values_that_make_no_network(tmp_path, key, value):
@@ -243,9 +257,9 @@ def test_manifest_values_that_make_no_network(tmp_path, key, value):
     ckpt = tmp_path / "ckpt"
     save_checkpoint(ckpt, weights, norms, adam)
     path = ckpt / "model.manifest"
-    path.write_text("".join(
-        f"{key}={value}\n" if line.startswith(f"{key}=") else line
-        for line in path.read_text().splitlines(keepends=True)))
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    path.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
     with pytest.raises(ValueError) as err:
         load_checkpoint(ckpt)
     message = str(err.value)
