@@ -109,7 +109,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    values = {}
+    values, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -120,6 +120,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set "
+                              f"on line {set_on[key]}")
+        set_on[key] = lineno
         kind = _FIELD_TYPES[key]
         try:
             if kind == "int":

@@ -23,8 +23,8 @@ from .network import (
     layer_out_ell_max,
     network_forward,
     _cg_layout,
-    _pair_matrix,
-    _real_matmul,
+    _pair_table,
+    _workspaces,
 )
 # the forward stages stay reachable through this module too
 from .network import cg_nonlinearity, covariant_normalize  # noqa: F401
@@ -94,22 +94,29 @@ def init_weights(spec: NetworkSpec, n_out: int, hidden: int = 64,
 
 # --- elementary adjoints ---
 
+def _m_major(arrays: list) -> list:
+    """(2l+1, B, tau) C-contiguous copies of (B, 2l+1, tau) arrays; no copy
+    for the transposed views ``CovariantActivation.fragments`` returns."""
+    return [np.ascontiguousarray(a.transpose(1, 0, 2)) for a in arrays]
+
+
 def backward_linear(G_bar: list, F: CovariantActivation, weights: list):
     """Adjoint of the per-degree mix G_l = F_l W_l.
 
     ``G_bar`` is a list of cotangent arrays matching the output fragments.
-    Both products are 2-D matmuls over the (B*(2l+1), tau) rows; W_bar is
-    computed as (G^H F)^H, which conjugates the narrow cotangent rather
-    than the wide activation.  Returns (F_bar fragments, W_bar list).
+    Both products are 2-D matmuls over the (2l+1)*B rows of the m-major
+    arrays; W_bar is computed as (G^H F)^H, which conjugates the narrow
+    cotangent rather than the wide activation.  Returns (F_bar fragments,
+    W_bar list); the F_bar arrays are views of m-major arrays.
     """
     F_bar, W_bar = [], []
-    for ell, (g, f, w) in enumerate(zip(G_bar, F.fragments, weights)):
+    for ell, (g, f, w) in enumerate(zip(_m_major(G_bar), F.m_major, weights)):
         if w.shape != (f.shape[2], g.shape[2]):
             raise ValueError(f"adjoint shape mismatch at l={ell}")
-        rows = f.shape[0] * f.shape[1]
-        g2 = g.reshape(rows, g.shape[2])
-        F_bar.append((g2 @ w.conj().T).reshape(f.shape))
-        W_bar.append((g2.conj().T @ f.reshape(rows, f.shape[2])).conj().T)
+        d, B, t = f.shape
+        g2 = g.reshape(d * B, g.shape[2])
+        F_bar.append((g2 @ w.conj().T).reshape(f.shape).transpose(1, 0, 2))
+        W_bar.append((g2.conj().T @ f.reshape(d * B, t)).conj().T)
     return F_bar, W_bar
 
 
@@ -118,31 +125,38 @@ def backward_cg(H_bar: list, F: CovariantActivation,
     """Adjoint of the CG nonlinearity; mirrors the forward column order
     exactly.  Self-pairs accumulate both branch gradients.
 
-    Per pair, the CG matrix maps the output cotangent back to the Kronecker
-    cotangent, laid out as one (d1*t1, d2*t2) matrix per example; each
-    factor's cotangent is then a batched mat-vec with the other factor's
-    conjugate.
+    Per pair, the transposed ``_pair_table`` maps the output cotangent back
+    to the cotangent of the gathered Kronecker rows (m, m1); each factor's
+    cotangent is then a batched mat-vec with the other factor's conjugate,
+    summed over m for the l1 factor and scattered back to the rows m2 of
+    the l2 factor by the table's 0/1 matrix.  Returns views of m-major
+    arrays.
     """
     B = F.batch_size
-    F_bar = [np.zeros_like(f) for f in F.fragments]
-    for l1, l2, ells, starts in _cg_layout(F.type, out_ell_max)[1]:
-        F1, F2 = F.fragments[l1], F.fragments[l2]
-        t1, t2 = F1.shape[2], F2.shape[2]
-        d1, d2, n = 2 * l1 + 1, 2 * l2 + 1, t1 * t2
-        y_bar = np.concatenate([
-            H_bar[l][:, :, c:c + n].transpose(1, 0, 2)
-            for l, c in zip(ells, starts)])
-        k_bar = _real_matmul(_pair_matrix(l1, l2, ells),
-                             y_bar.reshape(-1, B * n))
-        # (m1, m2, b, i, j) -> (b, (m1, i), (m2, j))
-        k_bar = np.ascontiguousarray(
-            k_bar.reshape(d1, d2, B, t1, t2).transpose(2, 0, 3, 1, 4)
-        ).reshape(B, d1 * t1, d2 * t2)
-        F_bar[l1] += (k_bar @ F2.conj().reshape(B, d2 * t2, 1)).reshape(
-            B, d1, t1)
-        F_bar[l2] += (F1.conj().reshape(B, 1, d1 * t1) @ k_bar).reshape(
-            B, d2, t2)
-    return F_bar
+    G, Hm = F.m_major, _m_major(H_bar)
+    F_bar = [np.zeros_like(g) for g in G]
+    pairs = _cg_layout(F.type, out_ell_max)[1]
+    k_ws, y_ws = _workspaces(F, out_ell_max)
+    for l1, l2, ells, starts in pairs:
+        table, rows, scatter = _pair_table(l1, l2, ells)
+        M, d1 = ells[-1], 2 * l1 + 1
+        t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        n = t1 * t2
+        y_bar = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
+        for i, (l, c) in enumerate(zip(ells, starts)):
+            y_bar[:M - l, i] = 0.0
+            y_bar[M - l:M + l + 1, i] = Hm[l][:, :, c:c + n]
+            y_bar[M + l + 1:, i] = 0.0
+        np.matmul(table.transpose(0, 2, 1),
+                  np.ndarray((2 * M + 1, len(ells), 2 * B * n), float, y_ws),
+                  out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
+        k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
+        G2 = G[l2].take(rows, axis=0).conj()
+        F_bar[l1] += (k_bar @ G2[..., None]).sum(axis=0)[..., 0]
+        g2_bar = G[l1].conj()[:, :, None, :] @ k_bar
+        F_bar[l2] += (scatter @ g2_bar.reshape(rows.size, B * t2).view(float)) \
+            .view(complex).reshape(G[l2].shape)
+    return [f.transpose(1, 0, 2) for f in F_bar]
 
 
 # --- tape-recorded network forward/backward ---
@@ -231,15 +245,18 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
     G_bar = [np.zeros_like(f) for f in tape.outputs[-1].fragments]
     for s in range(S - 1, -1, -1):
         G_bar[0][:, 0, :] += head_adjoints[s]
-        H_bar, W_bar = backward_linear(G_bar, tape.normed[s],
-                                       weights.layers[s])
+        # normed = H / d column by column, so the cotangent of the CG
+        # output H is (G_bar W^H) / d = G_bar (W / d)^H: dividing the
+        # narrow weights spares a pass over the wide cotangent
+        H_bar, W_bar = backward_linear(
+            G_bar, tape.normed[s],
+            [w / d[:, None] for w, d in
+             zip(weights.layers[s], norm_states[s].denominators())])
         tape.normed[s] = None  # nothing reads it again; free it before CG
         # ADAM steps complex gradients through their float64 view
         g_layers[s] = [np.ascontiguousarray(w) for w in W_bar]
         if s == 0:
             break  # the network input has no parameters behind it
-        for h, d in zip(H_bar, norm_states[s].denominators()):
-            h /= d[None, None, :]
         G_bar = backward_cg(H_bar, tape.outputs[s - 1],
                             layer_out_ell_max(s, S, L))
 

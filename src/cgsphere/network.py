@@ -1,8 +1,9 @@
 """Forward pass of the fully-Fourier covariant spherical network.
 
 Activations live entirely in Fourier space: a batch of activations is one
-complex array per degree l, of shape (batch, 2l+1, tau_l).  Each column is
-an irreducible fragment transforming as v -> D^l(R) v under input rotation.
+complex array per degree l, of shape (batch, 2l+1, tau_l), stored m-major
+(see ``CovariantActivation``).  Each column is an irreducible fragment
+transforming as v -> D^l(R) v under input rotation.
 A layer applies the Clebsch-Gordan tensor-product nonlinearity, a covariant
 fragment normalization, and a learnable per-degree linear mix.  The network
 output is the invariant feature vector built from all l=0 fragments.
@@ -11,6 +12,7 @@ output is the invariant feature vector built from all l=0 fragments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -25,6 +27,8 @@ class ActivationType:
     tau: tuple
 
     def __post_init__(self):
+        # a tuple, so that types key the memoized layouts
+        object.__setattr__(self, "tau", tuple(self.tau))
         if any(t < 0 for t in self.tau):
             raise ValueError("fragment counts must be non-negative")
 
@@ -34,43 +38,65 @@ class ActivationType:
 
 
 class CovariantActivation:
-    """Batched covariant activation: fragments[l] has shape (B, 2l+1, tau_l)."""
+    """Batched covariant activation: fragments[l] has shape (B, 2l+1, tau_l).
+
+    Each degree is stored m-major, as a C-contiguous (2l+1, B, tau_l) array
+    in ``m_major[l]``; ``fragments[l]`` is its transposed view.  The kernels
+    work on the m-major arrays, so one row of 2-D matmul operands is one
+    (m, example) pair and no stage reorders its input.  An input that is
+    already such a view is stored without a copy.
+    """
 
     def __init__(self, bandlimit: int, fragments: list):
-        if len(fragments) != bandlimit + 1:
-            raise ValueError("need one fragment matrix per degree 0..L")
-        frags = []
-        batch = None
-        for ell, f in enumerate(fragments):
+        stored = []
+        for f in fragments:
             f = np.asarray(f, dtype=complex)
-            if f.ndim == 2:
-                f = f[None]
-            if f.shape[1] != 2 * ell + 1:
+            # a single (2l+1, tau) example is a batch of one
+            stored.append(f[:, None, :] if f.ndim == 2
+                          else f.transpose(1, 0, 2))
+        self._store(bandlimit, stored)
+
+    @classmethod
+    def from_m_major(cls, bandlimit: int, arrays: list) -> "CovariantActivation":
+        """Wrap per-degree (2l+1, B, tau_l) arrays, without copying
+        C-contiguous complex ones."""
+        act = cls.__new__(cls)
+        act._store(bandlimit, arrays)
+        return act
+
+    def _store(self, bandlimit: int, arrays: list) -> None:
+        if len(arrays) != bandlimit + 1:
+            raise ValueError("need one fragment matrix per degree 0..L")
+        stored = []
+        for ell, g in enumerate(arrays):
+            if g.shape[0] != 2 * ell + 1:
                 raise ValueError(
                     f"fragment matrix for l={ell} must have {2 * ell + 1} rows, "
-                    f"got {f.shape[1]}"
+                    f"got {g.shape[0]}"
                 )
-            if batch is None:
-                batch = f.shape[0]
-            elif f.shape[0] != batch:
+            if g.shape[1] != arrays[0].shape[1]:
                 raise ValueError("inconsistent batch size across degrees")
-            frags.append(f)
+            stored.append(np.ascontiguousarray(g, dtype=complex))
         self.bandlimit = bandlimit
-        self.fragments = frags
+        self.m_major = stored
+
+    @property
+    def fragments(self) -> list:
+        return [g.transpose(1, 0, 2) for g in self.m_major]
 
     @property
     def batch_size(self) -> int:
-        return self.fragments[0].shape[0]
+        return self.m_major[0].shape[1]
 
     @property
     def type(self) -> ActivationType:
-        return ActivationType(tuple(f.shape[2] for f in self.fragments))
+        return ActivationType(tuple(g.shape[2] for g in self.m_major))
 
     def rotated(self, d_matrices: list) -> "CovariantActivation":
         """Apply D^l(R) to every fragment (the covariance ground truth)."""
-        return CovariantActivation(self.bandlimit, [
-            np.einsum("mn,bnt->bmt", d_matrices[ell], f)
-            for ell, f in enumerate(self.fragments)
+        return CovariantActivation.from_m_major(self.bandlimit, [
+            (d_matrices[ell] @ g.reshape(2 * ell + 1, -1)).reshape(g.shape)
+            for ell, g in enumerate(self.m_major)
         ])
 
 
@@ -82,10 +108,12 @@ def cg_pairs(L: int):
     return [(l1, l2) for l1 in range(L + 1) for l2 in range(l1, L + 1)]
 
 
+@lru_cache(maxsize=256)
 def _cg_layout(tau: ActivationType, out_ell_max: int | None):
     """Where the CG product of an activation of type ``tau`` puts its output.
 
-    Returns the post-CG type and, for each pair that produces output,
+    Returns the post-CG type and, for each pair that produces output (a
+    tuple, memoized per argument pair),
     ``(l1, l2, ells, starts)``: the pair's block of degree ``ells[i]``
     fills columns ``starts[i]`` to ``starts[i] + tau_l1 * tau_l2``.  Blocks
     of one degree sit side by side in pair order (l1 ascending, then l2).
@@ -104,7 +132,7 @@ def _cg_layout(tau: ActivationType, out_ell_max: int | None):
         pairs.append((l1, l2, ells, tuple(widths[l] for l in ells)))
         for l in ells:
             widths[l] += n
-    return ActivationType(tuple(widths)), pairs
+    return ActivationType(tuple(widths)), tuple(pairs)
 
 
 _PAIR_CACHE: dict = {}
@@ -138,14 +166,55 @@ def _block_dense(ell1: int, ell2: int, ell: int) -> np.ndarray:
     return mat
 
 
-def _pair_matrix(ell1: int, ell2: int, ells: tuple) -> np.ndarray:
-    """The dense CG matrices of pair (ell1, ell2) for degrees ``ells``, side
-    by side: real, shape ((2 ell1+1)(2 ell2+1), sum_l (2l+1)).  Memoized."""
+def _pair_table(ell1: int, ell2: int, ells: tuple):
+    """The selection-rule CG table of pair (ell1, ell2) for degrees ``ells``.
+
+    With M = ells[-1], output m = -M..M and k = m1 + ell1 = 0..2 ell1:
+    ``table[m+M, i, k]`` is <ell1 m1, ell2 m-m1 | ells[i] m>, zero where
+    |m - m1| > ell2 or ells[i] < |m|; ``rows[m+M, k]`` is the row m2 + ell2
+    of the ell2 factor (clipped into range where the table is zero); and
+    the 0/1 ``scatter`` sums (m, k) rows back onto the rows they came from.
+    Real arrays of shapes (2M+1, #ells, 2 ell1+1), (2M+1, 2 ell1+1) and
+    (2 ell2+1, (2M+1)(2 ell1+1)).  Memoized.
+    """
     key = (ell1, ell2, ells)
     if key not in _PAIR_CACHE:
-        _PAIR_CACHE[key] = np.hstack(
-            [_block_dense(ell1, ell2, l) for l in ells])
+        d1, d2, M = 2 * ell1 + 1, 2 * ell2 + 1, ells[-1]
+        k = np.arange(d1)
+        rows = np.arange(-M, M + 1)[:, None] - k + ell1 + ell2
+        valid = (rows >= 0) & (rows < d2)
+        rows = np.clip(rows, 0, d2 - 1)
+        table = np.zeros((2 * M + 1, len(ells), d1))
+        for i, ell in enumerate(ells):
+            x = _block_dense(ell1, ell2, ell).reshape(d1, d2, 2 * ell + 1)
+            band = slice(M - ell, M + ell + 1)
+            col = np.arange(2 * ell + 1)[:, None]
+            table[band, i] = np.where(valid[band], x[k, rows[band], col], 0.0)
+        scatter = np.zeros((d2, rows.size))
+        scatter[rows.ravel(), np.arange(rows.size)] = valid.ravel()
+        _PAIR_CACHE[key] = table, rows, scatter
     return _PAIR_CACHE[key]
+
+
+@lru_cache(maxsize=256)
+def _workspace_sizes(tau: ActivationType, out_ell_max: int | None) -> tuple:
+    """Per example, the largest number of complex elements any pair's
+    gathered Kronecker rows and per-m table product take (0 when no pair
+    produces output)."""
+    sizes = [((2 * ells[-1] + 1) * tau.tau[l1] * tau.tau[l2], 2 * l1 + 1,
+              len(ells)) for l1, l2, ells, _ in _cg_layout(tau, out_ell_max)[1]]
+    return (max((n * d1 for n, d1, _ in sizes), default=0),
+            max((n * k for n, _, k in sizes), default=0))
+
+
+def _workspaces(F: CovariantActivation, out_ell_max: int | None) -> tuple:
+    """Two complex buffers that fit every pair's gathered Kronecker rows and
+    per-m table product.  Every pair of one call reuses them, so the call
+    touches fresh memory once rather than once per pair; a pair views
+    their leading elements through ``np.ndarray(shape, dtype, buffer)``."""
+    B = F.batch_size
+    return tuple(np.empty(n * B, dtype=complex)
+                 for n in _workspace_sizes(F.type, out_ell_max))
 
 
 def cg_output_type(tau: ActivationType,
@@ -158,54 +227,53 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
                   out_ell_max: int | None = None) -> int:
     """Multiply-add count of the CG transform for one example under the
     paper's cost model: each stored nonzero CG coefficient touches
-    tau_{l1} * tau_{l2} column pairs.  This is not the flop count of the
-    dense kernel in ``cg_nonlinearity``, which also multiplies the zeros.
-    ``policy`` must be ``NetworkSpec.pair_policy``.
+    tau_{l1} * tau_{l2} column pairs.  The kernel in ``cg_nonlinearity``
+    multiplies by its padded tables, a bounded constant factor more (about
+    2x at L = 8).  ``policy`` must be ``NetworkSpec.pair_policy``.
     """
     if policy != NetworkSpec.pair_policy:
         raise ValueError(f"pair policy {policy!r} is not unordered")
     return int(sum(
-        np.count_nonzero(_pair_matrix(l1, l2, ells))
+        np.count_nonzero(_pair_table(l1, l2, ells)[0])
         * tau.tau[l1] * tau.tau[l2]
         for l1, l2, ells, _ in _cg_layout(tau, out_ell_max)[1]))
-
-
-def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``a @ z`` for a real matrix ``a`` and a complex matrix ``z``, as one
-    real matmul on the float64 re/im view of a C-contiguous ``z``."""
-    return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
 def cg_nonlinearity(F: CovariantActivation,
                     out_ell_max: int | None = None) -> CovariantActivation:
     """Tensor-product nonlinearity: all pairwise Kronecker products,
-    decomposed into irreducible fragments through the dense CG matrices.
+    decomposed into irreducible fragments by the CG selection rule.
 
-    Output blocks of one degree sit side by side in pair order (l1
-    ascending, then l2), as ``_cg_layout`` places them.  Each degree's
-    output is allocated once, and every pair writes its blocks straight
-    into their columns.
+    Per pair (l1, l2), output m only reads the rows with m1 + m2 = m: one
+    gather of the l2 factor's rows, one Kronecker product and one batched
+    matmul over m with ``_pair_table``.  Output blocks of one degree sit
+    side by side in pair order (l1 ascending, then l2), as ``_cg_layout``
+    places them; each degree's output is allocated once, m-major, and every
+    pair writes its blocks straight into their columns.
     """
     out_type, pairs = _cg_layout(F.type, out_ell_max)
     B = F.batch_size
-    out = [np.empty((B, 2 * ell + 1, w), dtype=complex)
+    G = F.m_major
+    out = [np.empty((2 * ell + 1, B, w), dtype=complex)
            for ell, w in enumerate(out_type.tau)]
-    # (2l+1, B, tau_l) copies, so the Kronecker product below comes out
-    # C-contiguous with the (m1, m2) axis leading
-    G = [np.ascontiguousarray(f.transpose(1, 0, 2)) for f in F.fragments]
+    kron_ws, y_ws = _workspaces(F, out_ell_max)
     for l1, l2, ells, starts in pairs:
-        d1, d2 = 2 * l1 + 1, 2 * l2 + 1
-        n = G[l1].shape[2] * G[l2].shape[2]
-        kron = G[l1][:, None, :, :, None] * G[l2][None, :, :, None, :]
-        y = _real_matmul(_pair_matrix(l1, l2, ells).T,
-                         kron.reshape(d1 * d2, B * n))
-        row = 0
-        for l, c in zip(ells, starts):
-            d = 2 * l + 1
-            out[l][:, :, c:c + n] = \
-                y[row:row + d].reshape(d, B, n).transpose(1, 0, 2)
-            row += d
-    return CovariantActivation(F.bandlimit, out)
+        table, rows, _ = _pair_table(l1, l2, ells)
+        M, d1 = ells[-1], 2 * l1 + 1
+        t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        n = t1 * t2
+        # kron[m, k, b, i, j] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1;
+        # the real table then acts on its re/im float view
+        np.multiply(G[l1][..., None], G[l2].take(rows, axis=0)[..., None, :],
+                    out=np.ndarray((2 * M + 1, d1, B, t1, t2), complex,
+                                   kron_ws))
+        np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
+                  out=np.ndarray((2 * M + 1, len(ells), 2 * B * n), float,
+                                 y_ws))
+        y = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
+        for i, (l, c) in enumerate(zip(ells, starts)):
+            out[l][:, :, c:c + n] = y[M - l:M + l + 1, i]
+    return CovariantActivation.from_m_major(F.bandlimit, out)
 
 
 # --- covariant linear mixing ---
@@ -214,17 +282,17 @@ def covariant_linear(F: CovariantActivation, weights: list) -> CovariantActivati
     """Mix fragments degree by degree: G_l = F_l @ W_l."""
     if len(weights) != F.bandlimit + 1:
         raise ValueError("need one weight matrix per degree")
-    frags = []
-    for ell, (f, w) in enumerate(zip(F.fragments, weights)):
-        if w.shape[0] != f.shape[2]:
+    out = []
+    for ell, (g, w) in enumerate(zip(F.m_major, weights)):
+        if w.shape[0] != g.shape[2]:
             raise ValueError(
                 f"weight rows ({w.shape[0]}) must match input fragment count "
-                f"({f.shape[2]}) at l={ell}"
+                f"({g.shape[2]}) at l={ell}"
             )
-        B, d, t = f.shape
-        # as one 2-D matmul: numpy runs the 3-D (B, 2l+1, tau) form far slower
-        frags.append((f.reshape(B * d, t) @ w).reshape(B, d, w.shape[1]))
-    return CovariantActivation(F.bandlimit, frags)
+        d, B, t = g.shape
+        # as one 2-D matmul over the (2l+1)*B rows of the m-major array
+        out.append((g.reshape(d * B, t) @ w).reshape(d, B, w.shape[1]))
+    return CovariantActivation.from_m_major(F.bandlimit, out)
 
 
 # --- covariant normalization ---
@@ -267,19 +335,23 @@ def covariant_normalize(F: CovariantActivation, norm: NormState,
     if len(norm.scales) != F.bandlimit + 1:
         raise ValueError("norm state does not match activation bandlimit")
     if training:
-        for ell, f in enumerate(F.fragments):
-            if f.shape[2] != norm.scales[ell].shape[0]:
+        for ell, g in enumerate(F.m_major):
+            if g.shape[2] != norm.scales[ell].shape[0]:
                 raise ValueError(
                     f"norm state has {norm.scales[ell].shape[0]} slots at "
-                    f"l={ell}, activation has {f.shape[2]}"
+                    f"l={ell}, activation has {g.shape[2]}"
                 )
-            batch_rms = np.sqrt(np.mean(np.abs(f) ** 2, axis=(0, 1)))
+            # sum of |f|^2 over the (m, example) rows, on the re/im view
+            x = g.reshape(g.shape[0] * g.shape[1], g.shape[2]).view(float)
+            power = np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
+            batch_rms = np.sqrt(power / x.shape[0])
             norm.scales[ell] = (norm.count * norm.scales[ell] + batch_rms) \
                 / (norm.count + 1)
         norm.count += 1
-    return CovariantActivation(F.bandlimit, [
-        f / d[None, None, :]
-        for f, d in zip(F.fragments, norm.denominators())])
+    # real division of the re/im view: each component divided exactly once
+    return CovariantActivation.from_m_major(F.bandlimit, [
+        (g.view(float) / d.repeat(2)).view(complex)
+        for g, d in zip(F.m_major, norm.denominators())])
 
 
 # --- layer and network composition ---

@@ -124,8 +124,11 @@ def inverse_sht(coeffs: HarmonicCoefficients, b: int) -> SphericalSignal:
         flat[L - ell:L + ell + 1, ell] = block
     q = _colatitude_factors(b, L).transpose(0, 2, 1)
     h = (q @ flat.view(float)).view(complex)  # [m, j, c]
+    h = h.transpose(2, 1, 0)  # [c, j, m]
     spectrum = np.zeros((coeffs.n_channels, 2 * b, 2 * b), dtype=complex)
-    spectrum[..., np.arange(-L, L + 1)] = h.transpose(2, 1, 0)
+    # FFT order: m >= 0 first, then m < 0 at the end
+    spectrum[..., :L + 1] = h[..., L:]
+    spectrum[..., 2 * b - L:] = h[..., :L]
     return SphericalSignal(b, np.fft.ifft(spectrum, axis=-1, norm="forward"))
 
 

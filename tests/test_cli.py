@@ -204,6 +204,16 @@ def test_gen_data_rejects_empty_split_naming_field(tmp_path, capsys):
     assert "train_per_class" in capsys.readouterr().err
 
 
+def test_gen_data_rejects_key_set_twice(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CFG + "train_per_class = 0\n")
+    assert main(["gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "d")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'train_per_class' is already set on line 7" in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_missing_dataset_is_numeric_error(workspace, capsys):
     code = main(["eval", "--checkpoint", str(workspace["ckpt"]),
                  "--data", str(workspace["root"] / "nope")])

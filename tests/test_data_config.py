@@ -44,6 +44,13 @@ def test_unknown_key_rejected():
         parse_config("bandlimt = 3\n")
 
 
+def test_key_set_twice_rejected_naming_both_lines():
+    text = "bandlimit = 3\ntrain_per_class = 8\n# again\ntrain_per_class = 0\n"
+    with pytest.raises(ConfigError, match=r"line 4: key 'train_per_class' "
+                       r"is already set on line 2"):
+        parse_config(text)
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# hello\n\nbandlimit = 4  # inline\n")
     assert cfg.bandlimit == 4

@@ -164,6 +164,61 @@ def test_backward_cg_adjoint_identity(batch, tau, out_ell_max):
     assert_adjoint(real_inner(H_bar, J), real_inner(F_bar, dF))
 
 
+def in_layout(arrays, layout):
+    """Contiguous (B, 2l+1, tau) arrays, or the same values as views of
+    C-contiguous (2l+1, B, tau) arrays, the layout the package stores."""
+    if layout == "contiguous":
+        return [np.ascontiguousarray(a) for a in arrays]
+    return [np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+            for a in arrays]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "m-major"])
+@pytest.mark.parametrize("tau, out_ell_max", [
+    pytest.param(tau, cap, id=f"{name}-cap{cap}")
+    for name, tau in (("band", (8,) * 9), ("mixed", (3, 0, 2, 1, 0, 2, 0, 1, 2)))
+    for cap in (8, 3, 0)])
+def test_backward_cg_adjoint_identity_at_band_scale(tau, out_ell_max, layout):
+    L = len(tau) - 1
+    F = random_activation(L, tau, batch=2)
+    dF = random_like(F.fragments)
+
+    def cg(frags):
+        return cg_nonlinearity(CovariantActivation(L, frags),
+                               out_ell_max=out_ell_max).fragments
+
+    plus = cg([f + d for f, d in zip(F.fragments, dF)])
+    minus = cg([f - d for f, d in zip(F.fragments, dF)])
+    J = [(p - m) / 2 for p, m in zip(plus, minus)]
+    H_bar = in_layout(random_like(J), layout)
+    F_in = CovariantActivation(L, in_layout(F.fragments, layout))
+    F_bar = backward_cg(H_bar, F_in, out_ell_max=out_ell_max)
+    assert [f.shape for f in F_bar] == [f.shape for f in F.fragments]
+    assert_adjoint(real_inner(H_bar, J), real_inner(F_bar, dF))
+
+
+@pytest.mark.parametrize("tau", [(2, 1, 2, 1), (0, 0, 0, 2)])
+def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
+    """Both kernels reuse scratch buffers across pairs; whatever those held
+    before (NaN here) must not reach the result.  With one producing pair,
+    (3, 3), every unwritten slot is still NaN when the pair reads it."""
+    from cgsphere import gradients, network
+
+    F = random_activation(3, tau, batch=2)
+    H_bar = random_like(cg_nonlinearity(F).fragments)
+    want = (cg_nonlinearity(F).fragments, backward_cg(H_bar, F))
+    make = network._workspaces
+
+    def poisoned(*args):
+        return tuple(np.full_like(w, np.nan) for w in make(*args))
+
+    monkeypatch.setattr(network, "_workspaces", poisoned)
+    monkeypatch.setattr(gradients, "_workspaces", poisoned)
+    got = (cg_nonlinearity(F).fragments, backward_cg(H_bar, F))
+    for a, b in zip(want[0] + want[1], got[0] + got[1]):
+        np.testing.assert_array_equal(a, b)
+
+
 # --- full network gradient ---
 
 def small_spec(L=2, S=2, width=3):

@@ -17,6 +17,7 @@ from cgsphere.network import (
     network_forward,
     tau_schedule,
 )
+from cgsphere.config import parse_config
 from cgsphere.gradients import init_weights
 from cgsphere.so3 import cg_block, random_rotation, wigner_D
 from cgsphere.training import make_norm_states
@@ -50,6 +51,36 @@ def test_activation_shape_validation():
             1, [np.zeros((2, 1, 2)), np.zeros((3, 3, 2))])
 
 
+def m_major_views(fragments):
+    """The same values as (B, 2l+1, tau) views of C-contiguous
+    (2l+1, B, tau) arrays, the layout the package stores."""
+    return [np.ascontiguousarray(f.transpose(1, 0, 2)).transpose(1, 0, 2)
+            for f in fragments]
+
+
+def test_activation_stores_m_major_behind_public_view():
+    a = random_activation(2, (3, 0, 2), batch=4)
+    for ell, (f, g) in enumerate(zip(a.fragments, a.m_major)):
+        assert f.shape == (4, 2 * ell + 1, a.type.tau[ell])
+        assert g.shape == (2 * ell + 1, 4, a.type.tau[ell])
+        assert g.flags.c_contiguous
+        assert f.size == 0 or np.shares_memory(f, g)
+    # an m-major view goes in without a copy
+    views = m_major_views(a.fragments)
+    b = CovariantActivation(2, views)
+    for v, g in zip(views, b.m_major):
+        assert v.size == 0 or np.shares_memory(v, g)
+        np.testing.assert_array_equal(g.transpose(1, 0, 2), v)
+
+
+def test_single_example_fragments_are_a_batch_of_one():
+    frags = [RNG.standard_normal((2 * ell + 1, 2)) + 0j for ell in range(3)]
+    a = CovariantActivation(2, frags)
+    assert a.batch_size == 1
+    for f, g in zip(frags, a.fragments):
+        np.testing.assert_array_equal(g[0], f)
+
+
 def test_activation_type_and_stack():
     a = random_activation(2, (3, 2, 1), batch=1)
     b = random_activation(2, (3, 2, 1), batch=1)
@@ -80,6 +111,8 @@ def test_cg_output_type_by_hand():
     assert out.tau == (2, 2)
     clipped = cg_output_type(ActivationType((1, 1)), out_ell_max=0)
     assert clipped.tau == (2, 0)
+    # a list of counts is held as a tuple, so it can key the memoized layout
+    assert cg_output_type(ActivationType([1, 1])).tau == (2, 2)
 
 
 def test_cg_output_type_counts_products():
@@ -120,6 +153,83 @@ def test_cg_nonlinearity_matches_dense_oracle(tau, out_ell_max):
     want = oracles.dense_cg_transform(F.fragments, pairs, blocks, out_ell_max)
     for ell in range(L + 1):
         np.testing.assert_allclose(got.fragments[ell], want[ell], atol=1e-13)
+
+
+def dense_oracle(F, out_ell_max, flip=None):
+    """The dense Kronecker reference; ``flip`` = (l1, l2, l, idx) negates
+    ``cg_block(l1, l2, l).entries[idx]`` in its blocks."""
+    L = F.bandlimit
+    pairs = cg_pairs(L)
+    blocks = {(l1, l2, l): cg_block(l1, l2, l).dense()
+              for l1, l2 in pairs
+              for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1)}
+    if flip is not None:
+        l1, l2, l, idx = flip
+        (m1, m2), m, value = cg_block(l1, l2, l).entries[idx]
+        blocks[(l1, l2, l)][(m1 + l1) * (2 * l2 + 1) + m2 + l2, m + l] = -value
+    return oracles.dense_cg_transform(F.fragments, pairs, blocks, out_ell_max)
+
+
+# band scale (L=8, tau=8), and a mixed tau with zero counts
+BAND_CASES = [
+    pytest.param(tau, cap, id=f"{name}-cap{cap}")
+    for name, tau in (("band", (8,) * 9), ("mixed", (3, 0, 2, 1, 0, 2, 0, 1, 2)))
+    for cap in (8, 3, 0)]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "m-major"])
+@pytest.mark.parametrize("tau, out_ell_max", BAND_CASES)
+def test_cg_kernel_matches_dense_oracle_at_band_scale(tau, out_ell_max,
+                                                      layout):
+    L = len(tau) - 1
+    F = random_activation(L, tau, batch=2)
+    frags = [np.ascontiguousarray(f) for f in F.fragments]
+    if layout == "m-major":
+        frags = m_major_views(frags)
+    got = cg_nonlinearity(CovariantActivation(L, frags), out_ell_max)
+    want = dense_oracle(F, out_ell_max)
+    for ell in range(L + 1):
+        assert got.fragments[ell].shape == want[ell].shape
+        np.testing.assert_allclose(got.fragments[ell], want[ell],
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("flip", [(1, 1, 1, 0), (1, 2, 2, 3), (0, 3, 3, 6)])
+def test_corruption_hook_negates_exactly_one_coefficient(flip):
+    F = random_activation(3, (2, 1, 2, 1), batch=3)
+    clean = cg_nonlinearity(F)
+    try:
+        network.corrupt_cg_entry(*flip)
+        bad = cg_nonlinearity(F)
+    finally:
+        network.clear_cg_corruption()
+    want = dense_oracle(F, 3, flip=flip)
+    for ell in range(4):
+        np.testing.assert_allclose(bad.fragments[ell], want[ell],
+                                   rtol=0, atol=1e-13)
+    l = flip[2]
+    assert np.abs(bad.fragments[l] - clean.fragments[l]).max() > 1e-3
+    again = cg_nonlinearity(F)
+    for a, b in zip(again.fragments, clean.fragments):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("text", [
+    "bandlimit = 5\ngrid_bandwidth = 8\nlayers = 3\ntau = 4\n",   # desk
+    "bandlimit = 8\ngrid_bandwidth = 16\nlayers = 3\ntau = 8\n",  # band
+])
+def test_kernel_tables_follow_the_cost_model(text):
+    """The multiply-adds the kernel's stored tables imply stay within 2.5x
+    of the cost model's count, layer by layer (a dense CG matrix per pair
+    was 11.5-17x)."""
+    spec = parse_config(text).network_spec()
+    for s in range(spec.n_layers):
+        tau, cap = spec._layer_cg(s)
+        stored = sum(network._pair_table(l1, l2, ells)[0].size
+                     * tau.tau[l1] * tau.tau[l2]
+                     for l1, l2, ells, _ in network._cg_layout(tau, cap)[1])
+        assert stored <= 2.5 * cg_madd_count(tau, NetworkSpec.pair_policy,
+                                             cap)
 
 
 @pytest.mark.parametrize("tau, out_ell_max", LAYOUT_CASES)

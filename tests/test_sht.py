@@ -82,6 +82,25 @@ def test_round_trip_inverse_then_forward():
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+def test_inverse_spectrum_slices_match_fancy_index_scatter():
+    """The two basic-slice writes into the FFT spectrum assign exactly
+    what one fancy-index scatter over m = -L..L does: the output is
+    bit-identical to that form."""
+    from cgsphere import sht
+
+    b, L = 16, 8
+    coeffs = random_coefficients(L, n_ch=5)
+    flat = np.zeros((2 * L + 1, L + 1, 5), dtype=complex)
+    for ell, block in enumerate(coeffs.blocks):
+        flat[L - ell:L + ell + 1, ell] = block
+    q = sht._colatitude_factors(b, L).transpose(0, 2, 1)
+    h = (q @ flat.view(float)).view(complex)
+    spectrum = np.zeros((5, 2 * b, 2 * b), dtype=complex)
+    spectrum[..., np.arange(-L, L + 1)] = h.transpose(2, 1, 0)
+    want = np.fft.ifft(spectrum, axis=-1, norm="forward")
+    np.testing.assert_array_equal(inverse_sht(coeffs, b).samples, want)
+
+
 def test_round_trip_forward_then_inverse_on_bandlimited_grid():
     coeffs = random_coefficients(5)
     sig = inverse_sht(coeffs, 8)
