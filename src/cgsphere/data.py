@@ -53,34 +53,32 @@ def generate_split(cfg: ExperimentConfig, per_class: int, rotated: bool,
                    seed: int) -> Dataset:
     """Draw a class-balanced split.
 
-    Templates come from ``cfg.seed``; ``seed`` fixes the noise and the
-    rotation draws, so one seed gives the same underlying examples both
-    unrotated and rotated.
+    Templates come from ``cfg.seed``; ``seed`` fixes the noise and, from a
+    generator of their own, the rotations, so one seed gives the same
+    underlying examples both unrotated and rotated.  An unrotated split
+    draws no rotations.  A rotated one draws them all first, then rotates
+    each degree's block of examples with one stack of Wigner-D matrices.
     """
     L, b = cfg.bandlimit, cfg.grid_bandwidth
     templates = class_templates(cfg.classes, L, cfg.seed)
-    rng = np.random.default_rng(seed)
-    rot_rng = np.random.default_rng(seed + 1)
-    examples, labels = [], []
-    for k in range(cfg.classes):
-        for _ in range(per_class):
-            blocks = [
-                t + cfg.noise_sigma * (rng.standard_normal(t.shape)
-                                       + 1j * rng.standard_normal(t.shape))
-                for t in templates[k].blocks
-            ]
-            # consume the rotation draw either way so rotated/unrotated
-            # variants of the same seed share noise and rotations line up
-            rot = random_rotation(rot_rng)
-            if rotated:
-                blocks = [wigner_D(ell, rot).matrix @ blk
-                          for ell, blk in enumerate(blocks)]
-            examples.append(blocks)
-            labels.append(k)
+    labels = np.repeat(np.arange(cfg.classes), per_class)
+    # per example, degree by degree: the real noise, then the imaginary
+    noise = np.random.default_rng(seed).standard_normal(
+        (labels.shape[0], 2 * (L + 1) ** 2))
+    if rotated:
+        rot_rng = np.random.default_rng(seed + 1)
+        rots = [random_rotation(rot_rng) for _ in labels]
+    blocks = []
+    for ell in range(L + 1):
+        re, im = noise[:, 2 * ell * ell:2 * (ell + 1) ** 2].reshape(
+            -1, 2, 2 * ell + 1).transpose(1, 0, 2)
+        t = np.stack([tmpl.blocks[ell][:, 0] for tmpl in templates])[labels]
+        x = t + cfg.noise_sigma * (re + 1j * im)  # (examples, 2l+1)
+        if rotated:
+            x = (wigner_D(ell, rots).matrix @ x[..., None])[..., 0]
+        blocks.append(x.T)
     # one transform for the split: examples ride the channel axis
-    coeffs = HarmonicCoefficients(L, [np.hstack([ex[ell] for ex in examples])
-                                      for ell in range(L + 1)])
-    return Dataset(inverse_sht(coeffs, b), np.asarray(labels, dtype=int))
+    return Dataset(inverse_sht(HarmonicCoefficients(L, blocks), b), labels)
 
 
 def dataset_coefficients(dataset: Dataset, L: int) -> HarmonicCoefficients:

@@ -144,15 +144,6 @@ def rotate_coefficients(coeffs: HarmonicCoefficients,
     return HarmonicCoefficients(coeffs.bandlimit, blocks)
 
 
-def grid_energy(signal: SphericalSignal) -> np.ndarray:
-    """Quadrature estimate of int |f|^2 dOmega per channel."""
-    b = signal.bandwidth
-    w = quadrature_weights(b)
-    return (np.pi / b) * np.sum(
-        w[None, :, None] * np.abs(signal.samples) ** 2, axis=(1, 2)
-    )
-
-
 def write_signal(path, signal: SphericalSignal) -> None:
     """Write a SphericalSignal in the SPH1 binary format."""
     with open(path, "wb") as fh:

@@ -17,6 +17,7 @@ All functions are pure and keep no state between calls.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,30 +94,47 @@ class CGBlock:
         return self.matrix.copy()
 
 
-def wigner_d_small(ell: int, beta: float) -> np.ndarray:
+def wigner_d_small(ell: int, beta: float | np.ndarray) -> np.ndarray:
     """Wigner little-d matrix d^ell(beta) = exp(-i beta J_y), real orthogonal.
 
     Rows and columns are indexed by m' and m running over -ell..ell.  The
     eigenvalues of the Hermitian tridiagonal J_y are exactly -ell..ell, in
     the ascending order eigh returns; eigenvector phases cancel in V(.)V^H.
-    I + V diag(expm1) V^H is exactly the identity at beta = 0.
+    I + V diag(expm1) V^H is exactly the identity at beta = 0.  J_y does not
+    depend on beta, so an array of R angles gets one eigh and the
+    (R, 2ell+1, 2ell+1) stack; a scalar beta gets one matrix.
     """
     _check_degree(ell)
     m = np.arange(-ell, ell + 1)
     # <m|J_y|m+1> = (i/2) sqrt(l(l+1) - m(m+1)); eigh reads only this triangle
-    off = 0.5j * np.sqrt(ell * (ell + 1) - m[:-1] * (m[:-1] + 1))
+    k = m[:-1]
+    off = 0.5j * np.sqrt(ell * (ell + 1) - k * (k + 1))
     _, v = np.linalg.eigh(np.diag(off, 1), UPLO="U")
-    d = (v * np.expm1(-1j * beta * m)) @ v.conj().T
+    phase = -1j * beta
+    if isinstance(phase, np.ndarray):
+        phase = phase[..., None, None]
+    d = (v * np.expm1(phase * m)) @ v.conj().T
     return np.eye(2 * ell + 1) + d.real
 
 
-def wigner_D(ell: int, angles: EulerAngles) -> WignerD:
-    """Wigner D-matrix D^ell(alpha, beta, gamma) for an active ZYZ rotation."""
-    d = wigner_d_small(ell, angles.beta)
-    m = np.arange(-ell, ell + 1)
-    phase_mp = np.exp(-1j * m * angles.alpha)
-    phase_m = np.exp(-1j * m * angles.gamma)
-    return WignerD(ell, phase_mp[:, None] * d * phase_m[None, :])
+def wigner_D(ell: int,
+             angles: EulerAngles | Sequence[EulerAngles]) -> WignerD:
+    """Wigner D-matrix D^ell(alpha, beta, gamma) for an active ZYZ rotation.
+
+    ``angles`` is one EulerAngles, giving the (2ell+1, 2ell+1) matrix, or a
+    sequence of R of them, giving the (R, 2ell+1, 2ell+1) stack from one
+    eigendecomposition of J_y (an empty sequence gives an empty stack).
+    """
+    if isinstance(angles, EulerAngles):
+        alpha, beta, gamma = angles.alpha, angles.beta, angles.gamma
+    else:
+        rows = np.reshape([(r.alpha, r.beta, r.gamma) for r in angles], (-1, 3))
+        alpha, beta, gamma = rows[:, :1], rows[:, 1], rows[:, 2:]
+    d = wigner_d_small(ell, beta)
+    im = -1j * np.arange(-ell, ell + 1)
+    phase_mp = np.exp(im * alpha)
+    phase_m = np.exp(im * gamma)
+    return WignerD(ell, phase_mp[..., :, None] * d * phase_m[..., None, :])
 
 
 def clebsch_gordan_coeff(ell1: int, ell2: int, ell: int,

@@ -2,7 +2,9 @@
 
 Everything here is deliberately implemented without reusing the package's
 production code paths: extended-precision brute force via mpmath, direct
-dense linear algebra, and least-squares intertwiner recovery.
+dense linear algebra, and least-squares intertwiner recovery.  The one
+exception is ``generate_split_per_example``, the per-example loop that the
+batched ``data.generate_split`` must reproduce byte for byte.
 """
 
 import math
@@ -10,7 +12,9 @@ import math
 import mpmath as mp
 import numpy as np
 
-from cgsphere.so3 import EulerAngles
+from cgsphere.data import Dataset, class_templates
+from cgsphere.sht import HarmonicCoefficients, inverse_sht
+from cgsphere.so3 import EulerAngles, random_rotation, wigner_D
 
 mp.mp.dps = 50
 
@@ -151,6 +155,42 @@ def quadrature_weights_by_solve(b):
     rhs = np.zeros(2 * b)
     rhs[0] = 2.0
     return np.linalg.solve(np.vstack(rows), rhs)
+
+
+def grid_energy(signal):
+    """Quadrature estimate of int |f|^2 dOmega per channel, with the
+    weights from ``quadrature_weights_by_solve``."""
+    b = signal.bandwidth
+    w = quadrature_weights_by_solve(b)
+    return (np.pi / b) * np.sum(
+        w[None, :, None] * np.abs(signal.samples) ** 2, axis=(1, 2))
+
+
+def generate_split_per_example(cfg, per_class, rotated, seed):
+    """``data.generate_split`` as one loop over examples: per example, the
+    noise degree by degree, one rotation draw whether or not it is used,
+    and one single-rotation ``wigner_D`` call per degree."""
+    L, b = cfg.bandlimit, cfg.grid_bandwidth
+    templates = class_templates(cfg.classes, L, cfg.seed)
+    rng = np.random.default_rng(seed)
+    rot_rng = np.random.default_rng(seed + 1)
+    examples, labels = [], []
+    for k in range(cfg.classes):
+        for _ in range(per_class):
+            blocks = [
+                t + cfg.noise_sigma * (rng.standard_normal(t.shape)
+                                       + 1j * rng.standard_normal(t.shape))
+                for t in templates[k].blocks
+            ]
+            rot = random_rotation(rot_rng)
+            if rotated:
+                blocks = [wigner_D(ell, rot).matrix @ blk
+                          for ell, blk in enumerate(blocks)]
+            examples.append(blocks)
+            labels.append(k)
+    coeffs = HarmonicCoefficients(L, [np.hstack([ex[ell] for ex in examples])
+                                      for ell in range(L + 1)])
+    return Dataset(inverse_sht(coeffs, b), np.asarray(labels, dtype=int))
 
 
 def finite_difference(fn, array, index, step=1e-5, imag=False):

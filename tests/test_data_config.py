@@ -17,6 +17,8 @@ from cgsphere.data import (
 )
 from cgsphere.network import ActivationType
 
+import oracles
+
 
 # --- config ---
 
@@ -151,10 +153,32 @@ def test_rotated_and_unrotated_share_underlying_examples():
     nr = generate_split(cfg, per_class=2, rotated=False, seed=7)
     r = generate_split(cfg, per_class=2, rotated=True, seed=7)
     # rotation preserves each example's total power
-    from cgsphere.sht import grid_energy
-    np.testing.assert_allclose(grid_energy(nr.signal), grid_energy(r.signal),
+    np.testing.assert_allclose(oracles.grid_energy(nr.signal),
+                               oracles.grid_energy(r.signal),
                                rtol=1e-9)
     assert not np.allclose(nr.signal.samples, r.signal.samples)
+
+
+# gen-highband's split and the desk config, at the sizes bench/prep.py uses
+GEN_CONFIGS = {
+    "highband": "bandlimit = 16\ngrid_bandwidth = 32\nclasses = 4\n"
+                "train_per_class = 2\n",
+    "desk": "bandlimit = 5\ngrid_bandwidth = 8\nclasses = 4\n"
+            "train_per_class = 25\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_CONFIGS))
+@pytest.mark.parametrize("rotated", [True, False])
+def test_generate_split_matches_per_example_loop_byte_for_byte(name, rotated):
+    cfg = parse_config(GEN_CONFIGS[name])
+    for seed in (0, 1, 12345):
+        got = generate_split(cfg, cfg.train_per_class, rotated, seed)
+        want = oracles.generate_split_per_example(cfg, cfg.train_per_class,
+                                                  rotated, seed)
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.signal.samples.tobytes() == want.signal.samples.tobytes()
 
 
 def test_noise_scale_respected():

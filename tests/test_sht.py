@@ -8,7 +8,6 @@ from cgsphere.sht import (
     SphericalSignal,
     forward_sht,
     grid_angles,
-    grid_energy,
     inverse_sht,
     quadrature_weights,
     read_signal,
@@ -112,7 +111,7 @@ def test_parseval():
     coeffs = random_coefficients(6, n_ch=3)
     sig = inverse_sht(coeffs, 8)
     power = sum(np.sum(np.abs(blk) ** 2, axis=0) for blk in coeffs.blocks)
-    np.testing.assert_allclose(grid_energy(sig), power, rtol=1e-8)
+    np.testing.assert_allclose(oracles.grid_energy(sig), power, rtol=1e-8)
 
 
 def test_rotate_coefficients_identity():

@@ -127,6 +127,48 @@ def test_wigner_D_homomorphism():
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
+# rotations for the stacked form, with both ends of the beta range
+STACK_ROTATIONS = (
+    [random_rotation(np.random.default_rng(5)) for _ in range(6)]
+    + [EulerAngles(0.3, 0.0, 1.7), EulerAngles(2.1, math.pi, 0.4),
+       EulerAngles(0.0, 0.0, 0.0)])
+
+
+@pytest.mark.parametrize("ell", [0, 1, 16, 64])
+def test_wigner_D_stack_matches_single_rotations_exactly(ell):
+    stack = wigner_D(ell, STACK_ROTATIONS)
+    assert stack.ell == ell
+    assert stack.matrix.shape == (len(STACK_ROTATIONS), 2 * ell + 1, 2 * ell + 1)
+    for r, rot in enumerate(STACK_ROTATIONS):
+        assert np.array_equal(stack.matrix[r], wigner_D(ell, rot).matrix)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 16, 64])
+def test_wigner_d_small_broadcasts_over_beta_exactly(ell):
+    betas = np.array([r.beta for r in STACK_ROTATIONS])
+    stack = wigner_d_small(ell, betas)
+    assert stack.shape == (len(betas), 2 * ell + 1, 2 * ell + 1)
+    for r, beta in enumerate(betas):
+        assert np.array_equal(stack[r], wigner_d_small(ell, float(beta)))
+
+
+def test_wigner_D_stack_capacity_and_shapes():
+    with pytest.raises(CapacityError):
+        wigner_D(65, STACK_ROTATIONS)
+    with pytest.raises(CapacityError):
+        wigner_D(65, [])
+    with pytest.raises(CapacityError):
+        wigner_d_small(65, np.array([0.3, 0.4]))
+    assert wigner_D(3, STACK_ROTATIONS[0]).matrix.shape == (7, 7)
+    assert wigner_D(3, STACK_ROTATIONS[:1]).matrix.shape == (1, 7, 7)
+    assert wigner_d_small(3, 0.3).shape == (7, 7)
+    # an empty sequence gives an empty complex stack
+    empty = wigner_D(3, [])
+    assert empty.matrix.shape == (0, 7, 7)
+    assert empty.matrix.dtype == complex
+    assert wigner_d_small(3, np.array([])).shape == (0, 7, 7)
+
+
 def test_euler_round_trip():
     for _ in range(20):
         rot = random_rotation(RNG)
