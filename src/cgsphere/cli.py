@@ -151,7 +151,8 @@ def cmd_eval(args) -> int:
 
 def audit_equivariance(weights, norm_states, trials: int, seed: int = 0):
     """Per-layer covariance and head invariance errors over random
-    (input, rotation) pairs.  Returns (max_layer_error, max_head_error)."""
+    (input, rotation) pairs, each pair one batch: eval mode mixes no
+    examples.  Returns (max_layer_error, max_head_error)."""
     rng = np.random.default_rng(seed)
     spec = weights.spec
     L = spec.bandlimit
@@ -164,19 +165,19 @@ def audit_equivariance(weights, norm_states, trials: int, seed: int = 0):
             for ell in range(L + 1)])
         rot = random_rotation(rng)
         d_mats = [wigner_D(ell, rot).matrix for ell in range(L + 1)]
-        feats, acts, _ = network_forward(F0, weights.layers, norm_states)
-        feats_r, acts_r, _ = network_forward(
-            F0.rotated(d_mats), weights.layers, norm_states)
-        for act, act_r in zip(acts, acts_r):
-            expected = act.rotated(d_mats)
-            for f_exp, f_rot in zip(expected.fragments, act_r.fragments):
+        feats, acts, _ = network_forward(CovariantActivation.from_m_major(L, [
+            np.concatenate(p, axis=1)
+            for p in zip(F0.m_major, F0.rotated(d_mats).m_major)]),
+            weights.layers, norm_states)
+        for act in acts:
+            for f_exp, f in zip(act.rotated(d_mats).fragments, act.fragments):
                 if f_exp.size == 0:
                     continue
-                scale = max(np.abs(f_exp).max(), 1e-30)
+                scale = max(np.abs(f_exp[0]).max(), 1e-30)
                 layer_err = max(layer_err,
-                                np.abs(f_rot - f_exp).max() / scale)
-        scale = max(np.abs(feats).max(), 1e-30)
-        head_err = max(head_err, np.abs(feats - feats_r).max() / scale)
+                                np.abs(f[1] - f_exp[0]).max() / scale)
+        scale = max(np.abs(feats[0]).max(), 1e-30)
+        head_err = max(head_err, np.abs(feats[0] - feats[1]).max() / scale)
     return layer_err, head_err
 
 

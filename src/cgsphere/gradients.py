@@ -7,8 +7,8 @@ F_bar = G_bar W^H, W_bar = F^H G_bar, and the adjoint of a bilinear product
 contracts each factor's cotangent with the conjugate of the other factor.
 
 Normalization statistics are treated as constants during backpropagation:
-the backward pass divides by the same ``NormState`` denominators as the
-forward pass, which nothing changes in between.
+the backward pass folds the same ``NormState`` denominators into the mixes
+as the forward pass (``NormState.fold``), which nothing changes in between.
 """
 
 from __future__ import annotations
@@ -120,22 +120,25 @@ def backward_linear(G_bar: list, F: CovariantActivation, weights: list):
     return F_bar, W_bar
 
 
-def backward_cg(H_bar: list, F: CovariantActivation,
+def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
                 out_ell_max: int | None = None) -> list:
-    """Adjoint of the CG nonlinearity; mirrors the forward column order
-    exactly.  Self-pairs accumulate both branch gradients.
+    """Adjoint of the CG nonlinearity followed by the mix G_l = H_l V_l
+    (identity mixes give the CG adjoint alone); mirrors the forward column
+    order exactly.  Self-pairs accumulate both branch gradients.
 
-    Per pair, the transposed ``_pair_table`` maps the output cotangent back
-    to the cotangent of the gathered Kronecker rows (m, m1); each factor's
+    Per pair and degree, G_bar_l V_l^H on the pair's columns goes straight
+    into the padded workspace rows, which the transposed ``_pair_table``
+    maps back to the gathered Kronecker rows (m, m1); each factor's
     cotangent is then a batched mat-vec with the other factor's conjugate,
     summed over m for the l1 factor and scattered back to the rows m2 of
-    the l2 factor by the table's 0/1 matrix.  Returns views of m-major
-    arrays.
+    the l2 factor by the table's 0/1 matrix.  Returns m-major views.
     """
     B = F.batch_size
-    G, Hm = F.m_major, _m_major(H_bar)
+    G, Gb = F.m_major, _m_major(G_bar)
+    out_type, pairs = _cg_layout(F.type, out_ell_max)
+    if [len(v) for v in mixes] != list(out_type.tau):
+        raise ValueError("mixes do not match the CG output widths")
     F_bar = [np.zeros_like(g) for g in G]
-    pairs = _cg_layout(F.type, out_ell_max)[1]
     k_ws, y_ws = _workspaces(F, out_ell_max)
     for l1, l2, ells, starts in pairs:
         table, rows, scatter = _pair_table(l1, l2, ells)
@@ -145,7 +148,8 @@ def backward_cg(H_bar: list, F: CovariantActivation,
         y_bar = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
         for i, (l, c) in enumerate(zip(ells, starts)):
             y_bar[:M - l, i] = 0.0
-            y_bar[M - l:M + l + 1, i] = Hm[l][:, :, c:c + n]
+            np.matmul(Gb[l], mixes[l][c:c + n].conj().T,
+                      out=y_bar[M - l:M + l + 1, i])
             y_bar[M + l + 1:, i] = 0.0
         np.matmul(table.transpose(0, 2, 1),
                   np.ndarray((2 * M + 1, len(ells), 2 * B * n), float, y_ws),
@@ -167,12 +171,12 @@ class ForwardTape:
     apart from the normalization denominators, which it reads from the
     ``NormState`` list the forward pass used.
 
-    ``loss_and_grad`` sets ``normed[s]`` to None once ``backward_linear``
-    has read it, so a layer's wide normalized activation is freed before
-    the CG adjoint below it runs.
+    ``loss_and_grad`` sets ``cg_outputs[s]`` to None once it has taken
+    the layer's weight gradient from it, so a layer's wide CG output is
+    freed before the CG adjoint below it runs.
     """
 
-    normed: list         # post-CG, post-normalization activations
+    cg_outputs: list     # raw post-CG activations, the inputs of the mixes
     outputs: list        # per-layer outputs
     features: np.ndarray
     hidden_pre: np.ndarray
@@ -183,11 +187,11 @@ def forward_with_tape(coeffs: CovariantActivation, weights: NetworkWeights,
                       norm_states: list,
                       training: bool = False) -> ForwardTape:
     """``network_forward`` plus the classifier head, recording the tape."""
-    feats, outputs, normed = network_forward(
+    feats, outputs, cg_outputs = network_forward(
         coeffs, weights.layers, norm_states, training)
     hid_pre = feats @ weights.head.w1 + weights.head.b1
     logits = np.maximum(hid_pre, 0.0) @ weights.head.w2 + weights.head.b2
-    return ForwardTape(normed, outputs, feats, hid_pre, logits)
+    return ForwardTape(cg_outputs, outputs, feats, hid_pre, logits)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -245,19 +249,18 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
     G_bar = [np.zeros_like(f) for f in tape.outputs[-1].fragments]
     for s in range(S - 1, -1, -1):
         G_bar[0][:, 0, :] += head_adjoints[s]
-        # normed = H / d column by column, so the cotangent of the CG
-        # output H is (G_bar W^H) / d = G_bar (W / d)^H: dividing the
-        # narrow weights spares a pass over the wide cotangent
-        H_bar, W_bar = backward_linear(
-            G_bar, tape.normed[s],
-            [w / d[:, None] for w, d in
-             zip(weights.layers[s], norm_states[s].denominators())])
-        tape.normed[s] = None  # nothing reads it again; free it before CG
-        # ADAM steps complex gradients through their float64 view
-        g_layers[s] = [np.ascontiguousarray(w) for w in W_bar]
+        # the mix is H fold(W), so W_bar = fold(H^H G_bar), with H^H G_bar
+        # taken as (G_bar^H H)^H to conjugate the narrow side; ADAM steps
+        # complex gradients through their float64 view
+        g_layers[s] = [np.ascontiguousarray(w) for w in norm_states[s].fold([
+            (g.reshape(len(g) * B, -1).conj().T @ h.reshape(len(h) * B, -1))
+            .conj().T for g, h in zip(_m_major(G_bar),
+                                      tape.cg_outputs[s].m_major)])]
+        tape.cg_outputs[s] = None  # nothing reads it again; free it before CG
         if s == 0:
             break  # the network input has no parameters behind it
-        G_bar = backward_cg(H_bar, tape.outputs[s - 1],
+        G_bar = backward_cg(G_bar, tape.outputs[s - 1],
+                            norm_states[s].fold(weights.layers[s]),
                             layer_out_ell_max(s, S, L))
 
     grads = NetworkWeights(spec, g_layers, g_head)

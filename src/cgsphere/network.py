@@ -323,6 +323,26 @@ class NormState:
         """
         return [np.where(s < NORM_EPS, 1.0, s) for s in self.scales]
 
+    def fold(self, weights: list) -> list:
+        """The mixes W_l / d_l, so that H (W / d) = (H / d) W mixes the raw
+        CG output H without a normalized copy of it."""
+        return [w / d[:, None] for w, d in zip(weights, self.denominators())]
+
+    def update(self, F: CovariantActivation) -> None:
+        """Fold the batch's per-fragment RMS into the expanding average."""
+        widths = tuple(len(s) for s in self.scales)
+        if widths != F.type.tau:
+            raise ValueError(f"norm state widths {widths} do not match the "
+                             f"activation's {F.type.tau}")
+        for ell, g in enumerate(F.m_major):
+            # sum of |f|^2 over the (m, example) rows, on the re/im view
+            x = g.reshape(g.shape[0] * g.shape[1], g.shape[2]).view(float)
+            power = np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
+            batch_rms = np.sqrt(power / x.shape[0])
+            self.scales[ell] = (self.count * self.scales[ell] + batch_rms) \
+                / (self.count + 1)
+        self.count += 1
+
 
 def covariant_normalize(F: CovariantActivation, norm: NormState,
                         training: bool = False) -> CovariantActivation:
@@ -331,23 +351,12 @@ def covariant_normalize(F: CovariantActivation, norm: NormState,
     In training mode the expanding average is first updated with the current
     batch's per-fragment RMS.  No mean is ever subtracted: only a
     rotation-invariant positive rescaling keeps the activation covariant.
+    ``network_forward`` folds the divisors into the mix instead.
     """
     if len(norm.scales) != F.bandlimit + 1:
         raise ValueError("norm state does not match activation bandlimit")
     if training:
-        for ell, g in enumerate(F.m_major):
-            if g.shape[2] != norm.scales[ell].shape[0]:
-                raise ValueError(
-                    f"norm state has {norm.scales[ell].shape[0]} slots at "
-                    f"l={ell}, activation has {g.shape[2]}"
-                )
-            # sum of |f|^2 over the (m, example) rows, on the re/im view
-            x = g.reshape(g.shape[0] * g.shape[1], g.shape[2]).view(float)
-            power = np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
-            batch_rms = np.sqrt(power / x.shape[0])
-            norm.scales[ell] = (norm.count * norm.scales[ell] + batch_rms) \
-                / (norm.count + 1)
-        norm.count += 1
+        norm.update(F)
     # real division of the re/im view: each component divided exactly once
     return CovariantActivation.from_m_major(F.bandlimit, [
         (g.view(float) / d.repeat(2)).view(complex)
@@ -440,18 +449,19 @@ def network_forward(coeffs: CovariantActivation, weights: list,
 
     ``weights[s]`` is the per-degree weight list of layer s and
     ``norm_states[s]`` its ``NormState``; in training mode the forward pass
-    updates the states first.  Returns ``(features, outputs, normed)``: the
-    invariant features (B, head_width), the per-layer outputs, and each
-    layer's normalized CG output, the input of its linear mix.
+    updates the states first.  Returns ``(features, outputs, cg_outputs)``:
+    the invariant features (B, head_width), the per-layer outputs, and each
+    layer's raw CG output H, which it mixes by ``NormState.fold``.
     """
     S = len(weights)
     L = coeffs.bandlimit
-    outputs, normed = [], []
+    outputs, cg_outputs = [], []
     F = coeffs
     for s in range(S):
         H = cg_nonlinearity(F, layer_out_ell_max(s, S, L))
-        H = covariant_normalize(H, norm_states[s], training)
-        normed.append(H)
-        F = covariant_linear(H, weights[s])
+        if training:
+            norm_states[s].update(H)
+        cg_outputs.append(H)
+        F = covariant_linear(H, norm_states[s].fold(weights[s]))
         outputs.append(F)
-    return invariant_features(outputs, coeffs.fragments[0]), outputs, normed
+    return invariant_features(outputs, coeffs.fragments[0]), outputs, cg_outputs

@@ -2,9 +2,13 @@
 
 Everything here is deliberately implemented without reusing the package's
 production code paths: extended-precision brute force via mpmath, direct
-dense linear algebra, and least-squares intertwiner recovery.  The one
-exception is ``generate_split_per_example``, the per-example loop that the
-batched ``data.generate_split`` must reproduce byte for byte.
+dense linear algebra, and least-squares intertwiner recovery.  The
+exceptions are composition references built from the package's own
+stages: ``generate_split_per_example``, the per-example loop that the
+batched ``data.generate_split`` must reproduce byte for byte;
+``loss_and_grad_unfused``, the training step with a normalized copy of
+every CG output and its wide cotangent; and ``audit_two_forwards``, the
+audit with one forward pass per input.
 """
 
 import math
@@ -13,6 +17,12 @@ import mpmath as mp
 import numpy as np
 
 from cgsphere.data import Dataset, class_templates
+from cgsphere.gradients import (HeadWeights, NetworkWeights, backward_cg,
+                                backward_linear)
+from cgsphere.network import (CovariantActivation, cg_nonlinearity,
+                              cg_output_type, covariant_linear,
+                              covariant_normalize, invariant_features,
+                              layer_out_ell_max, network_forward)
 from cgsphere.sht import HarmonicCoefficients, inverse_sht
 from cgsphere.so3 import EulerAngles, random_rotation, wigner_D
 
@@ -191,6 +201,81 @@ def generate_split_per_example(cfg, per_class, rotated, seed):
     coeffs = HarmonicCoefficients(L, [np.hstack([ex[ell] for ex in examples])
                                       for ell in range(L + 1)])
     return Dataset(inverse_sht(coeffs, b), np.asarray(labels, dtype=int))
+
+
+def loss_and_grad_unfused(coeffs, labels, weights, norm_states,
+                          training=False):
+    """``gradients.loss_and_grad`` as separate stages.  Forward: CG product,
+    ``covariant_normalize`` into a copy, ``covariant_linear``.  Backward:
+    ``backward_linear`` forms the wide cotangent of the CG output, and
+    ``backward_cg`` with identity mixes (the bare CG adjoint) takes it on.
+    Returns (loss, NetworkWeights-shaped gradients, logits)."""
+    spec = weights.spec
+    S, L, B = spec.n_layers, spec.bandlimit, len(labels)
+    normed, outputs, F = [], [], coeffs
+    for s in range(S):
+        H = cg_nonlinearity(F, layer_out_ell_max(s, S, L))
+        normed.append(covariant_normalize(H, norm_states[s], training))
+        F = covariant_linear(normed[s], weights.layers[s])
+        outputs.append(F)
+    head = weights.head
+    feats = invariant_features(outputs, coeffs.fragments[0])
+    hid_pre = feats @ head.w1 + head.b1
+    hid = np.maximum(hid_pre, 0.0)
+    logits = hid @ head.w2 + head.b2
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(probs[np.arange(B), labels] + 1e-300))
+    dlogits = probs.copy()
+    dlogits[np.arange(B), labels] -= 1.0
+    dlogits /= B
+    dhid = (dlogits @ head.w2.T) * (hid_pre > 0.0)
+    g_head = HeadWeights(feats.T @ dhid, dhid.sum(axis=0), hid.T @ dlogits,
+                         dlogits.sum(axis=0))
+    head_adjoints = np.split(
+        np.ascontiguousarray(dhid @ head.w1.T).view(complex),
+        np.cumsum([t.tau[0] for t in spec.layer_types]), axis=1)
+    g_layers = [None] * S
+    G_bar = [np.zeros_like(f) for f in outputs[-1].fragments]
+    for s in range(S - 1, -1, -1):
+        G_bar[0][:, 0, :] += head_adjoints[s]
+        # H_bar = G_bar (W / d)^H; W_bar = normed^H G_bar
+        H_bar, g_layers[s] = backward_linear(
+            G_bar, normed[s], norm_states[s].fold(weights.layers[s]))
+        if s == 0:
+            break
+        cap = layer_out_ell_max(s, S, L)
+        G_bar = backward_cg(H_bar, outputs[s - 1], [
+            np.eye(w) for w in cg_output_type(outputs[s - 1].type, cap).tau],
+            cap)
+    return loss, NetworkWeights(spec, g_layers, g_head), logits
+
+
+def audit_two_forwards(weights, norm_states, trials, seed=0):
+    """``cli.audit_equivariance`` with one B=1 forward pass for the input
+    and another for its rotation, drawing from the RNG in the same order."""
+    rng = np.random.default_rng(seed)
+    L = weights.spec.bandlimit
+    layer_err = head_err = 0.0
+    for _ in range(trials):
+        F0 = CovariantActivation(L, [
+            rng.standard_normal((1, 2 * ell + 1, weights.spec.n_in))
+            + 1j * rng.standard_normal((1, 2 * ell + 1, weights.spec.n_in))
+            for ell in range(L + 1)])
+        rot = random_rotation(rng)
+        d_mats = [wigner_D(ell, rot).matrix for ell in range(L + 1)]
+        feats, acts, _ = network_forward(F0, weights.layers, norm_states)
+        feats_r, acts_r, _ = network_forward(
+            F0.rotated(d_mats), weights.layers, norm_states)
+        for act, act_r in zip(acts, acts_r):
+            for f_exp, f_rot in zip(act.rotated(d_mats).fragments,
+                                    act_r.fragments):
+                if f_exp.size:
+                    layer_err = max(layer_err, np.abs(f_rot - f_exp).max()
+                                    / max(np.abs(f_exp).max(), 1e-30))
+        head_err = max(head_err, np.abs(feats - feats_r).max()
+                       / max(np.abs(feats).max(), 1e-30))
+    return layer_err, head_err
 
 
 def finite_difference(fn, array, index, step=1e-5, imag=False):

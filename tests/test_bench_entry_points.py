@@ -13,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import cgsphere.data
+from cgsphere import gradients, training
 from cgsphere.config import parse_config
+from cgsphere.network import ActivationType, CovariantActivation, NetworkSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -53,3 +57,29 @@ def test_wigner_span_sees_one_call_per_degree(monkeypatch, rotated):
     cfg = parse_config(prep.CONFIGS["gen-highband"])
     cgsphere.data.generate_split(cfg, cfg.train_per_class, rotated, seed=3)
     assert seen == (list(range(cfg.bandlimit + 1)) if rotated else [])
+
+
+def test_training_step_spans_see_the_fused_stages():
+    # a training step reaches these stages through the module attributes
+    # --trace 1 wraps; a stage folded out of sight would read 0 calls
+    t2 = ActivationType((2, 2, 2))
+    spec = NetworkSpec(2, 1, (t2, ActivationType((2, 0, 0))))
+    weights = gradients.init_weights(spec, n_out=3, hidden=4, seed=1)
+    norms = training.make_norm_states(spec)
+    adam = training.AdamState.for_weights(weights)
+    rng = np.random.default_rng(4)
+    batch = CovariantActivation(2, [
+        rng.standard_normal((3, 2 * ell + 1, 1)) + 0j for ell in range(3)])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, grads, _ = gradients.loss_and_grad(
+            batch, np.array([0, 1, 2]), weights, norms, training=True)
+        training.adam_step(adam, weights, grads)
+    finally:
+        tracer.uninstall()
+    calls = {name: entry["calls_setup"]
+             for name, entry in tracer.summary().items()}
+    for name in ("network.cg_nonlinearity", "network.covariant_linear",
+                 "gradients.backward_cg"):
+        assert calls.get(name, 0) > 0, name

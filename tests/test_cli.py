@@ -13,8 +13,11 @@ from cgsphere.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    audit_equivariance,
     main,
 )
+from cgsphere.network import clear_cg_corruption, corrupt_cg_entry
+from cgsphere.training import load_checkpoint
 
 import oracles
 
@@ -129,6 +132,21 @@ def test_audit_rejects_unused_or_malformed_corruption(workspace, capsys,
     captured = capsys.readouterr()
     assert "audit passed" not in captured.out
     assert value in captured.err
+
+
+@pytest.mark.parametrize("corrupt", [None, (1, 1, 1, 0)])
+def test_audit_batch_of_two_matches_two_forwards(workspace, corrupt):
+    weights, norms, _, _ = load_checkpoint(workspace["ckpt"])
+    if corrupt:
+        corrupt_cg_entry(*corrupt)
+    try:
+        got = audit_equivariance(weights, norms, 4, seed=12)
+        want = oracles.audit_two_forwards(weights, norms, 4, seed=12)
+    finally:
+        clear_cg_corruption()
+    assert max(got) > 1e-3 if corrupt else max(got) < 1e-12
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-13
 
 
 def test_audit_restores_tables_after_corruption(workspace, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from cgsphere.gradients import (
     loss_and_grad,
 )
 from cgsphere.network import (
+    NORM_EPS,
     ActivationType,
     CovariantActivation,
     NetworkSpec,
     cg_nonlinearity,
+    cg_output_type,
     covariant_linear,
 )
 from cgsphere.training import make_norm_states
@@ -29,6 +33,12 @@ def random_activation(L, tau, batch=2, rng=RNG):
         + 1j * rng.standard_normal((batch, 2 * ell + 1, t))
         for ell, t in enumerate(tau)
     ])
+
+
+def identity_mixes(F, out_ell_max=None):
+    """Mixes under which ``backward_cg`` is the bare CG adjoint: multiplying
+    by an identity matrix is exact."""
+    return [np.eye(w) for w in cg_output_type(F.type, out_ell_max).tau]
 
 
 def real_inner(g_list, f_list):
@@ -80,7 +90,7 @@ def test_backward_cg_finite_difference():
     def scalar():
         return real_inner(probe, cg_nonlinearity(F).fragments)
 
-    F_bar = backward_cg(probe, F)
+    F_bar = backward_cg(probe, F, identity_mixes(F))
     for ell in range(L + 1):
         arr = F.fragments[ell]
         for _ in range(3):
@@ -99,7 +109,7 @@ def test_backward_cg_out_ell_max_zero():
     def scalar():
         return real_inner(probe, cg_nonlinearity(F, out_ell_max=0).fragments)
 
-    F_bar = backward_cg(probe, F, out_ell_max=0)
+    F_bar = backward_cg(probe, F, identity_mixes(F, 0), out_ell_max=0)
     idx = (0, 1, 0)
     fd = oracles.finite_difference(scalar, F.fragments[1], idx)
     assert F_bar[1][idx].real == pytest.approx(fd, abs=1e-7)
@@ -160,8 +170,21 @@ def test_backward_cg_adjoint_identity(batch, tau, out_ell_max):
     if tau == (8, 6, 5, 4):
         assert min(j.shape[2] for j in J) >= 100
     H_bar = random_like(J)
-    F_bar = backward_cg(H_bar, F, out_ell_max=out_ell_max)
+    F_bar = backward_cg(H_bar, F, identity_mixes(F, out_ell_max),
+                        out_ell_max=out_ell_max)
     assert_adjoint(real_inner(H_bar, J), real_inner(F_bar, dF))
+
+
+def test_backward_cg_rejects_mixes_of_the_wrong_height():
+    # a mix with an extra row would otherwise be read short, silently
+    F = random_activation(1, (2, 1), batch=1)
+    G_bar = random_like(cg_nonlinearity(F).fragments)
+    mixes = identity_mixes(F)
+    mixes[1] = np.vstack([mixes[1], np.ones((1, mixes[1].shape[1]))])
+    with pytest.raises(ValueError, match="widths"):
+        backward_cg(G_bar, F, mixes)
+    with pytest.raises(ValueError, match="widths"):
+        backward_cg(G_bar, F, mixes[:1])
 
 
 def in_layout(arrays, layout):
@@ -192,7 +215,8 @@ def test_backward_cg_adjoint_identity_at_band_scale(tau, out_ell_max, layout):
     J = [(p - m) / 2 for p, m in zip(plus, minus)]
     H_bar = in_layout(random_like(J), layout)
     F_in = CovariantActivation(L, in_layout(F.fragments, layout))
-    F_bar = backward_cg(H_bar, F_in, out_ell_max=out_ell_max)
+    F_bar = backward_cg(H_bar, F_in, identity_mixes(F, out_ell_max),
+                        out_ell_max=out_ell_max)
     assert [f.shape for f in F_bar] == [f.shape for f in F.fragments]
     assert_adjoint(real_inner(H_bar, J), real_inner(F_bar, dF))
 
@@ -206,7 +230,8 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
 
     F = random_activation(3, tau, batch=2)
     H_bar = random_like(cg_nonlinearity(F).fragments)
-    want = (cg_nonlinearity(F).fragments, backward_cg(H_bar, F))
+    want = (cg_nonlinearity(F).fragments,
+            backward_cg(H_bar, F, identity_mixes(F)))
     make = network._workspaces
 
     def poisoned(*args):
@@ -214,7 +239,8 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
 
     monkeypatch.setattr(network, "_workspaces", poisoned)
     monkeypatch.setattr(gradients, "_workspaces", poisoned)
-    got = (cg_nonlinearity(F).fragments, backward_cg(H_bar, F))
+    got = (cg_nonlinearity(F).fragments,
+           backward_cg(H_bar, F, identity_mixes(F)))
     for a, b in zip(want[0] + want[1], got[0] + got[1]):
         np.testing.assert_array_equal(a, b)
 
@@ -305,6 +331,89 @@ def test_forward_with_tape_matches_network_forward():
     tape = forward_with_tape(coeffs, weights, norms)
     feats, _, _ = network_forward(coeffs, weights.layers, norms)
     np.testing.assert_allclose(tape.features, feats, atol=1e-14)
+
+
+# --- the fused training step against the unfused stages ---
+
+def band_spec():
+    """The train-band benchmark's network: L8, tau 8, 3 layers."""
+    t8 = ActivationType((8,) * 9)
+    return NetworkSpec(8, 1, (t8, t8, ActivationType((8,) + (0,) * 8)))
+
+
+def desk_spec():
+    t4 = ActivationType((4,) * 6)
+    return NetworkSpec(5, 1, (t4, t4, ActivationType((4,) + (0,) * 5)))
+
+
+ZERO_TAU_SPEC = NetworkSpec(3, 1, (ActivationType((2, 0, 3, 1)),
+                                   ActivationType((0, 2, 0, 1)),
+                                   ActivationType((3, 0, 0, 0))))
+
+
+@pytest.mark.parametrize("spec, batch, dead", [
+    pytest.param(band_spec(), 4, False, id="band"),
+    pytest.param(desk_spec(), 8, False, id="desk"),
+    pytest.param(ZERO_TAU_SPEC, 3, False, id="zero-tau"),
+    pytest.param(desk_spec(), 8, True, id="desk-dead-scales"),
+])
+def test_loss_and_grad_matches_unfused_stages(spec, batch, dead):
+    weights = init_weights(spec, n_out=3, hidden=8, seed=2)
+    norms = make_norm_states(spec)
+    rng = np.random.default_rng(5)
+    coeffs = random_activation(spec.bandlimit, spec.input_type().tau,
+                               batch=batch, rng=rng)
+    labels = rng.integers(0, 3, size=batch)
+    loss_and_grad(coeffs, labels, weights, norms, training=True)
+    if dead:
+        # live columns whose scale reads as dead pass through unscaled; the
+        # huge count keeps them below the floor through a training update
+        for state in norms[:2]:
+            state.scales[2][::2] = NORM_EPS / 100
+            state.count = 10 ** 12
+    for training in (True, False):
+        want_norms = [n.copy() for n in norms]
+        want = oracles.loss_and_grad_unfused(coeffs, labels, weights,
+                                             want_norms, training)
+        got = loss_and_grad(coeffs, labels, weights, norms, training)
+        # (H / d) W and H (W / d) round differently, so the logits and the
+        # loss agree to rounding, not bit for bit
+        assert got[0] == pytest.approx(want[0], rel=1e-15, abs=0)
+        np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-14)
+        # gradients, and the scales of layers whose input already differs
+        # by rounding, relative to each array's largest entry; the scale
+        # update itself is checked bit for bit in test_network.py
+        pairs = list(zip(got[1].arrays(), want[1].arrays()))
+        for a, b in zip(norms, want_norms):
+            assert a.count == b.count
+            pairs += zip(a.scales, b.scales)
+        for a, b in pairs:
+            assert np.abs(a - b).max(initial=0.0) <= \
+                1e-13 * np.abs(b).max(initial=0.0)
+    if dead:
+        assert np.all(norms[1].scales[2][::2] < NORM_EPS)
+
+
+def test_band_step_holds_no_wide_copy():
+    """A band step at B=32 keeps one wide post-CG activation at a time:
+    its normalized copy and its cotangent are never formed."""
+    spec, B = band_spec(), 32
+    weights = init_weights(spec, n_out=4, seed=0)
+    norms = make_norm_states(spec)
+    rng = np.random.default_rng(3)
+    coeffs = random_activation(8, spec.input_type().tau, batch=B, rng=rng)
+    labels = rng.integers(0, 4, size=B)
+    # builds the memoized CG tables outside the measurement
+    loss_and_grad(coeffs, labels, weights, norms, training=True)
+    tracemalloc.start()
+    try:
+        loss_and_grad(coeffs, labels, weights, norms, training=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    wide = 16 * B * sum((2 * ell + 1) * t
+                        for ell, t in enumerate(spec.cg_input_type(1).tau))
+    assert peak < 1.6 * wide
 
 
 def test_init_weights_variance_rule():

@@ -344,6 +344,16 @@ def test_normalize_training_updates_expanding_average():
     assert norm.count == 2
 
 
+@pytest.mark.parametrize("widths", [(1, 2), (3,), (3, 2, 1)])
+def test_norm_update_rejects_mismatched_widths(widths):
+    # width 1 would broadcast over the activation's 3 columns
+    F = random_activation(1, (3, 2), batch=2)
+    norm = NormState([np.ones(t) for t in widths], 0)
+    with pytest.raises(ValueError, match="widths"):
+        norm.update(F)
+    assert norm.count == 0
+
+
 def test_normalize_eval_does_not_update():
     F = random_activation(1, (2, 1))
     norm = NormState.for_type(F.type)
@@ -428,14 +438,32 @@ def test_network_forward_layer_composition():
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
     # one training pass, so the divisors are not all 1
     network_forward(F, weights.layers, norms, training=True)
-    by_hand_normed = covariant_normalize(cg_nonlinearity(F), norms[0].copy())
-    by_hand = covariant_linear(by_hand_normed, weights.layers[0])
-    _, outputs, normed = network_forward(
+    H = cg_nonlinearity(F)
+    by_hand = covariant_linear(covariant_normalize(H, norms[0].copy()),
+                               weights.layers[0])
+    _, outputs, cg_outputs = network_forward(
         F, weights.layers, [n.copy() for n in norms])
     for a, b in zip(by_hand.fragments, outputs[0].fragments):
         np.testing.assert_allclose(a, b, atol=1e-14)
-    for a, b in zip(by_hand_normed.fragments, normed[0].fragments):
-        np.testing.assert_allclose(a, b, atol=1e-14)
+    for a, b in zip(H.fragments, cg_outputs[0].fragments):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_training_forward_updates_norm_states_as_normalize_does():
+    spec = desk_spec()
+    weights, norms = build_network(spec)
+    by_normalize = [n.copy() for n in norms]
+    for _ in range(2):  # the second pass takes the expanding average
+        F = random_activation(spec.bandlimit, spec.input_type().tau, batch=3)
+        _, _, cg_outputs = network_forward(F, weights.layers, norms,
+                                           training=True)
+        for H, state in zip(cg_outputs, by_normalize):
+            covariant_normalize(H, state, training=True)
+        for got, want in zip(norms, by_normalize):
+            assert got.count == want.count
+            for a, b in zip(got.scales, want.scales):
+                np.testing.assert_array_equal(a, b)
+    assert norms[0].count == 2
 
 
 def test_network_forward_shapes():
