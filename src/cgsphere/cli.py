@@ -262,6 +262,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, low in (("steps", 0), ("trials", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            parser.error(f"--{flag} must be at least {low}, got {value}")
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:

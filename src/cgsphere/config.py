@@ -57,6 +57,8 @@ class ExperimentConfig:
                             ("test_per_class", self.test_per_class)):
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be at least 0, got {self.steps}")
         if self.regime not in REGIMES:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}")

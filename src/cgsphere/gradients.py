@@ -130,8 +130,8 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     into the padded workspace rows, which the transposed ``_pair_table``
     maps back to the gathered Kronecker rows (m, m1); each factor's
     cotangent is then a batched mat-vec with the other factor's conjugate,
-    summed over m for the l1 factor and scattered back to the rows m2 of
-    the l2 factor by the table's 0/1 matrix.  Returns m-major views.
+    summed over m for the l1 factor, and for the l2 factor added back to
+    its rows m2 = m - m1 in one slice per m1.  Returns m-major views.
     """
     B = F.batch_size
     G, Gb = F.m_major, _m_major(G_bar)
@@ -141,7 +141,7 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     F_bar = [np.zeros_like(g) for g in G]
     k_ws, y_ws = _workspaces(F, out_ell_max)
     for l1, l2, ells, starts in pairs:
-        table, rows, scatter = _pair_table(l1, l2, ells)
+        table, rows = _pair_table(l1, l2, ells)
         M, d1 = ells[-1], 2 * l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
         n = t1 * t2
@@ -157,9 +157,11 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
         k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
         G2 = G[l2].take(rows, axis=0).conj()
         F_bar[l1] += (k_bar @ G2[..., None]).sum(axis=0)[..., 0]
-        g2_bar = G[l1].conj()[:, :, None, :] @ k_bar
-        F_bar[l2] += (scatter @ g2_bar.reshape(rows.size, B * t2).view(float)) \
-            .view(complex).reshape(G[l2].shape)
+        g2_bar = (G[l1].conj()[:, :, None, :] @ k_bar)[..., 0, :]
+        c = l1 + l2 - M  # rows[j, k] = j - k + c: one run of rows per k
+        for k in range(d1):
+            lo, hi = max(0, k - c), min(2 * M + 1, k - c + 2 * l2 + 1)
+            F_bar[l2][lo - k + c:hi - k + c] += g2_bar[lo:hi, k]
     return [f.transpose(1, 0, 2) for f in F_bar]
 
 

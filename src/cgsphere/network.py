@@ -17,7 +17,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .so3 import cg_block
+# cg_block is unused here, but bench/spans.py wraps network.cg_block
+from .so3 import cg_block, cg_table  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -154,57 +155,27 @@ def clear_cg_corruption() -> None:
     _PAIR_CACHE.clear()
 
 
-def _block_dense(ell1: int, ell2: int, ell: int) -> np.ndarray:
-    block = cg_block(ell1, ell2, ell)
-    mat = block.dense()
-    key = (ell1, ell2, ell)
-    if key in _CORRUPTION:
-        entries = block.entries
-        (m1, m2), m, _ = entries[_CORRUPTION[key] % len(entries)]
-        row = (m1 + ell1) * (2 * ell2 + 1) + (m2 + ell2)
-        mat[row, m + ell] *= -1.0
-    return mat
-
-
 def _pair_table(ell1: int, ell2: int, ells: tuple):
-    """The selection-rule CG table of pair (ell1, ell2) for degrees ``ells``.
-
-    With M = ells[-1], output m = -M..M and k = m1 + ell1 = 0..2 ell1:
-    ``table[m+M, i, k]`` is <ell1 m1, ell2 m-m1 | ells[i] m>, zero where
-    |m - m1| > ell2 or ells[i] < |m|; ``rows[m+M, k]`` is the row m2 + ell2
-    of the ell2 factor (clipped into range where the table is zero); and
-    the 0/1 ``scatter`` sums (m, k) rows back onto the rows they came from.
-    Real arrays of shapes (2M+1, #ells, 2 ell1+1), (2M+1, 2 ell1+1) and
-    (2 ell2+1, (2M+1)(2 ell1+1)).  Memoized.
-    """
+    """Memoized ``(table, rows)`` of pair (ell1, ell2) for degrees ``ells``:
+    ``table`` is ``cg_table(ell1, ell2, ells)``, whose corrupted block
+    (l, idx) has the idx-th nonzero of ``table[:, i]`` in (m, then m1)
+    order, ``cg_block(ell1, ell2, l).entries[idx]``, negated.  With
+    M = ells[-1], ``rows[m+M, m1+ell1]`` is the row m - m1 + ell2 of the
+    ell2 factor, clipped into range where the table is zero."""
     key = (ell1, ell2, ells)
     if key not in _PAIR_CACHE:
-        d1, d2, M = 2 * ell1 + 1, 2 * ell2 + 1, ells[-1]
-        k = np.arange(d1)
-        rows = np.arange(-M, M + 1)[:, None] - k + ell1 + ell2
-        valid = (rows >= 0) & (rows < d2)
-        rows = np.clip(rows, 0, d2 - 1)
-        table = np.zeros((2 * M + 1, len(ells), d1))
-        for i, ell in enumerate(ells):
-            x = _block_dense(ell1, ell2, ell).reshape(d1, d2, 2 * ell + 1)
-            band = slice(M - ell, M + ell + 1)
-            col = np.arange(2 * ell + 1)[:, None]
-            table[band, i] = np.where(valid[band], x[k, rows[band], col], 0.0)
-        scatter = np.zeros((d2, rows.size))
-        scatter[rows.ravel(), np.arange(rows.size)] = valid.ravel()
-        _PAIR_CACHE[key] = table, rows, scatter
+        table = cg_table(ell1, ell2, ells)
+        for i, l in enumerate(ells):
+            if (ell1, ell2, l) in _CORRUPTION:
+                table = table.copy()
+                m, k = np.nonzero(table[:, i])
+                j = _CORRUPTION[(ell1, ell2, l)] % m.size
+                table[m[j], i, k[j]] *= -1.0
+        M = ells[-1]
+        rows = np.clip(np.arange(-M, M + 1)[:, None] - np.arange(2 * ell1 + 1)
+                       + ell1 + ell2, 0, 2 * ell2)
+        _PAIR_CACHE[key] = table, rows
     return _PAIR_CACHE[key]
-
-
-@lru_cache(maxsize=256)
-def _workspace_sizes(tau: ActivationType, out_ell_max: int | None) -> tuple:
-    """Per example, the largest number of complex elements any pair's
-    gathered Kronecker rows and per-m table product take (0 when no pair
-    produces output)."""
-    sizes = [((2 * ells[-1] + 1) * tau.tau[l1] * tau.tau[l2], 2 * l1 + 1,
-              len(ells)) for l1, l2, ells, _ in _cg_layout(tau, out_ell_max)[1]]
-    return (max((n * d1 for n, d1, _ in sizes), default=0),
-            max((n * k for n, _, k in sizes), default=0))
 
 
 def _workspaces(F: CovariantActivation, out_ell_max: int | None) -> tuple:
@@ -212,9 +183,11 @@ def _workspaces(F: CovariantActivation, out_ell_max: int | None) -> tuple:
     per-m table product.  Every pair of one call reuses them, so the call
     touches fresh memory once rather than once per pair; a pair views
     their leading elements through ``np.ndarray(shape, dtype, buffer)``."""
-    B = F.batch_size
-    return tuple(np.empty(n * B, dtype=complex)
-                 for n in _workspace_sizes(F.type, out_ell_max))
+    t, B = F.type, F.batch_size
+    sizes = [((2 * ells[-1] + 1) * t.tau[l1] * t.tau[l2] * B, 2 * l1 + 1,
+              len(ells)) for l1, l2, ells, _ in _cg_layout(t, out_ell_max)[1]]
+    return (np.empty(max((n * d1 for n, d1, _ in sizes), default=0), complex),
+            np.empty(max((n * k for n, _, k in sizes), default=0), complex))
 
 
 def cg_output_type(tau: ActivationType,
@@ -258,7 +231,7 @@ def cg_nonlinearity(F: CovariantActivation,
            for ell, w in enumerate(out_type.tau)]
     kron_ws, y_ws = _workspaces(F, out_ell_max)
     for l1, l2, ells, starts in pairs:
-        table, rows, _ = _pair_table(l1, l2, ells)
+        table, rows = _pair_table(l1, l2, ells)
         M, d1 = ells[-1], 2 * l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
         n = t1 * t2

@@ -139,7 +139,7 @@ def wigner_D(ell: int,
 
 def clebsch_gordan_coeff(ell1: int, ell2: int, ell: int,
                          m1: int, m2: int, m: int) -> float:
-    """Clebsch-Gordan coefficient <l1 m1 l2 m2 | l m>, read from ``cg_block``.
+    """Clebsch-Gordan coefficient <l1 m1 l2 m2 | l m>, read from ``cg_table``.
 
     Returns 0 when the selection rules m1 + m2 = m or the triangle
     inequality fail.
@@ -150,48 +150,66 @@ def clebsch_gordan_coeff(ell1: int, ell2: int, ell: int,
             raise ValueError(f"|m| = {abs(mm)} exceeds degree {l}")
     if m1 + m2 != m or not abs(ell1 - ell2) <= ell <= ell1 + ell2:
         return 0.0
-    row = (m1 + ell1) * (2 * ell2 + 1) + (m2 + ell2)
-    return float(cg_block(ell1, ell2, ell).matrix[row, m + ell])
+    return float(cg_table(ell1, ell2, (ell,))[m + ell, 0, m1 + ell1])
 
 
-def cg_block(ell1: int, ell2: int, ell: int) -> CGBlock:
-    """CG block C_{l1,l2,l} from the eigenvectors of J^2.
+def cg_table(ell1: int, ell2: int, ells: Sequence[int]) -> np.ndarray:
+    """CG coefficients of the pair (l1, l2) for the ascending degrees
+    ``ells``: with M = ells[-1], the read-only (2M+1, #ells, 2l1+1) array
+    ``table[m+M, i, m1+l1]`` = <l1 m1, l2 m-m1 | ells[i] m>, zero where
+    |m - m1| > l2 or ells[i] < |m|, and exactly zero at magnitude <= 1e-14.
 
-    For each m, J^2 on the states |m1, m-m1> is real symmetric tridiagonal
-    with the exact eigenvalues l'(l'+1), l' = max(|m|, |l1-l2|)..l1+l2, in
-    eigh's ascending order; column m is the eigenvector of l(l+1).  The
+    For each m, one eigh of the real symmetric tridiagonal J^2 on the states
+    |m1, m-m1> gives column m of every degree: its eigenvalues are exactly
+    l(l+1), l = max(|m|, |l1-l2|)..l1+l2, in eigh's ascending order.  The
     Condon-Shortley signs are read off large entries only: J+ kills the
     m = l column, so its entry m1 has the sign (-1)^(l1-m1), and each lower
     column overlaps J- of the one above positively.
     """
-    for l in (ell1, ell2, ell):
+    for l in (ell1, ell2, *ells):
         _check_degree(l)
-    if ell < abs(ell1 - ell2) or ell > ell1 + ell2:
-        raise ValueError(f"(l1, l2, l) = ({ell1}, {ell2}, {ell}) violates "
-                         f"the triangle inequality")
-    d1, d2 = 2 * ell1 + 1, 2 * ell2 + 1
+    ells, lo = np.asarray(ells, dtype=int), abs(ell1 - ell2)
+    if not (ells.size and lo <= ells[0] and ells[-1] <= ell1 + ell2
+            and np.all(np.diff(ells) > 0)):
+        raise ValueError(f"degrees {ells.tolist()} must ascend within the "
+                         f"triangle range {lo}..{ell1 + ell2} of ({ell1}, {ell2})")
+    M, n, d1 = int(ells[-1]), ells.size, 2 * ell1 + 1
     c1, c2 = ell1 * (ell1 + 1), ell2 * (ell2 + 1)
-    mat = np.zeros((d1 * d2, 2 * ell + 1))
-    for m in range(-ell, ell + 1):
+    x = np.zeros((2 * M + 1, n, d1))
+    for m in range(-M, M + 1):
         m1 = np.arange(max(-ell1, m - ell2), min(ell1, m + ell2) + 1)
         m2 = m - m1
         # <m1+1, m2-1| J1+ J2- |m1, m2>; eigh reads only this lower triangle
         off = (np.sqrt(c1 - m1[:-1] * (m1[:-1] + 1))
                * np.sqrt(c2 - m2[:-1] * (m2[:-1] - 1)))
         _, v = np.linalg.eigh(np.diag(c1 + c2 + 2.0 * m1 * m2) + np.diag(off, -1))
-        mat[(m1 + ell1) * d2 + m2 + ell2, m + ell] = \
-            v[:, ell - max(abs(m), abs(ell1 - ell2))]
+        i = np.flatnonzero(ells >= abs(m))
+        x[m + M][np.ix_(i, m1 + ell1)] = v[:, ells[i] - max(abs(m), lo)].T
 
-    x = mat.reshape(d1, d2, 2 * ell + 1)
-    k1, k2 = np.arange(-ell1, ell1 + 1), np.arange(-ell2, ell2 + 1)
-    lowered = np.zeros_like(x[..., 1:])  # J- of columns m = -l+1..l
-    lowered[:-1] = np.sqrt(c1 - k1[1:] * (k1[1:] - 1))[:, None, None] * x[1:, :, 1:]
-    lowered[:, :-1] += np.sqrt(c2 - k2[1:] * (k2[1:] - 1))[:, None] * x[:, 1:, 1:]
-    peak = np.argmax(np.abs(mat[:, -1]))  # in row m1 = peak // d2 - l1
-    signs = np.sign(np.append(np.einsum("ijk,ijk->k", lowered, x[..., :-1]),
-                              (-1) ** (peak // d2) * mat[peak, -1]))
-    mat *= np.cumprod(signs[::-1])[::-1]
-    mat[np.abs(mat) <= 1e-14] = 0.0
+    # J- of column m at (m1, m-1-m1) reads (m1+1, m-1-m1) and (m1, m-m1);
+    # m2 runs past +-l2 where x is 0, so its factor is clipped to stay real
+    k1 = np.arange(-ell1, ell1 + 1)
+    m2 = np.arange(-M, M)[:, None] - k1
+    lowered = np.sqrt(np.maximum(c2 - m2 * (m2 + 1), 0))[:, None] * x[1:]
+    lowered[..., :-1] += np.sqrt(c1 - k1[:-1] * (k1[:-1] + 1)) * x[1:, :, 1:]
+    overlap = np.einsum("jik,jik->ji", lowered, x[:-1])
+    signs = np.ones((2 * M + 1, n))
+    signs[:-1] = np.sign(overlap) + (overlap == 0)  # 1 off a degree's band
+    top, i = M + ells, np.arange(n)
+    peak = np.argmax(np.abs(x[top, i]), axis=1)
+    signs[top, i] = np.sign((-1.0) ** peak * x[top, i, peak])
+    x *= np.cumprod(signs[::-1], axis=0)[::-1, :, None]
+    x[np.abs(x) <= 1e-14] = 0.0
+    x.flags.writeable = False
+    return x
+
+
+def cg_block(ell1: int, ell2: int, ell: int) -> CGBlock:
+    """CG block C_{l1,l2,l}: ``cg_table(l1, l2, (l,))`` as a dense matrix."""
+    table = cg_table(ell1, ell2, (ell,))[:, 0]
+    j, k = np.nonzero(table)
+    mat = np.zeros(((2 * ell1 + 1) * (2 * ell2 + 1), 2 * ell + 1))
+    mat[k * (2 * ell2 + 1) + j - ell - k + ell1 + ell2, j] = table[j, k]
     mat.flags.writeable = False
     return CGBlock(ell1, ell2, ell, mat)
 

@@ -134,6 +134,47 @@ def test_audit_rejects_unused_or_malformed_corruption(workspace, capsys,
     assert value in captured.err
 
 
+@pytest.mark.parametrize("extra", [(), ("--corrupt-cg", "1,1,1,0")])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_audit_rejects_trials_below_one(workspace, capsys, trials, extra):
+    # zero trials would check nothing and report a pass
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--checkpoint", str(workspace["ckpt"]),
+              "--trials", trials, *extra])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "audit passed" not in captured.out
+    assert f"--trials must be at least 1, got {trials}" in captured.err
+
+
+def test_train_rejects_negative_steps(workspace, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(workspace["cfg"]),
+              "--out", str(tmp_path), "--data", str(workspace["data"]),
+              "--steps", "-4"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "trained" not in captured.out
+    assert "--steps must be at least 0, got -4" in captured.err
+    assert not (tmp_path / "checkpoint").exists()
+
+
+def test_train_accepts_zero_steps(workspace, capsys, tmp_path):
+    assert main(["train", "--config", str(workspace["cfg"]),
+                 "--out", str(tmp_path), "--data", str(workspace["data"]),
+                 "--steps", "0"]) == EXIT_OK
+    assert "trained 0 steps" in capsys.readouterr().out
+    assert (tmp_path / "checkpoint").exists()
+
+
+def test_config_with_negative_steps_exits_one(workspace, capsys, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CFG.replace("steps = 30", "steps = -7"))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path),
+                 "--data", str(workspace["data"])]) == EXIT_USAGE
+    assert "steps must be at least 0, got -7" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("corrupt", [None, (1, 1, 1, 0)])
 def test_audit_batch_of_two_matches_two_forwards(workspace, corrupt):
     weights, norms, _, _ = load_checkpoint(workspace["ckpt"])

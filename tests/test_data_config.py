@@ -88,6 +88,9 @@ def test_validation_rules():
         parse_config("n_in = 2\n")
     with pytest.raises(ConfigError, match="bandlimit must lie in 0..64"):
         ExperimentConfig(bandlimit=65, grid_bandwidth=66)
+    with pytest.raises(ConfigError, match="steps must be at least 0, got -7"):
+        parse_config("steps = -7\n")
+    assert parse_config("steps = 0\n").steps == 0
 
 
 def test_tau_vector_forms():

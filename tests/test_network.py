@@ -157,7 +157,8 @@ def test_cg_nonlinearity_matches_dense_oracle(tau, out_ell_max):
 
 def dense_oracle(F, out_ell_max, flip=None):
     """The dense Kronecker reference; ``flip`` = (l1, l2, l, idx) negates
-    ``cg_block(l1, l2, l).entries[idx]`` in its blocks."""
+    ``cg_block(l1, l2, l).entries[idx]`` in its blocks, idx taken modulo
+    the number of entries as the corruption hook takes it."""
     L = F.bandlimit
     pairs = cg_pairs(L)
     blocks = {(l1, l2, l): cg_block(l1, l2, l).dense()
@@ -165,7 +166,8 @@ def dense_oracle(F, out_ell_max, flip=None):
               for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1)}
     if flip is not None:
         l1, l2, l, idx = flip
-        (m1, m2), m, value = cg_block(l1, l2, l).entries[idx]
+        entries = cg_block(l1, l2, l).entries
+        (m1, m2), m, value = entries[idx % len(entries)]
         blocks[(l1, l2, l)][(m1 + l1) * (2 * l2 + 1) + m2 + l2, m + l] = -value
     return oracles.dense_cg_transform(F.fragments, pairs, blocks, out_ell_max)
 
@@ -194,7 +196,9 @@ def test_cg_kernel_matches_dense_oracle_at_band_scale(tau, out_ell_max,
                                    rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("flip", [(1, 1, 1, 0), (1, 2, 2, 3), (0, 3, 3, 6)])
+# (1, 1, 1) has 6 entries, so index 8 wraps round to entry 2
+@pytest.mark.parametrize("flip", [(1, 1, 1, 0), (1, 2, 2, 3), (0, 3, 3, 6),
+                                  (1, 1, 1, 8)])
 def test_corruption_hook_negates_exactly_one_coefficient(flip):
     F = random_activation(3, (2, 1, 2, 1), batch=3)
     clean = cg_nonlinearity(F)
@@ -243,11 +247,31 @@ def test_cg_madd_count_recounts_stored_entries(tau, out_ell_max):
     assert got == want
 
 
+def test_one_eigh_per_pair_and_m(monkeypatch):
+    """Every pair table of an L=16 layer (tau = 1, cap L) from an empty
+    memo: one J^2 eigh per (l1, l2, m), 4161 in all, not one per
+    (l1, l2, l, m), 26061."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(network, "_PAIR_CACHE", {})
+    L = 16
+    for l1, l2, ells, _ in network._cg_layout(ActivationType((1,) * (L + 1)),
+                                              L)[1]:
+        network._pair_table(l1, l2, ells)
+    assert len(calls) == 4161
+
+
 def test_type_queries_build_no_cg_table(monkeypatch):
     def no_tables(*args):
         raise AssertionError("a type query built a CG table")
 
-    monkeypatch.setattr(network, "cg_block", no_tables)
+    monkeypatch.setattr(network, "cg_table", no_tables)
     monkeypatch.setattr(network, "_PAIR_CACHE", {})
     L = 64
     spec = desk_spec(L=L, S=2, width=1)

@@ -9,6 +9,7 @@ from cgsphere.so3 import (
     CapacityError,
     EulerAngles,
     cg_block,
+    cg_table,
     clebsch_gordan_coeff,
     legendre,
     random_rotation,
@@ -293,6 +294,43 @@ def test_cg_block_matches_high_precision_racah(l1, l2, l):
     np.testing.assert_allclose(cg_block(l1, l2, l).matrix,
                                oracles.cg_block_highprec(l1, l2, l),
                                rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("l1, l2, ells", [
+    (5, 9, tuple(range(4, 15))),   # the pair's full degree range
+    (9, 12, tuple(range(3, 13))),  # capped below l1 + l2
+])
+def test_cg_table_matches_high_precision_racah(l1, l2, ells):
+    table = cg_table(l1, l2, ells)
+    M = ells[-1]
+    assert table.shape == (2 * M + 1, len(ells), 2 * l1 + 1)
+    assert not table.flags.writeable
+    # table[m+M, i, m1+l1] against row (m1+l1)(2l2+1) + m-m1+l2 of the block
+    m = np.arange(-M, M + 1)[:, None]
+    k = np.arange(2 * l1 + 1)
+    m2 = m - k + l1
+    valid = np.abs(m2) <= l2
+    for i, l in enumerate(ells):
+        want = np.zeros((2 * M + 1, 2 * l1 + 1))
+        ref = oracles.cg_block_highprec(l1, l2, l)
+        band = np.abs(m[:, 0]) <= l
+        sel = valid & band[:, None]
+        rows = (k * (2 * l2 + 1) + m2 + l2)[sel]
+        want[sel] = ref[rows, np.broadcast_to(m + l, sel.shape)[sel]]
+        np.testing.assert_allclose(table[:, i], want, rtol=0, atol=1e-13)
+        assert not table[:, i][~sel].any()
+
+
+def test_cg_table_rejects_bad_degrees():
+    for ells in ((2, 5), (1, 2)):
+        with pytest.raises(ValueError, match="triangle"):
+            cg_table(1, 3, ells)
+    with pytest.raises(ValueError, match="must ascend"):
+        cg_table(2, 2, (3, 1))
+    with pytest.raises(ValueError, match="must ascend"):
+        cg_table(2, 2, ())
+    with pytest.raises(CapacityError):
+        cg_table(64, 64, (64, 65))
 
 
 @pytest.mark.parametrize("l1, l2", [(20, 20), (32, 32)])
