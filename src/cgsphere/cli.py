@@ -262,7 +262,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, low in (("steps", 0), ("trials", 1)):
+    for flag, low in (("steps", 0), ("trials", 1), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             parser.error(f"--{flag} must be at least {low}, got {value}")

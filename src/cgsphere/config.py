@@ -6,6 +6,7 @@ loudly; parse errors carry the line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .network import ActivationType, NetworkSpec, tau_schedule
@@ -57,8 +58,21 @@ class ExperimentConfig:
                             ("test_per_class", self.test_per_class)):
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be at least 0, got {self.steps}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for name, value in (("steps", self.steps), ("seed", self.seed),
+                            ("lr", self.lr),
+                            ("weight_decay", self.weight_decay),
+                            ("noise_sigma", self.noise_sigma)):
+            if value < 0:
+                raise ConfigError(f"{name} must be at least 0, got {value}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be above 0, got {self.adam_eps}")
         if self.regime not in REGIMES:
             raise ConfigError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}")

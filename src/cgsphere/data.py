@@ -38,13 +38,20 @@ class Dataset:
 
 
 def class_templates(classes: int, L: int, seed: int) -> list:
-    """Fixed per-class coefficient templates, i.i.d. complex Gaussian."""
-    rng = np.random.default_rng(seed)
+    """Fixed per-class coefficient templates, i.i.d. complex Gaussian.
+
+    One draw for all classes; per class, degree by degree, the real parts
+    and then the imaginary parts.
+    """
+    draws = np.random.default_rng(seed).standard_normal(
+        (classes, 2 * (L + 1) ** 2))
     templates = []
-    for _ in range(classes):
-        blocks = [rng.standard_normal((2 * ell + 1, 1))
-                  + 1j * rng.standard_normal((2 * ell + 1, 1))
-                  for ell in range(L + 1)]
+    for row in draws:
+        blocks = []
+        for ell in range(L + 1):
+            re, im = row[2 * ell * ell:2 * (ell + 1) ** 2].reshape(
+                2, 2 * ell + 1, 1)
+            blocks.append(re + 1j * im)
         templates.append(HarmonicCoefficients(L, blocks))
     return templates
 

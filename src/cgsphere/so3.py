@@ -11,7 +11,9 @@ active rotations, so that
 and a function rotated by R has its degree-l harmonic coefficient vector
 multiplied by D^l(R).
 
-All functions are pure and keep no state between calls.
+All functions are pure.  The one thing kept between calls is a bounded
+memo of each degree's J_y eigenvectors, a read-only function of the degree
+alone.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,6 +97,20 @@ class CGBlock:
         return self.matrix.copy()
 
 
+@lru_cache(maxsize=MAX_DEGREE + 1)
+def _jy_eigenvectors(ell: int) -> np.ndarray:
+    """Read-only eigenvectors V of the Hermitian tridiagonal J_y of degree
+    ell, columns in the ascending eigenvalue order -ell..ell that eigh
+    returns.  Memoized: every degree up to MAX_DEGREE fits in 5.6 MB."""
+    m = np.arange(-ell, ell + 1)
+    # <m|J_y|m+1> = (i/2) sqrt(l(l+1) - m(m+1)); eigh reads only this triangle
+    k = m[:-1]
+    off = 0.5j * np.sqrt(ell * (ell + 1) - k * (k + 1))
+    _, v = np.linalg.eigh(np.diag(off, 1), UPLO="U")
+    v.flags.writeable = False
+    return v
+
+
 def wigner_d_small(ell: int, beta: float | np.ndarray) -> np.ndarray:
     """Wigner little-d matrix d^ell(beta) = exp(-i beta J_y), real orthogonal.
 
@@ -101,15 +118,14 @@ def wigner_d_small(ell: int, beta: float | np.ndarray) -> np.ndarray:
     eigenvalues of the Hermitian tridiagonal J_y are exactly -ell..ell, in
     the ascending order eigh returns; eigenvector phases cancel in V(.)V^H.
     I + V diag(expm1) V^H is exactly the identity at beta = 0.  J_y does not
-    depend on beta, so an array of R angles gets one eigh and the
-    (R, 2ell+1, 2ell+1) stack; a scalar beta gets one matrix.
+    depend on beta, so its eigenvectors are computed once per degree and
+    process (``_jy_eigenvectors``); an array of R angles gives the
+    (R, 2ell+1, 2ell+1) stack, a scalar beta one matrix, always a new
+    writable array.
     """
     _check_degree(ell)
     m = np.arange(-ell, ell + 1)
-    # <m|J_y|m+1> = (i/2) sqrt(l(l+1) - m(m+1)); eigh reads only this triangle
-    k = m[:-1]
-    off = 0.5j * np.sqrt(ell * (ell + 1) - k * (k + 1))
-    _, v = np.linalg.eigh(np.diag(off, 1), UPLO="U")
+    v = _jy_eigenvectors(ell)
     phase = -1j * beta
     if isinstance(phase, np.ndarray):
         phase = phase[..., None, None]
@@ -122,8 +138,8 @@ def wigner_D(ell: int,
     """Wigner D-matrix D^ell(alpha, beta, gamma) for an active ZYZ rotation.
 
     ``angles`` is one EulerAngles, giving the (2ell+1, 2ell+1) matrix, or a
-    sequence of R of them, giving the (R, 2ell+1, 2ell+1) stack from one
-    eigendecomposition of J_y (an empty sequence gives an empty stack).
+    sequence of R of them, giving the (R, 2ell+1, 2ell+1) stack from the
+    degree's one J_y eigenbasis (an empty sequence gives an empty stack).
     """
     if isinstance(angles, EulerAngles):
         alpha, beta, gamma = angles.alpha, angles.beta, angles.gamma

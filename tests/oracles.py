@@ -6,6 +6,10 @@ dense linear algebra, and least-squares intertwiner recovery.  The
 exceptions are composition references built from the package's own
 stages: ``generate_split_per_example``, the per-example loop that the
 batched ``data.generate_split`` must reproduce byte for byte;
+``class_templates_per_block`` and ``wigner_d_small_per_call``, the
+one-draw-per-block templates and the one-eigh-per-call little-d that
+``data.class_templates`` and ``so3.wigner_d_small`` must reproduce byte
+for byte;
 ``loss_and_grad_unfused``, the training step with a normalized copy of
 every CG output and its wide cotangent; and ``audit_two_forwards``, the
 audit with one forward pass per input.
@@ -50,6 +54,19 @@ def wigner_d_highprec(ell, beta):
                           * s ** (mprime - m + 2 * k))
             out[mp_idx, m_idx] = float(pref * total)
     return out
+
+
+def wigner_d_small_per_call(ell, beta):
+    """``so3.wigner_d_small`` with its own eigh of J_y on every call."""
+    m = np.arange(-ell, ell + 1)
+    k = m[:-1]
+    off = 0.5j * np.sqrt(ell * (ell + 1) - k * (k + 1))
+    _, v = np.linalg.eigh(np.diag(off, 1), UPLO="U")
+    phase = -1j * beta
+    if isinstance(phase, np.ndarray):
+        phase = phase[..., None, None]
+    d = (v * np.expm1(phase * m)) @ v.conj().T
+    return np.eye(2 * ell + 1) + d.real
 
 
 def cg_block_highprec(l1, l2, l):
@@ -174,6 +191,19 @@ def grid_energy(signal):
     w = quadrature_weights_by_solve(b)
     return (np.pi / b) * np.sum(
         w[None, :, None] * np.abs(signal.samples) ** 2, axis=(1, 2))
+
+
+def class_templates_per_block(classes, L, seed):
+    """``data.class_templates`` with one draw per block: per class and
+    degree, the real parts, then the imaginary parts."""
+    rng = np.random.default_rng(seed)
+    templates = []
+    for _ in range(classes):
+        blocks = [rng.standard_normal((2 * ell + 1, 1))
+                  + 1j * rng.standard_normal((2 * ell + 1, 1))
+                  for ell in range(L + 1)]
+        templates.append(HarmonicCoefficients(L, blocks))
+    return templates
 
 
 def generate_split_per_example(cfg, per_class, rotated, seed):

@@ -175,6 +175,43 @@ def test_config_with_negative_steps_exits_one(workspace, capsys, tmp_path):
     assert "steps must be at least 0, got -7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "audit"])
+def test_negative_seed_flag_is_usage_error(workspace, capsys, tmp_path,
+                                           command):
+    args = {"gen-data": ["--config", str(workspace["cfg"]),
+                         "--out", str(tmp_path / "d")],
+            "train": ["--config", str(workspace["cfg"]),
+                      "--out", str(tmp_path / "r"),
+                      "--data", str(workspace["data"])],
+            "audit": ["--checkpoint", str(workspace["ckpt"])]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--seed", "-5"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--seed must be at least 0, got -5" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("steps = 30", "seed = -1", "seed must be at least 0, got -1"),
+    ("noise_sigma = 0.2", "noise_sigma = nan", "noise_sigma must be finite"),
+    ("lr = 0.005", "lr = nan", "lr must be finite"),
+    ("lr = 0.005", "lr = -1", "lr must be at least 0"),
+    ("lr = 0.005", "beta1 = 1.5", "beta1 must lie in [0, 1)"),
+    ("lr = 0.005", "adam_eps = 0", "adam_eps must be above 0"),
+])
+def test_config_with_bad_training_value_exits_one(workspace, capsys, tmp_path,
+                                                  old, new, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CFG.replace(old, new))
+    for command in (["gen-data", "--out", str(tmp_path / "d")],
+                    ["train", "--out", str(tmp_path / "r"),
+                     "--data", str(workspace["data"])]):
+        assert main([command[0], "--config", str(cfg),
+                     *command[1:]]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "d").exists() and not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("corrupt", [None, (1, 1, 1, 0)])
 def test_audit_batch_of_two_matches_two_forwards(workspace, corrupt):
     weights, norms, _, _ = load_checkpoint(workspace["ckpt"])

@@ -93,6 +93,32 @@ def test_validation_rules():
     assert parse_config("steps = 0\n").steps == 0
 
 
+@pytest.mark.parametrize("line, message", [
+    ("seed = -1", "seed must be at least 0, got -1"),
+    ("noise_sigma = nan", "noise_sigma must be finite, got nan"),
+    ("lr = nan", "lr must be finite, got nan"),
+    ("beta2 = inf", "beta2 must be finite, got inf"),
+    ("lr = -1", "lr must be at least 0, got -1.0"),
+    ("weight_decay = -1e-5", "weight_decay must be at least 0"),
+    ("noise_sigma = -0.1", "noise_sigma must be at least 0"),
+    ("beta1 = 1.5", r"beta1 must lie in \[0, 1\), got 1.5"),
+    ("beta1 = 1", r"beta1 must lie in \[0, 1\), got 1.0"),
+    ("beta2 = -0.1", r"beta2 must lie in \[0, 1\)"),
+    ("adam_eps = 0", "adam_eps must be above 0, got 0.0"),
+    ("adam_eps = -1e-8", "adam_eps must be above 0"),
+])
+def test_training_values_rejected_naming_the_field(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(line + "\n")
+
+
+def test_zero_is_kept_where_it_means_off():
+    cfg = parse_config("lr = 0\nweight_decay = 0\nnoise_sigma = 0\n"
+                       "beta1 = 0\nbeta2 = 0\nseed = 0\n")
+    assert (cfg.lr, cfg.weight_decay, cfg.noise_sigma) == (0.0, 0.0, 0.0)
+    assert (cfg.beta1, cfg.beta2, cfg.seed) == (0.0, 0.0, 0)
+
+
 def test_tau_vector_forms():
     assert ExperimentConfig(tau="4").tau_vector() == ActivationType((4,) * 6)
     assert ExperimentConfig(bandlimit=2, tau="5,3,1").tau_vector() == \
@@ -140,6 +166,19 @@ def test_templates_deterministic_and_distinct():
         for x, y in zip(t1.blocks, t2.blocks):
             np.testing.assert_array_equal(x, y)
     assert not np.allclose(a[0].blocks[1], a[1].blocks[1])
+
+
+@pytest.mark.parametrize("classes, L, seed", [(4, 16, 1), (3, 5, 7),
+                                              (2, 0, 0)])
+def test_templates_match_one_draw_per_block_byte_for_byte(classes, L, seed):
+    got = class_templates(classes, L, seed)
+    want = oracles.class_templates_per_block(classes, L, seed)
+    assert len(got) == classes
+    for g, w in zip(got, want):
+        assert g.bandlimit == L
+        for a, b in zip(g.blocks, w.blocks, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 def test_generate_split_balanced_and_deterministic():

@@ -18,8 +18,11 @@ from cgsphere.network import (
     NetworkSpec,
     cg_nonlinearity,
     cg_output_type,
+    cg_pairs,
     covariant_linear,
+    network_forward,
 )
+from cgsphere.so3 import cg_table, random_rotation, wigner_D
 from cgsphere.training import make_norm_states
 
 import oracles
@@ -326,7 +329,6 @@ def test_non_finite_logits_reported_with_example_index():
 
 
 def test_forward_with_tape_matches_network_forward():
-    from cgsphere.network import network_forward
     spec, weights, norms, coeffs, labels = setup_problem()
     tape = forward_with_tape(coeffs, weights, norms)
     feats, _, _ = network_forward(coeffs, weights.layers, norms)
@@ -428,3 +430,100 @@ def test_init_weights_variance_rule():
                 1.0 / fan[ell], rel=0.35)
     assert weights.head.b1.shape == (64,)
     assert np.all(weights.head.b2 == 0.0)
+
+
+# --- the network at L=16 with tau = 1: two layers, B=2 ---
+
+L16 = 16
+L16_SPEC = NetworkSpec(L16, 1, (ActivationType((1,) * (L16 + 1)),
+                                ActivationType((1,) + (0,) * L16)))
+
+
+def dense_cg_blocks(L, cap):
+    """``cg_block(l1, l2, l).dense()`` for every pair up to L and every
+    l <= cap, scattered from one ``cg_table`` per pair rather than one
+    table per degree."""
+    blocks = {}
+    for l1, l2 in cg_pairs(L):
+        ells = range(l2 - l1, min(l1 + l2, cap) + 1)
+        table, M = cg_table(l1, l2, ells), ells[-1]
+        m1 = np.arange(-l1, l1 + 1)
+        for i, l in enumerate(ells):
+            m = np.arange(-l, l + 1)[:, None]
+            keep = np.abs(m - m1) <= l2
+            rows = (m1 + l1) * (2 * l2 + 1) + m - m1 + l2
+            mat = np.zeros(((2 * l1 + 1) * (2 * l2 + 1), 2 * l + 1))
+            mat[rows[keep], np.broadcast_to(m + l, keep.shape)[keep]] = \
+                table[M - l:M + l + 1, i][keep]
+            blocks[(l1, l2, l)] = mat
+    return blocks
+
+
+def test_cg_kernel_matches_dense_oracle_at_l16():
+    F = random_activation(L16, (1,) * (L16 + 1), batch=2)
+    got = cg_nonlinearity(F)
+    want = oracles.dense_cg_transform(F.fragments, cg_pairs(L16),
+                                      dense_cg_blocks(L16, L16), L16)
+    for g, w in zip(got.fragments, want, strict=True):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+
+
+def test_backward_cg_adjoint_identity_at_l16():
+    F = random_activation(L16, (1,) * (L16 + 1), batch=2)
+    dF = random_like(F.fragments)
+
+    def cg(frags):
+        return cg_nonlinearity(CovariantActivation(L16, frags)).fragments
+
+    plus = cg([f + d for f, d in zip(F.fragments, dF)])
+    minus = cg([f - d for f, d in zip(F.fragments, dF)])
+    J = [(p - m) / 2 for p, m in zip(plus, minus)]
+    H_bar = random_like(J)
+    F_bar = backward_cg(H_bar, F, identity_mixes(F))
+    assert_adjoint(real_inner(H_bar, J), real_inner(F_bar, dF))
+
+
+def l16_problem():
+    weights = init_weights(L16_SPEC, n_out=3, hidden=8, seed=4)
+    norms = make_norm_states(L16_SPEC)
+    rng = np.random.default_rng(16)
+    coeffs = random_activation(L16, L16_SPEC.input_type().tau, batch=2,
+                               rng=rng)
+    labels = np.array([0, 2])
+    loss_and_grad(coeffs, labels, weights, norms, training=True)
+    return weights, norms, coeffs, labels, rng
+
+
+def test_network_invariant_at_l16():
+    weights, norms, coeffs, _, rng = l16_problem()
+    base, _, _ = network_forward(coeffs, weights.layers, norms)
+    rot = random_rotation(rng)
+    d = [wigner_D(ell, rot).matrix for ell in range(L16 + 1)]
+    turned, _, _ = network_forward(coeffs.rotated(d), weights.layers, norms)
+    np.testing.assert_allclose(turned, base, rtol=0, atol=1e-8)
+
+
+def test_directional_gradient_at_l16():
+    """The gradient against a central difference along one random unit
+    direction through every parameter."""
+    weights, norms, coeffs, labels, rng = l16_problem()
+    _, grads, _ = loss_and_grad(coeffs, labels, weights, norms)
+    direction = [rng.standard_normal(w.shape)
+                 + (1j * rng.standard_normal(w.shape)
+                    if np.iscomplexobj(w) else 0.0)
+                 for w in weights.arrays()]
+    size = np.sqrt(sum(np.sum(np.abs(u) ** 2) for u in direction))
+    direction = [u / size for u in direction]
+    analytic = real_inner(grads.arrays(), direction)
+
+    def loss_at(step):
+        for w, u in zip(weights.arrays(), direction):
+            w += step * u
+        loss = loss_and_grad(coeffs, labels, weights, norms)[0]
+        for w, u in zip(weights.arrays(), direction):
+            w -= step * u
+        return loss
+
+    h = 1e-5
+    assert abs((loss_at(h) - loss_at(-h)) / (2 * h) - analytic) <= 1e-5

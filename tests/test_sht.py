@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cgsphere import sht
 from cgsphere.sht import (
     HarmonicCoefficients,
     SphericalSignal,
@@ -172,6 +173,7 @@ def test_round_trip_at_high_degree():
 
 def test_round_trip_at_high_degree_stays_small():
     coeffs = random_coefficients(63)
+    sht._colatitude_factors.cache_clear()  # the first call builds and holds it
     tracemalloc.start()
     try:
         forward_sht(inverse_sht(coeffs, 64), 63)
@@ -196,6 +198,17 @@ def test_equivariance_at_high_degree_on_sampled_points():
     expected = _synthesize_points(coeffs, np.arccos(np.clip(v[:, 2], -1.0, 1.0)),
                                   np.arctan2(v[:, 1], v[:, 0]))
     np.testing.assert_allclose(rotated, expected, atol=1e-9)
+
+
+def test_colatitude_memo_is_bounded_and_read_only():
+    assert sht._colatitude_factors.cache_info().maxsize == 4
+    sht._colatitude_factors.cache_clear()
+    q = sht._colatitude_factors(8, 5)
+    assert sht._colatitude_factors(8, 5) is q
+    with pytest.raises(ValueError):
+        q[0, 0, 0] = 1.0
+    sht._colatitude_factors.cache_clear()
+    assert np.array_equal(sht._colatitude_factors(8, 5), q)
 
 
 def test_signal_validation():

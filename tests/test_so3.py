@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgsphere import so3
+from cgsphere.config import parse_config
+from cgsphere.data import generate_split
 from cgsphere.so3 import (
     CapacityError,
     EulerAngles,
@@ -151,6 +154,46 @@ def test_wigner_d_small_broadcasts_over_beta_exactly(ell):
     assert stack.shape == (len(betas), 2 * ell + 1, 2 * ell + 1)
     for r, beta in enumerate(betas):
         assert np.array_equal(stack[r], wigner_d_small(ell, float(beta)))
+
+
+@pytest.mark.parametrize("ell", [0, 1, 16, 64])
+def test_wigner_d_small_matches_one_eigh_per_call_exactly(ell):
+    so3._jy_eigenvectors.cache_clear()
+    betas = np.array([r.beta for r in STACK_ROTATIONS])
+    # the first call fills the memo, the later ones read it
+    for beta in (0.0, 0.3, math.pi, betas, 0.0):
+        got = wigner_d_small(ell, beta)
+        assert got.tobytes() == \
+            oracles.wigner_d_small_per_call(ell, beta).tobytes()
+
+
+def test_memoized_eigenbasis_is_read_only_and_results_are_fresh():
+    v = so3._jy_eigenvectors(3)
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
+    assert so3._jy_eigenvectors.cache_info().maxsize == so3.MAX_DEGREE + 1
+    d = wigner_d_small(3, 0.3)
+    want = d.copy()
+    d[:] = 0.0  # the result is the caller's own array
+    assert np.array_equal(wigner_d_small(3, 0.3), want)
+
+
+def test_rotated_splits_make_one_eigh_per_degree(monkeypatch):
+    """Two rotated L=16 splits from an empty memo: one J_y eigh per degree,
+    17 in all, not 17 per split."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    so3._jy_eigenvectors.cache_clear()
+    cfg = parse_config("bandlimit = 16\ngrid_bandwidth = 32\n")
+    for seed in (0, 1):
+        generate_split(cfg, 1, rotated=True, seed=seed)
+    assert len(calls) == 17
 
 
 def test_wigner_D_stack_capacity_and_shapes():
