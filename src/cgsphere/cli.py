@@ -20,7 +20,12 @@ from .data import (
     read_dataset,
     write_dataset,
 )
-from .gradients import NumericError, forward_with_tape, init_weights
+from .gradients import (
+    NumericError,
+    check_logits,
+    forward_with_tape,
+    init_weights,
+)
 from .network import (
     CovariantActivation,
     corrupt_cg_entry,
@@ -137,6 +142,7 @@ def cmd_eval(args) -> int:
     L = weights.spec.bandlimit
     acts = batched_activation(dataset, L)
     tape = forward_with_tape(acts, weights, norm_states, training=False)
+    check_logits(tape.logits)
     preds = np.argmax(tape.logits, axis=1)
     acc = accuracy(tape.logits, dataset.labels)
     confusion = np.zeros((n_out, n_out), dtype=int)
@@ -149,10 +155,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _worse(err: float, new: float) -> float:
+    """The larger error, or NaN if either is NaN: Python's ``max`` keeps
+    its first argument when the second is NaN."""
+    return new if new > err or new != new else err
+
+
 def audit_equivariance(weights, norm_states, trials: int, seed: int = 0):
     """Per-layer covariance and head invariance errors over random
     (input, rotation) pairs, each pair one batch: eval mode mixes no
-    examples.  Returns (max_layer_error, max_head_error)."""
+    examples.  Returns (max_layer_error, max_head_error); an error that is
+    NaN anywhere makes its maximum NaN."""
     rng = np.random.default_rng(seed)
     spec = weights.spec
     L = spec.bandlimit
@@ -174,10 +187,11 @@ def audit_equivariance(weights, norm_states, trials: int, seed: int = 0):
                 if f_exp.size == 0:
                     continue
                 scale = max(np.abs(f_exp[0]).max(), 1e-30)
-                layer_err = max(layer_err,
-                                np.abs(f[1] - f_exp[0]).max() / scale)
+                layer_err = _worse(layer_err,
+                                   np.abs(f[1] - f_exp[0]).max() / scale)
         scale = max(np.abs(feats[0]).max(), 1e-30)
-        head_err = max(head_err, np.abs(feats[0] - feats[1]).max() / scale)
+        head_err = _worse(head_err,
+                          np.abs(feats[0] - feats[1]).max() / scale)
     return layer_err, head_err
 
 
@@ -202,8 +216,10 @@ def cmd_audit(args) -> int:
         clear_cg_corruption()
     print(f"max per-layer covariance error: {layer_err:.3e}")
     print(f"max head invariance error:      {head_err:.3e}")
-    if max(layer_err, head_err) > AUDIT_TOLERANCE:
-        print(f"AUDIT FAILED (tolerance {AUDIT_TOLERANCE:g})")
+    if not (layer_err <= AUDIT_TOLERANCE and head_err <= AUDIT_TOLERANCE):
+        finite = np.isfinite(layer_err) and np.isfinite(head_err)
+        print(f"AUDIT FAILED ({'' if finite else 'non-finite error; '}"
+              f"tolerance {AUDIT_TOLERANCE:g})")
         return EXIT_AUDIT
     print(f"audit passed (tolerance {AUDIT_TOLERANCE:g})")
     return EXIT_OK

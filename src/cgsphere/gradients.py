@@ -24,6 +24,7 @@ from .network import (
     network_forward,
     _cg_layout,
     _pair_table,
+    _row_buffer,
     _workspaces,
 )
 # the forward stages stay reachable through this module too
@@ -126,39 +127,49 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     (identity mixes give the CG adjoint alone); mirrors the forward column
     order exactly.  Self-pairs accumulate both branch gradients.
 
-    Per pair and degree, G_bar_l V_l^H on the pair's columns goes straight
-    into the padded workspace rows, which the transposed ``_pair_table``
-    maps back to the gathered Kronecker rows (m, m1); each factor's
-    cotangent is then a batched mat-vec with the other factor's conjugate,
-    summed over m for the l1 factor, and for the l2 factor added back to
-    its rows m2 = m - m1 in one slice per m1.  Returns m-major views.
+    Per pair and degree, G_bar_l V_l^H on the pair's columns is one 2-D
+    matmul over the (2l+1)*B rows, written straight into the degree-major
+    (#ells, 2M+1, B, n) workspace, whose transposed view the transposed
+    ``_pair_table`` maps back to the Kronecker rows (m, m1).  Each
+    factor's cotangent is then a batched mat-vec with the other factor's
+    conjugate: the conjugate l2 rows m - m1 are one strided view of a
+    ``_row_buffer`` built once per call, as in the forward kernel.  The l1
+    cotangent is summed over m, and the l2 cotangent is added back to its
+    rows m2 = m - m1 in one slice per m1.  Returns m-major views.
     """
-    B = F.batch_size
+    tau, B, L = F.type, F.batch_size, F.bandlimit
     G, Gb = F.m_major, _m_major(G_bar)
-    out_type, pairs = _cg_layout(F.type, out_ell_max)
+    out_type, pairs = _cg_layout(tau, out_ell_max)
     if [len(v) for v in mixes] != list(out_type.tau):
         raise ValueError("mixes do not match the CG output widths")
     F_bar = [np.zeros_like(g) for g in G]
-    k_ws, y_ws = _workspaces(F, out_ell_max)
+    k_ws, y_ws = _workspaces(tau, B, out_ell_max)
+    rows = _row_buffer(G, 1)
+    np.conjugate(rows, out=rows)
+    S, item = rows.strides[0], rows.itemsize
     for l1, l2, ells, starts in pairs:
-        table, rows = _pair_table(l1, l2, ells)
+        table = _pair_table(l1, l2, ells)
         M, d1 = ells[-1], 2 * l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
         n = t1 * t2
-        y_bar = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
+        y_bar = np.ndarray((len(ells), 2 * M + 1, B, n), complex, y_ws)
         for i, (l, c) in enumerate(zip(ells, starts)):
-            y_bar[:M - l, i] = 0.0
-            np.matmul(Gb[l], mixes[l][c:c + n].conj().T,
-                      out=y_bar[M - l:M + l + 1, i])
-            y_bar[M + l + 1:, i] = 0.0
+            y_bar[i, :M - l] = 0.0
+            np.matmul(Gb[l].reshape((2 * l + 1) * B, -1),
+                      mixes[l][c:c + n].conj().T,
+                      out=y_bar[i, M - l:M + l + 1].reshape(-1, n))
+            y_bar[i, M + l + 1:] = 0.0
         np.matmul(table.transpose(0, 2, 1),
-                  np.ndarray((2 * M + 1, len(ells), 2 * B * n), float, y_ws),
+                  np.ndarray((len(ells), 2 * M + 1, 2 * B * n), float,
+                             y_ws).transpose(1, 0, 2),
                   out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
         k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
-        G2 = G[l2].take(rows, axis=0).conj()
-        F_bar[l1] += (k_bar @ G2[..., None]).sum(axis=0)[..., 0]
+        G2 = np.ndarray((2 * M + 1, d1, B, t2, 1), complex, rows,
+                        (L + l2 * l2 + l1 + l2 - M) * S,
+                        (S, -S, t2 * item, item, item))
+        F_bar[l1] += (k_bar @ G2).sum(axis=0)[..., 0]
         g2_bar = (G[l1].conj()[:, :, None, :] @ k_bar)[..., 0, :]
-        c = l1 + l2 - M  # rows[j, k] = j - k + c: one run of rows per k
+        c = l1 + l2 - M  # [m + M, m1 + l1] reads row m2 + l2 = j - k + c
         for k in range(d1):
             lo, hi = max(0, k - c), min(2 * M + 1, k - c + 2 * l2 + 1)
             F_bar[l2][lo - k + c:hi - k + c] += g2_bar[lo:hi, k]
@@ -196,6 +207,15 @@ def forward_with_tape(coeffs: CovariantActivation, weights: NetworkWeights,
     return ForwardTape(cg_outputs, outputs, feats, hid_pre, logits)
 
 
+def check_logits(logits: np.ndarray) -> None:
+    """Raise ``NumericError`` naming the first example whose logits are
+    not all finite."""
+    bad = np.where(~np.isfinite(logits).all(axis=1))[0]
+    if bad.size:
+        raise NumericError(
+            f"non-finite logits for example {bad[0]}", int(bad[0]))
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -215,10 +235,7 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
     if B == 0:
         raise ValueError("batch must be non-empty")
     tape = forward_with_tape(coeffs, weights, norm_states, training)
-    bad = np.where(~np.isfinite(tape.logits).all(axis=1))[0]
-    if bad.size:
-        raise NumericError(
-            f"non-finite logits for example {bad[0]}", int(bad[0]))
+    check_logits(tape.logits)
     probs = _softmax(tape.logits)
     eps = 1e-300
     loss = -np.mean(np.log(probs[np.arange(B), labels] + eps))

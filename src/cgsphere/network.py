@@ -155,13 +155,11 @@ def clear_cg_corruption() -> None:
     _PAIR_CACHE.clear()
 
 
-def _pair_table(ell1: int, ell2: int, ells: tuple):
-    """Memoized ``(table, rows)`` of pair (ell1, ell2) for degrees ``ells``:
-    ``table`` is ``cg_table(ell1, ell2, ells)``, whose corrupted block
-    (l, idx) has the idx-th nonzero of ``table[:, i]`` in (m, then m1)
-    order, ``cg_block(ell1, ell2, l).entries[idx]``, negated.  With
-    M = ells[-1], ``rows[m+M, m1+ell1]`` is the row m - m1 + ell2 of the
-    ell2 factor, clipped into range where the table is zero."""
+def _pair_table(ell1: int, ell2: int, ells: tuple) -> np.ndarray:
+    """Memoized ``cg_table(ell1, ell2, ells)`` of pair (ell1, ell2) for
+    degrees ``ells``, whose corrupted block (l, idx) has the idx-th nonzero
+    of ``table[:, i]`` in (m, then m1) order,
+    ``cg_block(ell1, ell2, l).entries[idx]``, negated."""
     key = (ell1, ell2, ells)
     if key not in _PAIR_CACHE:
         table = cg_table(ell1, ell2, ells)
@@ -171,23 +169,57 @@ def _pair_table(ell1: int, ell2: int, ells: tuple):
                 m, k = np.nonzero(table[:, i])
                 j = _CORRUPTION[(ell1, ell2, l)] % m.size
                 table[m[j], i, k[j]] *= -1.0
-        M = ells[-1]
-        rows = np.clip(np.arange(-M, M + 1)[:, None] - np.arange(2 * ell1 + 1)
-                       + ell1 + ell2, 0, 2 * ell2)
-        _PAIR_CACHE[key] = table, rows
+        _PAIR_CACHE[key] = table
     return _PAIR_CACHE[key]
 
 
-def _workspaces(F: CovariantActivation, out_ell_max: int | None) -> tuple:
-    """Two complex buffers that fit every pair's gathered Kronecker rows and
-    per-m table product.  Every pair of one call reuses them, so the call
-    touches fresh memory once rather than once per pair; a pair views
-    their leading elements through ``np.ndarray(shape, dtype, buffer)``."""
-    t, B = F.type, F.batch_size
-    sizes = [((2 * ells[-1] + 1) * t.tau[l1] * t.tau[l2] * B, 2 * l1 + 1,
-              len(ells)) for l1, l2, ells, _ in _cg_layout(t, out_ell_max)[1]]
-    return (np.empty(max((n * d1 for n, d1, _ in sizes), default=0), complex),
-            np.empty(max((n * k for n, _, k in sizes), default=0), complex))
+@lru_cache(maxsize=256)
+def _workspace_sizes(tau: ActivationType, out_ell_max: int | None) -> tuple:
+    """Per-example complex lengths of ``_workspaces``' two buffers: the
+    largest pair's Kronecker rows and its per-m table product."""
+    sizes = [((2 * ells[-1] + 1) * tau.tau[l1] * tau.tau[l2], 2 * l1 + 1,
+              len(ells)) for l1, l2, ells, _ in _cg_layout(tau, out_ell_max)[1]]
+    return (max((n * d1 for n, d1, _ in sizes), default=0),
+            max((n * k for n, _, k in sizes), default=0))
+
+
+def _workspaces(tau: ActivationType, B: int,
+                out_ell_max: int | None) -> tuple:
+    """Two complex buffers that fit every pair's Kronecker rows and per-m
+    table product for a batch of B activations of type ``tau``, sized by
+    ``_workspace_sizes`` (memoized per type and cap).  Every pair of one
+    call reuses them, so the call touches fresh memory once rather than
+    once per pair; a pair views their leading elements through
+    ``np.ndarray(shape, dtype, buffer)``."""
+    kron, y = _workspace_sizes(tau, out_ell_max)
+    return np.empty(kron * B, complex), np.empty(y * B, complex)
+
+
+def _row_buffer(G: list, reps: int) -> np.ndarray:
+    """Every degree's rows stacked on one axis, degree l's row m at
+    L + l^2 + l + m, between L zero rows at each end.  A row holds G_l[m]
+    repeated ``reps`` times, a contiguous (B, reps, tau_l) block, then
+    zeros up to the common row length B * reps * max(tau).
+
+    With row stride S, the rows m - m1 + l2 of degree l2 that a pair
+    (l1, l2) with top degree M reads at [m + M, m1 + l1] are one view at
+    offset (L + l2^2 + l1 + l2 - M) S with strides (S, -S, ...).  Entries
+    (m, m1) with no valid m2 read a zero row or a neighbouring degree's
+    finite row, which the CG table weighs by zero.  With M <= L and
+    l1 <= l2 every row read lies inside the buffer, and ``np.ndarray``
+    refuses a view that would not."""
+    L = len(G) - 1
+    B = G[0].shape[1]
+    buf = np.zeros(((L + 1) ** 2 + 2 * L,
+                    B * reps * max(g.shape[2] for g in G)), complex)
+    S, item = buf.strides[0], buf.itemsize
+    for ell, g in enumerate(G):
+        d, _, t = g.shape
+        np.copyto(np.ndarray((d, B, reps, t), complex, buf,
+                             (L + ell * ell) * S,
+                             (S, reps * t * item, t * item, item)),
+                  g[:, :, None, :])
+    return buf
 
 
 def cg_output_type(tau: ActivationType,
@@ -207,7 +239,7 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
     if policy != NetworkSpec.pair_policy:
         raise ValueError(f"pair policy {policy!r} is not unordered")
     return int(sum(
-        np.count_nonzero(_pair_table(l1, l2, ells)[0])
+        np.count_nonzero(_pair_table(l1, l2, ells))
         * tau.tau[l1] * tau.tau[l2]
         for l1, l2, ells, _ in _cg_layout(tau, out_ell_max)[1]))
 
@@ -217,29 +249,43 @@ def cg_nonlinearity(F: CovariantActivation,
     """Tensor-product nonlinearity: all pairwise Kronecker products,
     decomposed into irreducible fragments by the CG selection rule.
 
-    Per pair (l1, l2), output m only reads the rows with m1 + m2 = m: one
-    gather of the l2 factor's rows, one Kronecker product and one batched
-    matmul over m with ``_pair_table``.  Output blocks of one degree sit
-    side by side in pair order (l1 ascending, then l2), as ``_cg_layout``
-    places them; each degree's output is allocated once, m-major, and every
-    pair writes its blocks straight into their columns.
+    Per pair (l1, l2), output m only reads the rows with m1 + m2 = m.  The
+    call stacks every degree's rows, each repeated along t1, in one
+    ``_row_buffer``, so a pair's l2 rows m - m1 are one strided view of it
+    with no gather; the l1 factor, repeated along t2, is built once per
+    run of pairs sharing (l1, t2).  The Kronecker product is then one
+    multiply of two operands whose (B, t1, t2) blocks are contiguous,
+    followed by one batched matmul over m with ``_pair_table``.  Output
+    blocks of one degree sit side by side in pair order (l1 ascending,
+    then l2), as ``_cg_layout`` places them; each degree's output is
+    allocated once, m-major, and every pair writes its blocks straight
+    into their columns.
     """
-    out_type, pairs = _cg_layout(F.type, out_ell_max)
-    B = F.batch_size
+    tau, B, L = F.type, F.batch_size, F.bandlimit
+    out_type, pairs = _cg_layout(tau, out_ell_max)
     G = F.m_major
     out = [np.empty((2 * ell + 1, B, w), dtype=complex)
            for ell, w in enumerate(out_type.tau)]
-    kron_ws, y_ws = _workspaces(F, out_ell_max)
+    kron_ws, y_ws = _workspaces(tau, B, out_ell_max)
+    tmax = max(tau.tau)
+    rows = _row_buffer(G, tmax)
+    S, item = rows.strides[0], rows.itemsize
+    run = None
     for l1, l2, ells, starts in pairs:
-        table, rows = _pair_table(l1, l2, ells)
+        table = _pair_table(l1, l2, ells)
         M, d1 = ells[-1], 2 * l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
         n = t1 * t2
+        if run != (l1, t2):
+            run = (l1, t2)
+            G1 = G[l1].repeat(t2, axis=2).reshape(d1, B, t1, t2)
         # kron[m, k, b, i, j] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1;
         # the real table then acts on its re/im float view
-        np.multiply(G[l1][..., None], G[l2].take(rows, axis=0)[..., None, :],
-                    out=np.ndarray((2 * M + 1, d1, B, t1, t2), complex,
-                                   kron_ws))
+        G2 = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, rows,
+                        (L + l2 * l2 + l1 + l2 - M) * S,
+                        (S, -S, tmax * t2 * item, t2 * item, item))
+        np.multiply(G1, G2, out=np.ndarray((2 * M + 1, d1, B, t1, t2),
+                                           complex, kron_ws))
         np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
                   out=np.ndarray((2 * M + 1, len(ells), 2 * B * n), float,
                                  y_ws))

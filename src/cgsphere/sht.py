@@ -7,7 +7,8 @@ for each order m one matrix of orthonormal Legendre values over theta,
 built from ``so3.legendre`` once per (b, L) and kept in a small bounded
 memo of read-only arrays, O(L^2 b) floats each.  Quadrature
 uses the closed-form Driscoll-Healy weights, which integrate band-limited
-functions exactly.
+functions exactly; the forward transform keeps them, scaled, in a
+bounded memo per b.
 
 Signal files use the SPH1 binary format: magic ``SPH1``, then bandwidth b
 and channel count as little-endian uint32, then interleaved real/imag
@@ -103,6 +104,16 @@ def _colatitude_factors(b: int, L: int) -> np.ndarray:
     return q
 
 
+@lru_cache(maxsize=4)
+def _weight_column(b: int) -> np.ndarray:
+    """Read-only (2b, 1) column (pi/b) w_j of ``quadrature_weights(b)``,
+    which ``forward_sht`` scales every call's FFT by.  Memoized for the
+    last few grids."""
+    w = (np.pi / b) * quadrature_weights(b)[:, None]
+    w.flags.writeable = False
+    return w
+
+
 def forward_sht(signal: SphericalSignal, L: int) -> HarmonicCoefficients:
     """Project a grid signal onto Y_l^m for l <= L.
 
@@ -113,7 +124,7 @@ def forward_sht(signal: SphericalSignal, L: int) -> HarmonicCoefficients:
         raise ValueError(f"bandlimit L={L} must be below grid bandwidth b={b}")
     # g[c, j, m] = (pi/b) w_j sum_k f_c(theta_j, phi_k) e^{-i m phi_k}
     g = np.fft.fft(signal.samples, axis=-1)[..., np.arange(-L, L + 1)]
-    g *= (np.pi / b) * quadrature_weights(b)[:, None]
+    g *= _weight_column(b)
     g = np.ascontiguousarray(g.transpose(2, 1, 0))
     flat = (_colatitude_factors(b, L) @ g.view(float)).view(complex)  # [m, l, c]
     return HarmonicCoefficients(

@@ -10,6 +10,9 @@ batched ``data.generate_split`` must reproduce byte for byte;
 one-draw-per-block templates and the one-eigh-per-call little-d that
 ``data.class_templates`` and ``so3.wigner_d_small`` must reproduce byte
 for byte;
+``cg_nonlinearity_gather`` and ``backward_cg_gather``, the CG kernel and
+its adjoint with a row gather per pair, which the strided-view kernels
+must reproduce byte for byte (the adjoint to rounding at B=1);
 ``loss_and_grad_unfused``, the training step with a normalized copy of
 every CG output and its wide cotangent; and ``audit_two_forwards``, the
 audit with one forward pass per input.
@@ -20,6 +23,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from cgsphere import network
 from cgsphere.data import Dataset, class_templates
 from cgsphere.gradients import (HeadWeights, NetworkWeights, backward_cg,
                                 backward_linear)
@@ -157,6 +161,77 @@ def dense_cg_transform(fragments, pairs, out_blocks, out_ell_max):
         else np.zeros((B, 2 * ell + 1, 0), dtype=complex)
         for ell, blocks in enumerate(out)
     ]
+
+
+def _gathered_rows(l1, l2, M):
+    """rows[m + M, m1 + l1] = m - m1 + l2, clipped into degree l2's rows
+    where no m2 is valid (the CG table is zero there)."""
+    return np.clip(np.arange(-M, M + 1)[:, None] - np.arange(2 * l1 + 1)
+                   + l1 + l2, 0, 2 * l2)
+
+
+def cg_nonlinearity_gather(F, out_ell_max=None):
+    """``network.cg_nonlinearity`` with one row gather (``take``) of the l2
+    factor per pair and a broadcast Kronecker product, as the kernel did
+    before it read the rows through one strided view."""
+    out_type, pairs = network._cg_layout(F.type, out_ell_max)
+    B = F.batch_size
+    G = F.m_major
+    out = [np.empty((2 * ell + 1, B, w), dtype=complex)
+           for ell, w in enumerate(out_type.tau)]
+    kron_ws, y_ws = network._workspaces(F.type, B, out_ell_max)
+    for l1, l2, ells, starts in pairs:
+        table = network._pair_table(l1, l2, ells)
+        M, d1 = ells[-1], 2 * l1 + 1
+        t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        n = t1 * t2
+        rows = _gathered_rows(l1, l2, M)
+        np.multiply(G[l1][..., None], G[l2].take(rows, axis=0)[..., None, :],
+                    out=np.ndarray((2 * M + 1, d1, B, t1, t2), complex,
+                                   kron_ws))
+        np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
+                  out=np.ndarray((2 * M + 1, len(ells), 2 * B * n), float,
+                                 y_ws))
+        y = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
+        for i, (l, c) in enumerate(zip(ells, starts)):
+            out[l][:, :, c:c + n] = y[M - l:M + l + 1, i]
+    return CovariantActivation.from_m_major(F.bandlimit, out)
+
+
+def backward_cg_gather(G_bar, F, mixes, out_ell_max=None):
+    """``gradients.backward_cg`` with an m-major cotangent workspace filled
+    by one batched matmul per (pair, degree) over m, and one row gather of
+    the conjugate l2 factor per pair, as the adjoint did before it read
+    the rows through one strided view."""
+    B = F.batch_size
+    G = F.m_major
+    Gb = [np.ascontiguousarray(a.transpose(1, 0, 2)) for a in G_bar]
+    _, pairs = network._cg_layout(F.type, out_ell_max)
+    F_bar = [np.zeros_like(g) for g in G]
+    k_ws, y_ws = network._workspaces(F.type, B, out_ell_max)
+    for l1, l2, ells, starts in pairs:
+        table = network._pair_table(l1, l2, ells)
+        M, d1 = ells[-1], 2 * l1 + 1
+        t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        n = t1 * t2
+        y_bar = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
+        for i, (l, c) in enumerate(zip(ells, starts)):
+            y_bar[:M - l, i] = 0.0
+            np.matmul(Gb[l], mixes[l][c:c + n].conj().T,
+                      out=y_bar[M - l:M + l + 1, i])
+            y_bar[M + l + 1:, i] = 0.0
+        np.matmul(table.transpose(0, 2, 1),
+                  np.ndarray((2 * M + 1, len(ells), 2 * B * n), float, y_ws),
+                  out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
+        k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
+        G2 = G[l2].take(_gathered_rows(l1, l2, M), axis=0).conj()
+        F_bar[l1] += (k_bar @ G2[..., None]).sum(axis=0)[..., 0]
+        g2_bar = (G[l1].conj()[:, :, None, :] @ k_bar)[..., 0, :]
+        c = l1 + l2 - M  # rows[j, k] = j - k + c: one run of rows per k
+        for k in range(d1):
+            lo, hi = max(0, k - c), min(2 * M + 1, k - c + 2 * l2 + 1)
+            F_bar[l2][lo - k + c:hi - k + c] += g2_bar[lo:hi, k]
+    return [f.transpose(1, 0, 2) for f in F_bar]
 
 
 def synthesize_at(coeff_blocks, theta, phi, harmonic):

@@ -212,6 +212,49 @@ def test_config_with_bad_training_value_exits_one(workspace, capsys, tmp_path,
     assert not (tmp_path / "d").exists() and not (tmp_path / "r").exists()
 
 
+def test_config_error_names_the_file(workspace, capsys, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CFG.replace("steps = 30", "seed = -1"))
+    assert main(["gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "d")]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: {cfg}: seed must be at least 0, got -1\n"
+
+
+def checkpoint_with_nan_weight(workspace, tmp_path):
+    """A copy of the trained checkpoint whose first stored weight (layer 1,
+    degree 0) has a NaN real part."""
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    for path in workspace["ckpt"].iterdir():
+        (ckpt / path.name).write_bytes(path.read_bytes())
+    blob = bytearray((ckpt / "weights.bin").read_bytes())
+    blob[:8] = np.array(np.nan, dtype="<f8").tobytes()
+    (ckpt / "weights.bin").write_bytes(bytes(blob))
+    return ckpt
+
+
+def test_audit_fails_on_non_finite_weight(workspace, capsys, tmp_path):
+    ckpt = checkpoint_with_nan_weight(workspace, tmp_path)
+    code = main(["audit", "--checkpoint", str(ckpt), "--trials", "3"])
+    out = capsys.readouterr().out
+    assert code == EXIT_AUDIT
+    assert "AUDIT FAILED (non-finite error; tolerance" in out
+    assert "audit passed" not in out
+    weights, norm_states, _, _ = load_checkpoint(ckpt)
+    assert all(np.isnan(audit_equivariance(weights, norm_states, 3)))
+
+
+def test_eval_fails_on_non_finite_weight(workspace, capsys, tmp_path):
+    ckpt = checkpoint_with_nan_weight(workspace, tmp_path)
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(workspace["data"] / "test")])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERIC
+    assert captured.err == "numeric failure: non-finite logits for example 0\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("corrupt", [None, (1, 1, 1, 0)])
 def test_audit_batch_of_two_matches_two_forwards(workspace, corrupt):
     weights, norms, _, _ = load_checkpoint(workspace["ckpt"])

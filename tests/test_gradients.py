@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cgsphere import network
 from cgsphere.gradients import (
     NumericError,
     backward_cg,
@@ -246,6 +247,65 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
            backward_cg(H_bar, F, identity_mixes(F)))
     for a, b in zip(want[0] + want[1], got[0] + got[1]):
         np.testing.assert_array_equal(a, b)
+
+
+def kernel_taus(L):
+    """Uniform, non-uniform and zero-width fragment counts at degree L:
+    (2, ..., 2) (or 1s at L=16), and (2, 1, 1, 2) and (2, 0, 2, 1) repeated
+    to length L + 1."""
+    return [((1 if L == 16 else 2),) * (L + 1),
+            tuple(np.resize((2, 1, 1, 2), L + 1)),
+            tuple(np.resize((2, 0, 2, 1), L + 1))]
+
+
+@pytest.mark.parametrize("L, batch", [
+    (L, batch) for L in (0, 1, 5, 8) for batch in (1, 2, 32)]
+    + [(16, 1), (16, 2)])
+def test_cg_kernels_match_row_gather_oracles(L, batch):
+    """Both strided-view kernels give the row-gather kernels' bytes for
+    every cap (B=32 stops at L=8 to keep the suite fast).  At B=1 the
+    oracle adjoint's per-m cotangent products are vector-matrix products,
+    which numpy hands to BLAS gemv rather than to the gemm that one
+    (2l+1)-row product uses; the two agree to rounding."""
+    rng = np.random.default_rng(L * 100 + batch)
+    for tau in kernel_taus(L):
+        F = random_activation(L, tau, batch=batch, rng=rng)
+        G_bar = [rng.standard_normal((batch, 2 * ell + 1, 2))
+                 + 1j * rng.standard_normal((batch, 2 * ell + 1, 2))
+                 for ell in range(L + 1)]
+        for cap in range(L + 1):
+            got = cg_nonlinearity(F, cap).m_major
+            want = oracles.cg_nonlinearity_gather(F, cap).m_major
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            mixes = random_like([np.empty((w, 2)) for w in
+                                 cg_output_type(F.type, cap).tau], rng)
+            got = backward_cg(G_bar, F, mixes, cap)
+            want = oracles.backward_cg_gather(G_bar, F, mixes, cap)
+            for g, w in zip(got, want, strict=True):
+                if batch == 1:
+                    np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13)
+                else:
+                    assert np.array_equal(g, w)
+
+
+def test_band_cg_call_allocates_only_its_buffers():
+    """A band layer-1 CG call (L=8, tau=8, B=32) peaks at no more than its
+    output, its two workspaces and its two factor buffers, plus 1 MB."""
+    L, t, B = 8, 8, 32
+    F = random_activation(L, (t,) * (L + 1), batch=B)
+    cg_nonlinearity(F)  # builds the memoized CG tables outside the measurement
+    tracemalloc.start()
+    try:
+        cg_nonlinearity(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = B * sum((2 * ell + 1) * w
+                  for ell, w in enumerate(cg_output_type(F.type).tau))
+    workspaces = B * sum(network._workspace_sizes(F.type, None))
+    rows = ((L + 1) ** 2 + 2 * L) * B * t * t
+    repeated_l1 = (2 * L + 1) * B * t * t
+    assert peak <= 16 * (out + workspaces + rows + repeated_l1) + 2 ** 20
 
 
 # --- full network gradient ---

@@ -229,7 +229,7 @@ def test_kernel_tables_follow_the_cost_model(text):
     spec = parse_config(text).network_spec()
     for s in range(spec.n_layers):
         tau, cap = spec._layer_cg(s)
-        stored = sum(network._pair_table(l1, l2, ells)[0].size
+        stored = sum(network._pair_table(l1, l2, ells).size
                      * tau.tau[l1] * tau.tau[l2]
                      for l1, l2, ells, _ in network._cg_layout(tau, cap)[1])
         assert stored <= 2.5 * cg_madd_count(tau, NetworkSpec.pair_policy,

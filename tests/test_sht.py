@@ -211,6 +211,18 @@ def test_colatitude_memo_is_bounded_and_read_only():
     assert np.array_equal(sht._colatitude_factors(8, 5), q)
 
 
+def test_weight_memo_is_bounded_and_read_only():
+    assert sht._weight_column.cache_info().maxsize == 4
+    sht._weight_column.cache_clear()
+    w = sht._weight_column(8)
+    assert sht._weight_column(8) is w
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    assert np.array_equal(w, (np.pi / 8) * quadrature_weights(8)[:, None])
+    fresh = quadrature_weights(8)
+    assert fresh.flags.writeable and quadrature_weights(8) is not fresh
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         SphericalSignal(4, np.zeros((1, 7, 8)))
