@@ -11,6 +11,7 @@ from .network import (
     CovariantActivation,
     NetworkSpec,
     NormState,
+    backward_cg,
     cg_nonlinearity,
     covariant_linear,
     covariant_normalize,
@@ -21,7 +22,6 @@ from .network import (
 from .gradients import (
     NetworkWeights,
     NumericError,
-    backward_cg,
     backward_linear,
     init_weights,
     loss_and_grad,
@@ -39,7 +39,6 @@ from .so3 import (
     EulerAngles,
     WignerD,
     cg_block,
-    clebsch_gordan_coeff,
     random_rotation,
     spherical_harmonic,
     wigner_D,
@@ -53,7 +52,7 @@ __all__ = [
     "NetworkSpec", "NetworkWeights", "NormState", "NumericError",
     "SphericalSignal", "WignerD", "adam_step", "backward_cg",
     "backward_linear", "cg_block", "cg_nonlinearity",
-    "clebsch_gordan_coeff", "covariant_linear", "covariant_normalize",
+    "covariant_linear", "covariant_normalize",
     "forward_sht", "init_weights", "invariant_features", "inverse_sht",
     "loss_and_grad", "network_forward", "random_rotation",
     "rotate_coefficients", "spherical_harmonic", "tau_schedule",

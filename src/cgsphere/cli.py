@@ -72,6 +72,23 @@ def _check_labels(dataset: Dataset, n_classes: int, prefix) -> None:
             f"below the model's class count {n_classes}")
 
 
+def _check_resume(cfg, config_path, weights, ckpt) -> None:
+    """Raise a ``ConfigError`` naming both files and the first field where
+    the config's network, classes or hidden width differ from the
+    checkpoint's."""
+    spec, head = weights.spec, weights.head
+    for name, ours, theirs in (
+            ("bandlimit", cfg.bandlimit, spec.bandlimit),
+            ("layers", cfg.layers, spec.n_layers),
+            ("tau", cfg.network_spec().layer_types, spec.layer_types),
+            ("classes", cfg.classes, head.b2.shape[0]),
+            ("hidden", cfg.hidden, head.b1.shape[0])):
+        if ours != theirs:
+            raise ConfigError(
+                f"{config_path}: {name} = {getattr(cfg, name)} does not "
+                f"match the network of {Path(ckpt) / 'model.manifest'}")
+
+
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -110,6 +127,7 @@ def cmd_train(args) -> int:
         weights, norm_states, adam, _ = load_checkpoint(args.resume)
         if adam is None:
             raise ValueError(f"checkpoint {args.resume} has no optimizer state")
+        _check_resume(cfg, args.config, weights, args.resume)
     else:
         spec = cfg.network_spec()
         weights = init_weights(spec, cfg.classes, cfg.hidden, seed=cfg.seed)

@@ -9,6 +9,8 @@ contracts each factor's cotangent with the conjugate of the other factor.
 Normalization statistics are treated as constants during backpropagation:
 the backward pass folds the same ``NormState`` denominators into the mixes
 as the forward pass (``NormState.fold``), which nothing changes in between.
+The adjoint of a CG product and its mix, ``backward_cg``, lives beside the
+forward kernel in ``network``, which alone knows the CG table layout.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ import numpy as np
 from .network import (
     CovariantActivation,
     NetworkSpec,
+    backward_cg,
     layer_out_ell_max,
     network_forward,
-    _cg_layout,
-    _pair_table,
-    _row_buffer,
-    _workspaces,
 )
 # the forward stages stay reachable through this module too
 from .network import cg_nonlinearity, covariant_normalize  # noqa: F401
@@ -95,12 +94,6 @@ def init_weights(spec: NetworkSpec, n_out: int, hidden: int = 64,
 
 # --- elementary adjoints ---
 
-def _m_major(arrays: list) -> list:
-    """(2l+1, B, tau) C-contiguous copies of (B, 2l+1, tau) arrays; no copy
-    for the transposed views ``CovariantActivation.fragments`` returns."""
-    return [np.ascontiguousarray(a.transpose(1, 0, 2)) for a in arrays]
-
-
 def backward_linear(G_bar: list, F: CovariantActivation, weights: list):
     """Adjoint of the per-degree mix G_l = F_l W_l.
 
@@ -110,8 +103,8 @@ def backward_linear(G_bar: list, F: CovariantActivation, weights: list):
     cotangent rather than the wide activation.  Returns (F_bar fragments,
     W_bar list); the F_bar arrays are views of m-major arrays.
     """
-    F_bar, W_bar = [], []
-    for ell, (g, f, w) in enumerate(zip(_m_major(G_bar), F.m_major, weights)):
+    G, F_bar, W_bar = CovariantActivation(F.bandlimit, G_bar).m_major, [], []
+    for ell, (g, f, w) in enumerate(zip(G, F.m_major, weights)):
         if w.shape != (f.shape[2], g.shape[2]):
             raise ValueError(f"adjoint shape mismatch at l={ell}")
         d, B, t = f.shape
@@ -119,61 +112,6 @@ def backward_linear(G_bar: list, F: CovariantActivation, weights: list):
         F_bar.append((g2 @ w.conj().T).reshape(f.shape).transpose(1, 0, 2))
         W_bar.append((g2.conj().T @ f.reshape(d * B, t)).conj().T)
     return F_bar, W_bar
-
-
-def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
-                out_ell_max: int | None = None) -> list:
-    """Adjoint of the CG nonlinearity followed by the mix G_l = H_l V_l
-    (identity mixes give the CG adjoint alone); mirrors the forward column
-    order exactly.  Self-pairs accumulate both branch gradients.
-
-    Per pair and degree, G_bar_l V_l^H on the pair's columns is one 2-D
-    matmul over the (2l+1)*B rows, written straight into the degree-major
-    (#ells, 2M+1, B, n) workspace, whose transposed view the transposed
-    ``_pair_table`` maps back to the Kronecker rows (m, m1).  Each
-    factor's cotangent is then a batched mat-vec with the other factor's
-    conjugate: the conjugate l2 rows m - m1 are one strided view of a
-    ``_row_buffer`` built once per call, as in the forward kernel.  The l1
-    cotangent is summed over m, and the l2 cotangent is added back to its
-    rows m2 = m - m1 in one slice per m1.  Returns m-major views.
-    """
-    tau, B, L = F.type, F.batch_size, F.bandlimit
-    G, Gb = F.m_major, _m_major(G_bar)
-    out_type, pairs = _cg_layout(tau, out_ell_max)
-    if [len(v) for v in mixes] != list(out_type.tau):
-        raise ValueError("mixes do not match the CG output widths")
-    F_bar = [np.zeros_like(g) for g in G]
-    k_ws, y_ws = _workspaces(tau, B, out_ell_max)
-    rows = _row_buffer(G, 1)
-    np.conjugate(rows, out=rows)
-    S, item = rows.strides[0], rows.itemsize
-    for l1, l2, ells, starts in pairs:
-        table = _pair_table(l1, l2, ells)
-        M, d1 = ells[-1], 2 * l1 + 1
-        t1, t2 = G[l1].shape[2], G[l2].shape[2]
-        n = t1 * t2
-        y_bar = np.ndarray((len(ells), 2 * M + 1, B, n), complex, y_ws)
-        for i, (l, c) in enumerate(zip(ells, starts)):
-            y_bar[i, :M - l] = 0.0
-            np.matmul(Gb[l].reshape((2 * l + 1) * B, -1),
-                      mixes[l][c:c + n].conj().T,
-                      out=y_bar[i, M - l:M + l + 1].reshape(-1, n))
-            y_bar[i, M + l + 1:] = 0.0
-        np.matmul(table.transpose(0, 2, 1),
-                  np.ndarray((len(ells), 2 * M + 1, 2 * B * n), float,
-                             y_ws).transpose(1, 0, 2),
-                  out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
-        k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
-        G2 = np.ndarray((2 * M + 1, d1, B, t2, 1), complex, rows,
-                        (L + l2 * l2 + l1 + l2 - M) * S,
-                        (S, -S, t2 * item, item, item))
-        F_bar[l1] += (k_bar @ G2).sum(axis=0)[..., 0]
-        g2_bar = (G[l1].conj()[:, :, None, :] @ k_bar)[..., 0, :]
-        c = l1 + l2 - M  # [m + M, m1 + l1] reads row m2 + l2 = j - k + c
-        for k in range(d1):
-            lo, hi = max(0, k - c), min(2 * M + 1, k - c + 2 * l2 + 1)
-            F_bar[l2][lo - k + c:hi - k + c] += g2_bar[lo:hi, k]
-    return [f.transpose(1, 0, 2) for f in F_bar]
 
 
 # --- tape-recorded network forward/backward ---
@@ -273,7 +211,7 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
         # complex gradients through their float64 view
         g_layers[s] = [np.ascontiguousarray(w) for w in norm_states[s].fold([
             (g.reshape(len(g) * B, -1).conj().T @ h.reshape(len(h) * B, -1))
-            .conj().T for g, h in zip(_m_major(G_bar),
+            .conj().T for g, h in zip(CovariantActivation(L, G_bar).m_major,
                                       tape.cg_outputs[s].m_major)])]
         tape.cg_outputs[s] = None  # nothing reads it again; free it before CG
         if s == 0:

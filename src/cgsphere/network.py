@@ -1,4 +1,5 @@
-"""Forward pass of the fully-Fourier covariant spherical network.
+"""Forward pass of the fully-Fourier covariant spherical network, and the
+adjoint of its CG product.
 
 Activations live entirely in Fourier space: a batch of activations is one
 complex array per degree l, of shape (batch, 2l+1, tau_l), stored m-major
@@ -7,12 +8,15 @@ transforming as v -> D^l(R) v under input rotation.
 A layer applies the Clebsch-Gordan tensor-product nonlinearity, a covariant
 fragment normalization, and a learnable per-degree linear mix.  The network
 output is the invariant feature vector built from all l=0 fragments.
+Both CG kernels, ``cg_nonlinearity`` and its adjoint ``backward_cg``, read
+one frozen ``CGPlan`` per (input type, degree cap), so no other module
+knows the CG table layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -101,7 +105,7 @@ class CovariantActivation:
         ])
 
 
-# --- Clebsch-Gordan pair bookkeeping ---
+# --- Clebsch-Gordan product plans ---
 
 def cg_pairs(L: int):
     """Degree pairs entering the tensor-product nonlinearity, l1 <= l2
@@ -109,17 +113,57 @@ def cg_pairs(L: int):
     return [(l1, l2) for l1 in range(L + 1) for l2 in range(l1, L + 1)]
 
 
-@lru_cache(maxsize=256)
-def _cg_layout(tau: ActivationType, out_ell_max: int | None):
-    """Where the CG product of an activation of type ``tau`` puts its output.
+@dataclass(frozen=True)
+class CGPair:
+    """A pair (l1, l2) that produces output: its block of degree ``ells[i]``
+    fills the columns ``starts[i]`` to ``starts[i] + n``, n = tau_l1 tau_l2;
+    M = ``ells[-1]`` is its top degree, and ``row0`` = L + l2^2 + l1 + l2 - M
+    the first ``_row_buffer`` row of its l2 view."""
 
-    Returns the post-CG type and, for each pair that produces output (a
-    tuple, memoized per argument pair),
-    ``(l1, l2, ells, starts)``: the pair's block of degree ``ells[i]``
-    fills columns ``starts[i]`` to ``starts[i] + tau_l1 * tau_l2``.  Blocks
-    of one degree sit side by side in pair order (l1 ascending, then l2).
-    Bookkeeping only: no CG table is built.
+    l1: int
+    l2: int
+    ells: tuple
+    starts: tuple
+    n: int
+    M: int
+    row0: int
+
+
+@dataclass(frozen=True)
+class CGPlan:
+    """What the CG product of one activation type and degree cap reads and
+    writes: the post-CG type, the producing pairs in column order (l1
+    ascending, then l2; blocks of one degree sit side by side), and the
+    per-example complex lengths of the two workspaces, the largest pair's
+    Kronecker rows and its per-m table product.  ``_cg_plan`` builds one
+    per (type, cap), and building it builds no CG table.
     """
+
+    out_type: ActivationType
+    pairs: tuple
+    kron_size: int
+    y_size: int
+
+    @cached_property
+    def tables(self) -> tuple:
+        """Each pair's read-only CG table, taken on first use from the
+        memo that every plan with the pair shares."""
+        return tuple(_pair_table(p.l1, p.l2, p.ells) for p in self.pairs)
+
+    def workspaces(self, B: int) -> tuple:
+        """Two complex buffers that fit every pair's Kronecker rows and
+        per-m table product for a batch of B.  Every pair of one call
+        reuses them, so the call touches fresh memory once rather than once
+        per pair; a pair views their leading elements through
+        ``np.ndarray(shape, dtype, buffer)``."""
+        return (np.empty(self.kron_size * B, complex),
+                np.empty(self.y_size * B, complex))
+
+
+@lru_cache(maxsize=256)
+def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
+    """The memoized ``CGPlan`` of the CG product of an activation of type
+    ``tau`` keeping degrees up to ``out_ell_max`` (None: all)."""
     L = tau.bandlimit
     if out_ell_max is None:
         out_ell_max = L
@@ -130,10 +174,15 @@ def _cg_layout(tau: ActivationType, out_ell_max: int | None):
         ells = tuple(range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1))
         if n == 0 or not ells:
             continue
-        pairs.append((l1, l2, ells, tuple(widths[l] for l in ells)))
+        M = ells[-1]
+        pairs.append(CGPair(l1, l2, ells, tuple(widths[l] for l in ells), n,
+                            M, L + l2 * l2 + l1 + l2 - M))
         for l in ells:
             widths[l] += n
-    return ActivationType(tuple(widths)), tuple(pairs)
+    return CGPlan(
+        ActivationType(tuple(widths)), tuple(pairs),
+        max(((2 * p.M + 1) * p.n * (2 * p.l1 + 1) for p in pairs), default=0),
+        max(((2 * p.M + 1) * p.n * len(p.ells) for p in pairs), default=0))
 
 
 _PAIR_CACHE: dict = {}
@@ -143,23 +192,25 @@ _CORRUPTION: dict = {}
 def corrupt_cg_entry(ell1: int, ell2: int, ell: int, index: int = 0) -> None:
     """Negate one stored CG coefficient (test-sensitivity hook).
 
-    Affects all tables built afterwards; call ``clear_cg_corruption`` to
-    restore.
+    Affects all tables built afterwards, and drops every table and every
+    plan that holds one; call ``clear_cg_corruption`` to restore.
     """
     _CORRUPTION[(ell1, ell2, ell)] = index
     _PAIR_CACHE.clear()
+    _cg_plan.cache_clear()
 
 
 def clear_cg_corruption() -> None:
     _CORRUPTION.clear()
     _PAIR_CACHE.clear()
+    _cg_plan.cache_clear()
 
 
 def _pair_table(ell1: int, ell2: int, ells: tuple) -> np.ndarray:
     """Memoized ``cg_table(ell1, ell2, ells)`` of pair (ell1, ell2) for
-    degrees ``ells``, whose corrupted block (l, idx) has the idx-th nonzero
-    of ``table[:, i]`` in (m, then m1) order,
-    ``cg_block(ell1, ell2, l).entries[idx]``, negated."""
+    degrees ``ells``, shared by every plan with that pair, whose corrupted
+    block (l, idx) has the idx-th nonzero of ``table[:, i]`` in (m, then m1)
+    order, ``cg_block(ell1, ell2, l).entries[idx]``, negated.  Read-only."""
     key = (ell1, ell2, ells)
     if key not in _PAIR_CACHE:
         table = cg_table(ell1, ell2, ells)
@@ -169,30 +220,9 @@ def _pair_table(ell1: int, ell2: int, ells: tuple) -> np.ndarray:
                 m, k = np.nonzero(table[:, i])
                 j = _CORRUPTION[(ell1, ell2, l)] % m.size
                 table[m[j], i, k[j]] *= -1.0
+                table.flags.writeable = False
         _PAIR_CACHE[key] = table
     return _PAIR_CACHE[key]
-
-
-@lru_cache(maxsize=256)
-def _workspace_sizes(tau: ActivationType, out_ell_max: int | None) -> tuple:
-    """Per-example complex lengths of ``_workspaces``' two buffers: the
-    largest pair's Kronecker rows and its per-m table product."""
-    sizes = [((2 * ells[-1] + 1) * tau.tau[l1] * tau.tau[l2], 2 * l1 + 1,
-              len(ells)) for l1, l2, ells, _ in _cg_layout(tau, out_ell_max)[1]]
-    return (max((n * d1 for n, d1, _ in sizes), default=0),
-            max((n * k for n, _, k in sizes), default=0))
-
-
-def _workspaces(tau: ActivationType, B: int,
-                out_ell_max: int | None) -> tuple:
-    """Two complex buffers that fit every pair's Kronecker rows and per-m
-    table product for a batch of B activations of type ``tau``, sized by
-    ``_workspace_sizes`` (memoized per type and cap).  Every pair of one
-    call reuses them, so the call touches fresh memory once rather than
-    once per pair; a pair views their leading elements through
-    ``np.ndarray(shape, dtype, buffer)``."""
-    kron, y = _workspace_sizes(tau, out_ell_max)
-    return np.empty(kron * B, complex), np.empty(y * B, complex)
 
 
 def _row_buffer(G: list, reps: int) -> np.ndarray:
@@ -203,7 +233,7 @@ def _row_buffer(G: list, reps: int) -> np.ndarray:
 
     With row stride S, the rows m - m1 + l2 of degree l2 that a pair
     (l1, l2) with top degree M reads at [m + M, m1 + l1] are one view at
-    offset (L + l2^2 + l1 + l2 - M) S with strides (S, -S, ...).  Entries
+    offset ``CGPair.row0`` * S with strides (S, -S, ...).  Entries
     (m, m1) with no valid m2 read a zero row or a neighbouring degree's
     finite row, which the CG table weighs by zero.  With M <= L and
     l1 <= l2 every row read lies inside the buffer, and ``np.ndarray``
@@ -225,7 +255,7 @@ def _row_buffer(G: list, reps: int) -> np.ndarray:
 def cg_output_type(tau: ActivationType,
                    out_ell_max: int | None = None) -> ActivationType:
     """Fragment counts after the CG nonlinearity (before linear mixing)."""
-    return _cg_layout(tau, out_ell_max)[0]
+    return _cg_plan(tau, out_ell_max).out_type
 
 
 def cg_madd_count(tau: ActivationType, policy: str = "unordered",
@@ -238,10 +268,9 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
     """
     if policy != NetworkSpec.pair_policy:
         raise ValueError(f"pair policy {policy!r} is not unordered")
-    return int(sum(
-        np.count_nonzero(_pair_table(l1, l2, ells))
-        * tau.tau[l1] * tau.tau[l2]
-        for l1, l2, ells, _ in _cg_layout(tau, out_ell_max)[1]))
+    plan = _cg_plan(tau, out_ell_max)
+    return int(sum(np.count_nonzero(table) * p.n
+                   for p, table in zip(plan.pairs, plan.tables)))
 
 
 def cg_nonlinearity(F: CovariantActivation,
@@ -255,44 +284,91 @@ def cg_nonlinearity(F: CovariantActivation,
     with no gather; the l1 factor, repeated along t2, is built once per
     run of pairs sharing (l1, t2).  The Kronecker product is then one
     multiply of two operands whose (B, t1, t2) blocks are contiguous,
-    followed by one batched matmul over m with ``_pair_table``.  Output
-    blocks of one degree sit side by side in pair order (l1 ascending,
-    then l2), as ``_cg_layout`` places them; each degree's output is
-    allocated once, m-major, and every pair writes its blocks straight
-    into their columns.
+    followed by one batched matmul over m with the pair's table.  Each
+    degree's output is allocated once, m-major, and every pair writes its
+    blocks straight into the columns its ``CGPlan`` gives them.
     """
-    tau, B, L = F.type, F.batch_size, F.bandlimit
-    out_type, pairs = _cg_layout(tau, out_ell_max)
-    G = F.m_major
+    tau, B, G = F.type, F.batch_size, F.m_major
+    plan = _cg_plan(tau, out_ell_max)
     out = [np.empty((2 * ell + 1, B, w), dtype=complex)
-           for ell, w in enumerate(out_type.tau)]
-    kron_ws, y_ws = _workspaces(tau, B, out_ell_max)
+           for ell, w in enumerate(plan.out_type.tau)]
+    kron_ws, y_ws = plan.workspaces(B)
     tmax = max(tau.tau)
     rows = _row_buffer(G, tmax)
     S, item = rows.strides[0], rows.itemsize
     run = None
-    for l1, l2, ells, starts in pairs:
-        table = _pair_table(l1, l2, ells)
-        M, d1 = ells[-1], 2 * l1 + 1
-        t1, t2 = G[l1].shape[2], G[l2].shape[2]
-        n = t1 * t2
+    for p, table in zip(plan.pairs, plan.tables):
+        l1, M, n, d1 = p.l1, p.M, p.n, 2 * p.l1 + 1
+        t1, t2 = G[l1].shape[2], G[p.l2].shape[2]
         if run != (l1, t2):
             run = (l1, t2)
             G1 = G[l1].repeat(t2, axis=2).reshape(d1, B, t1, t2)
         # kron[m, k, b, i, j] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1;
         # the real table then acts on its re/im float view
         G2 = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, rows,
-                        (L + l2 * l2 + l1 + l2 - M) * S,
-                        (S, -S, tmax * t2 * item, t2 * item, item))
+                        p.row0 * S, (S, -S, tmax * t2 * item, t2 * item, item))
         np.multiply(G1, G2, out=np.ndarray((2 * M + 1, d1, B, t1, t2),
                                            complex, kron_ws))
         np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
-                  out=np.ndarray((2 * M + 1, len(ells), 2 * B * n), float,
+                  out=np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float,
                                  y_ws))
-        y = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
-        for i, (l, c) in enumerate(zip(ells, starts)):
+        y = np.ndarray((2 * M + 1, len(p.ells), B, n), complex, y_ws)
+        for i, (l, c) in enumerate(zip(p.ells, p.starts)):
             out[l][:, :, c:c + n] = y[M - l:M + l + 1, i]
     return CovariantActivation.from_m_major(F.bandlimit, out)
+
+
+def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
+                out_ell_max: int | None = None) -> list:
+    """Adjoint of the CG nonlinearity followed by the mix G_l = H_l V_l
+    (identity mixes give the CG adjoint alone), with cotangents in the
+    convention of ``gradients``; mirrors the forward column order exactly.
+    Self-pairs accumulate both branch gradients.
+
+    Per pair and degree, G_bar_l V_l^H on the pair's columns is one 2-D
+    matmul over the (2l+1)*B rows, written straight into the degree-major
+    (#ells, 2M+1, B, n) workspace, whose transposed view the transposed
+    table maps back to the Kronecker rows (m, m1).  Each factor's
+    cotangent is then a batched mat-vec with the other factor's conjugate:
+    the conjugate l2 rows m - m1 are one strided view of a ``_row_buffer``
+    built once per call, as in the forward kernel.  The l1 cotangent is
+    summed over m, and the l2 cotangent is added back to its rows
+    m2 = m - m1 in one slice per m1.  Returns m-major views.
+    """
+    B, G = F.batch_size, F.m_major
+    Gb = CovariantActivation(F.bandlimit, G_bar).m_major
+    plan = _cg_plan(F.type, out_ell_max)
+    if [len(v) for v in mixes] != list(plan.out_type.tau):
+        raise ValueError("mixes do not match the CG output widths")
+    F_bar = [np.zeros_like(g) for g in G]
+    k_ws, y_ws = plan.workspaces(B)
+    rows = _row_buffer(G, 1)
+    np.conjugate(rows, out=rows)
+    S, item = rows.strides[0], rows.itemsize
+    for p, table in zip(plan.pairs, plan.tables):
+        l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
+        t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        y_bar = np.ndarray((len(p.ells), 2 * M + 1, B, n), complex, y_ws)
+        for i, (l, c) in enumerate(zip(p.ells, p.starts)):
+            y_bar[i, :M - l] = 0.0
+            np.matmul(Gb[l].reshape((2 * l + 1) * B, -1),
+                      mixes[l][c:c + n].conj().T,
+                      out=y_bar[i, M - l:M + l + 1].reshape(-1, n))
+            y_bar[i, M + l + 1:] = 0.0
+        np.matmul(table.transpose(0, 2, 1),
+                  np.ndarray((len(p.ells), 2 * M + 1, 2 * B * n), float,
+                             y_ws).transpose(1, 0, 2),
+                  out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
+        k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
+        G2 = np.ndarray((2 * M + 1, d1, B, t2, 1), complex, rows,
+                        p.row0 * S, (S, -S, t2 * item, item, item))
+        F_bar[l1] += (k_bar @ G2).sum(axis=0)[..., 0]
+        g2_bar = (G[l1].conj()[:, :, None, :] @ k_bar)[..., 0, :]
+        c = l1 + l2 - M  # [m + M, m1 + l1] reads row m2 + l2 = j - k + c
+        for k in range(d1):
+            lo, hi = max(0, k - c), min(2 * M + 1, k - c + 2 * l2 + 1)
+            F_bar[l2][lo - k + c:hi - k + c] += g2_bar[lo:hi, k]
+    return [f.transpose(1, 0, 2) for f in F_bar]
 
 
 # --- covariant linear mixing ---
@@ -427,9 +503,8 @@ class NetworkSpec:
 
     def cg_blocks(self) -> set:
         """Every (l1, l2, l) CG block the forward pass multiplies by."""
-        return {(l1, l2, l) for s in range(self.n_layers)
-                for l1, l2, ells, _ in _cg_layout(*self._layer_cg(s))[1]
-                for l in ells}
+        return {(p.l1, p.l2, l) for s in range(self.n_layers)
+                for p in _cg_plan(*self._layer_cg(s)).pairs for l in p.ells}
 
     def head_width(self) -> int:
         """Length of the invariant feature vector."""

@@ -153,22 +153,6 @@ def wigner_D(ell: int,
     return WignerD(ell, phase_mp[..., :, None] * d * phase_m[..., None, :])
 
 
-def clebsch_gordan_coeff(ell1: int, ell2: int, ell: int,
-                         m1: int, m2: int, m: int) -> float:
-    """Clebsch-Gordan coefficient <l1 m1 l2 m2 | l m>, read from ``cg_table``.
-
-    Returns 0 when the selection rules m1 + m2 = m or the triangle
-    inequality fail.
-    """
-    for l, mm in ((ell1, m1), (ell2, m2), (ell, m)):
-        _check_degree(l)
-        if abs(mm) > l:
-            raise ValueError(f"|m| = {abs(mm)} exceeds degree {l}")
-    if m1 + m2 != m or not abs(ell1 - ell2) <= ell <= ell1 + ell2:
-        return 0.0
-    return float(cg_table(ell1, ell2, (ell,))[m + ell, 0, m1 + ell1])
-
-
 def cg_table(ell1: int, ell2: int, ells: Sequence[int]) -> np.ndarray:
     """CG coefficients of the pair (l1, l2) for the ascending degrees
     ``ells``: with M = ells[-1], the read-only (2M+1, #ells, 2l1+1) array

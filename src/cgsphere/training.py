@@ -228,10 +228,32 @@ def _split(flat: np.ndarray, shapes: list) -> list:
     return out
 
 
+# the value domains a checkpoint field may have to lie in, by rule
+_RULES = {
+    "finite": np.isfinite,
+    "at least 0": lambda a: a >= 0,
+    "finite and at least 0": lambda a: np.isfinite(a) & (a >= 0),
+    "finite and above 0": lambda a: np.isfinite(a) & (a > 0),
+    "in [0, 1)": lambda a: (a >= 0) & (a < 1),
+}
+
+
+def _check_fields(blob: Path, fields) -> None:
+    """Raise a ``ValueError`` naming ``blob`` and the first of ``fields``,
+    (name, values, rule) triples, whose values break their rule."""
+    for name, values, rule in fields:
+        if not np.all(_RULES[rule](values)):
+            raise ValueError(f"{blob}: {name} must be {rule}")
+
+
 def load_checkpoint(path):
     """Load (weights, norm_states, adam_or_None, manifest_dict).
 
-    Every blob's size is checked against the manifest before it is parsed.
+    Every blob's size is checked against the manifest before it is parsed,
+    and every value against the domain training can produce: parameters,
+    norm scales and ADAM moments finite, scales, counts and the ADAM step
+    not negative, and ADAM hyperparameters in the range configs accept.
+    A zero scale stays valid: a dead CG column has one.
     """
     path = Path(path)
     where = path / "model.manifest"
@@ -285,6 +307,19 @@ def load_checkpoint(path):
                     [(t,) for fan in fans for t in fan])
     norm_states = [NormState(scales[s * (L + 1):(s + 1) * (L + 1)],
                              int(counts[s])) for s in range(S)]
+    # parameter names in ``NetworkWeights.arrays`` order
+    names = [f"layer {s + 1} degree {ell} weights"
+             for s in range(S) for ell in range(L + 1)]
+    names += [f"head {key}" for key in ("w1", "b1", "w2", "b2")]
+    _check_fields(path / "weights.bin", [
+        (name, a, "finite") for name, a in zip(names, weights.arrays())])
+    _check_fields(path / "norm.bin", [
+        (f"layer {s + 1} norm count", counts[s], "at least 0")
+        for s in range(S)] + [
+        (f"layer {s + 1} degree {ell} norm scales", scale,
+         "finite and at least 0")
+        for s, ns in enumerate(norm_states)
+        for ell, scale in enumerate(ns.scales)])
 
     adam = None
     adam_path = path / "adam.bin"
@@ -299,4 +334,13 @@ def load_checkpoint(path):
                   for a in weights.arrays() for _ in range(2)]
         moments = _split(np.frombuffer(raw[48:], dtype="<f8"), shapes)
         adam.m, adam.v = moments[0::2], moments[1::2]
+        _check_fields(adam_path, [
+            ("step", step, "at least 0"),
+            ("lr", lr, "finite and at least 0"),
+            ("weight_decay", wd, "finite and at least 0"),
+            ("beta1", b1, "in [0, 1)"), ("beta2", b2, "in [0, 1)"),
+            ("eps", eps, "finite and above 0")] + [
+            (f"{kind} of the {name}", moment, "finite")
+            for name, m, v in zip(names, adam.m, adam.v)
+            for kind, moment in (("m", m), ("v", v))])
     return weights, norm_states, adam, manifest

@@ -11,8 +11,10 @@ one-draw-per-block templates and the one-eigh-per-call little-d that
 ``data.class_templates`` and ``so3.wigner_d_small`` must reproduce byte
 for byte;
 ``cg_nonlinearity_gather`` and ``backward_cg_gather``, the CG kernel and
-its adjoint with a row gather per pair, which the strided-view kernels
-must reproduce byte for byte (the adjoint to rounding at B=1);
+its adjoint with a row gather per pair, read from the same ``CGPlan``,
+which the strided-view kernels must reproduce byte for byte (the adjoint
+to rounding at B=1); ``clebsch_gordan_coeff``, one coefficient read from
+``so3.cg_table``;
 ``loss_and_grad_unfused``, the training step with a normalized copy of
 every CG output and its wide cotangent; and ``audit_two_forwards``, the
 audit with one forward pass per input.
@@ -25,14 +27,15 @@ import numpy as np
 
 from cgsphere import network
 from cgsphere.data import Dataset, class_templates
-from cgsphere.gradients import (HeadWeights, NetworkWeights, backward_cg,
-                                backward_linear)
-from cgsphere.network import (CovariantActivation, cg_nonlinearity,
-                              cg_output_type, covariant_linear,
-                              covariant_normalize, invariant_features,
-                              layer_out_ell_max, network_forward)
+from cgsphere.gradients import HeadWeights, NetworkWeights, backward_linear
+from cgsphere.network import (CovariantActivation, backward_cg,
+                              cg_nonlinearity, cg_output_type,
+                              covariant_linear, covariant_normalize,
+                              invariant_features, layer_out_ell_max,
+                              network_forward)
 from cgsphere.sht import HarmonicCoefficients, inverse_sht
-from cgsphere.so3 import EulerAngles, random_rotation, wigner_D
+from cgsphere.so3 import (EulerAngles, cg_table, random_rotation,
+                          wigner_D)
 
 mp.mp.dps = 50
 
@@ -95,6 +98,21 @@ def cg_block_highprec(l1, l2, l):
                                       * f[l - l1 - m2 + k])
             out[(m1 + l1) * d2 + m2 + l2, m + l] = float(pref * total)
     return out
+
+
+def clebsch_gordan_coeff(ell1, ell2, ell, m1, m2, m):
+    """Clebsch-Gordan coefficient <l1 m1 l2 m2 | l m>, read from the whole
+    ``so3.cg_table`` of (l1, l2, l).
+
+    Returns 0 when the selection rules m1 + m2 = m or the triangle
+    inequality fail; ``cg_table`` rejects degrees above ``MAX_DEGREE``.
+    """
+    for l, mm in ((ell1, m1), (ell2, m2), (ell, m)):
+        if abs(mm) > l:
+            raise ValueError(f"|m| = {abs(mm)} exceeds degree {l}")
+    if m1 + m2 != m or not abs(ell1 - ell2) <= ell <= ell1 + ell2:
+        return 0.0
+    return float(cg_table(ell1, ell2, (ell,))[m + ell, 0, m1 + ell1])
 
 
 def spherical_harmonic_highprec(ell, m, theta, phi):
@@ -174,54 +192,50 @@ def cg_nonlinearity_gather(F, out_ell_max=None):
     """``network.cg_nonlinearity`` with one row gather (``take``) of the l2
     factor per pair and a broadcast Kronecker product, as the kernel did
     before it read the rows through one strided view."""
-    out_type, pairs = network._cg_layout(F.type, out_ell_max)
+    plan = network._cg_plan(F.type, out_ell_max)
     B = F.batch_size
     G = F.m_major
     out = [np.empty((2 * ell + 1, B, w), dtype=complex)
-           for ell, w in enumerate(out_type.tau)]
-    kron_ws, y_ws = network._workspaces(F.type, B, out_ell_max)
-    for l1, l2, ells, starts in pairs:
-        table = network._pair_table(l1, l2, ells)
-        M, d1 = ells[-1], 2 * l1 + 1
+           for ell, w in enumerate(plan.out_type.tau)]
+    kron_ws, y_ws = plan.workspaces(B)
+    for p, table in zip(plan.pairs, plan.tables):
+        l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
-        n = t1 * t2
         rows = _gathered_rows(l1, l2, M)
         np.multiply(G[l1][..., None], G[l2].take(rows, axis=0)[..., None, :],
                     out=np.ndarray((2 * M + 1, d1, B, t1, t2), complex,
                                    kron_ws))
         np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
-                  out=np.ndarray((2 * M + 1, len(ells), 2 * B * n), float,
+                  out=np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float,
                                  y_ws))
-        y = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
-        for i, (l, c) in enumerate(zip(ells, starts)):
+        y = np.ndarray((2 * M + 1, len(p.ells), B, n), complex, y_ws)
+        for i, (l, c) in enumerate(zip(p.ells, p.starts)):
             out[l][:, :, c:c + n] = y[M - l:M + l + 1, i]
     return CovariantActivation.from_m_major(F.bandlimit, out)
 
 
 def backward_cg_gather(G_bar, F, mixes, out_ell_max=None):
-    """``gradients.backward_cg`` with an m-major cotangent workspace filled
+    """``network.backward_cg`` with an m-major cotangent workspace filled
     by one batched matmul per (pair, degree) over m, and one row gather of
     the conjugate l2 factor per pair, as the adjoint did before it read
     the rows through one strided view."""
     B = F.batch_size
     G = F.m_major
     Gb = [np.ascontiguousarray(a.transpose(1, 0, 2)) for a in G_bar]
-    _, pairs = network._cg_layout(F.type, out_ell_max)
+    plan = network._cg_plan(F.type, out_ell_max)
     F_bar = [np.zeros_like(g) for g in G]
-    k_ws, y_ws = network._workspaces(F.type, B, out_ell_max)
-    for l1, l2, ells, starts in pairs:
-        table = network._pair_table(l1, l2, ells)
-        M, d1 = ells[-1], 2 * l1 + 1
+    k_ws, y_ws = plan.workspaces(B)
+    for p, table in zip(plan.pairs, plan.tables):
+        l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
-        n = t1 * t2
-        y_bar = np.ndarray((2 * M + 1, len(ells), B, n), complex, y_ws)
-        for i, (l, c) in enumerate(zip(ells, starts)):
+        y_bar = np.ndarray((2 * M + 1, len(p.ells), B, n), complex, y_ws)
+        for i, (l, c) in enumerate(zip(p.ells, p.starts)):
             y_bar[:M - l, i] = 0.0
             np.matmul(Gb[l], mixes[l][c:c + n].conj().T,
                       out=y_bar[M - l:M + l + 1, i])
             y_bar[M + l + 1:, i] = 0.0
         np.matmul(table.transpose(0, 2, 1),
-                  np.ndarray((2 * M + 1, len(ells), 2 * B * n), float, y_ws),
+                  np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float, y_ws),
                   out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
         k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
         G2 = G[l2].take(_gathered_rows(l1, l2, M), axis=0).conj()

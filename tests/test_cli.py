@@ -221,21 +221,29 @@ def test_config_error_names_the_file(workspace, capsys, tmp_path):
         f"error: {cfg}: seed must be at least 0, got -1\n"
 
 
-def checkpoint_with_nan_weight(workspace, tmp_path):
+def checkpoint_with_weight(workspace, tmp_path, value):
     """A copy of the trained checkpoint whose first stored weight (layer 1,
-    degree 0) has a NaN real part."""
+    degree 0) has the real part ``value``."""
     ckpt = tmp_path / "ckpt"
     ckpt.mkdir()
     for path in workspace["ckpt"].iterdir():
         (ckpt / path.name).write_bytes(path.read_bytes())
     blob = bytearray((ckpt / "weights.bin").read_bytes())
-    blob[:8] = np.array(np.nan, dtype="<f8").tobytes()
+    blob[:8] = np.array(value, dtype="<f8").tobytes()
     (ckpt / "weights.bin").write_bytes(bytes(blob))
     return ckpt
 
 
+# a finite weight of 1e300 loads, then overflows to inf in the CG product,
+# which the next mix turns into NaN
+OVERFLOW = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in multiply:RuntimeWarning",
+    "ignore:invalid value encountered in matmul:RuntimeWarning")
+
+
+@OVERFLOW
 def test_audit_fails_on_non_finite_weight(workspace, capsys, tmp_path):
-    ckpt = checkpoint_with_nan_weight(workspace, tmp_path)
+    ckpt = checkpoint_with_weight(workspace, tmp_path, 1e300)
     code = main(["audit", "--checkpoint", str(ckpt), "--trials", "3"])
     out = capsys.readouterr().out
     assert code == EXIT_AUDIT
@@ -245,14 +253,50 @@ def test_audit_fails_on_non_finite_weight(workspace, capsys, tmp_path):
     assert all(np.isnan(audit_equivariance(weights, norm_states, 3)))
 
 
+@OVERFLOW
 def test_eval_fails_on_non_finite_weight(workspace, capsys, tmp_path):
-    ckpt = checkpoint_with_nan_weight(workspace, tmp_path)
+    ckpt = checkpoint_with_weight(workspace, tmp_path, 1e300)
     code = main(["eval", "--checkpoint", str(ckpt),
                  "--data", str(workspace["data"] / "test")])
     captured = capsys.readouterr()
     assert code == EXIT_NUMERIC
     assert captured.err == "numeric failure: non-finite logits for example 0\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["audit", "eval"])
+def test_nan_weight_fails_at_load(workspace, capsys, tmp_path, command):
+    ckpt = checkpoint_with_weight(workspace, tmp_path, np.nan)
+    args = ["--data", str(workspace["data"] / "test")] \
+        if command == "eval" else []
+    assert main([command, "--checkpoint", str(ckpt), *args]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {ckpt / 'weights.bin'}: layer 1 degree 0 "
+                            f"weights must be finite\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", "2"), ("classes", "2"), ("bandlimit", "1"), ("layers", "3"),
+    ("hidden", "8")])
+def test_resume_rejects_config_of_another_network(workspace, capsys, tmp_path,
+                                                  field, value):
+    """The trained checkpoint has L=2, 2 layers, tau=3, 3 classes and a
+    16-wide head; a config that differs in one of them stops the resumed
+    run before it trains."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(
+        f"{field} = {value}\n" if line.startswith(f"{field} =") else line
+        for line in SMALL_CFG.splitlines(keepends=True)))
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), "--out", str(out),
+                 "--data", str(workspace["data"]),
+                 "--resume", str(workspace["ckpt"]), "--steps", "1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: {field} = {value} does not match the network of "
+        f"{workspace['ckpt'] / 'model.manifest'}\n")
+    assert not (out / "checkpoint").exists()
 
 
 @pytest.mark.parametrize("corrupt", [None, (1, 1, 1, 0)])

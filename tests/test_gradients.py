@@ -230,19 +230,16 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
     """Both kernels reuse scratch buffers across pairs; whatever those held
     before (NaN here) must not reach the result.  With one producing pair,
     (3, 3), every unwritten slot is still NaN when the pair reads it."""
-    from cgsphere import gradients, network
-
     F = random_activation(3, tau, batch=2)
     H_bar = random_like(cg_nonlinearity(F).fragments)
     want = (cg_nonlinearity(F).fragments,
             backward_cg(H_bar, F, identity_mixes(F)))
-    make = network._workspaces
+    make = network.CGPlan.workspaces
 
-    def poisoned(*args):
-        return tuple(np.full_like(w, np.nan) for w in make(*args))
+    def poisoned(plan, B):
+        return tuple(np.full_like(w, np.nan) for w in make(plan, B))
 
-    monkeypatch.setattr(network, "_workspaces", poisoned)
-    monkeypatch.setattr(gradients, "_workspaces", poisoned)
+    monkeypatch.setattr(network.CGPlan, "workspaces", poisoned)
     got = (cg_nonlinearity(F).fragments,
            backward_cg(H_bar, F, identity_mixes(F)))
     for a, b in zip(want[0] + want[1], got[0] + got[1]):
@@ -302,7 +299,8 @@ def test_band_cg_call_allocates_only_its_buffers():
         tracemalloc.stop()
     out = B * sum((2 * ell + 1) * w
                   for ell, w in enumerate(cg_output_type(F.type).tau))
-    workspaces = B * sum(network._workspace_sizes(F.type, None))
+    plan = network._cg_plan(F.type, None)
+    workspaces = B * (plan.kron_size + plan.y_size)
     rows = ((L + 1) ** 2 + 2 * L) * B * t * t
     repeated_l1 = (2 * L + 1) * B * t * t
     assert peak <= 16 * (out + workspaces + rows + repeated_l1) + 2 ** 20

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from cgsphere.network import (
     tau_schedule,
 )
 from cgsphere.config import parse_config
-from cgsphere.gradients import init_weights
+from cgsphere.gradients import init_weights, loss_and_grad
 from cgsphere.so3 import cg_block, random_rotation, wigner_D
 from cgsphere.training import make_norm_states
 
@@ -229,9 +231,9 @@ def test_kernel_tables_follow_the_cost_model(text):
     spec = parse_config(text).network_spec()
     for s in range(spec.n_layers):
         tau, cap = spec._layer_cg(s)
-        stored = sum(network._pair_table(l1, l2, ells).size
-                     * tau.tau[l1] * tau.tau[l2]
-                     for l1, l2, ells, _ in network._cg_layout(tau, cap)[1])
+        plan = network._cg_plan(tau, cap)
+        stored = sum(table.size * tau.tau[p.l1] * tau.tau[p.l2]
+                     for p, table in zip(plan.pairs, plan.tables))
         assert stored <= 2.5 * cg_madd_count(tau, NetworkSpec.pair_policy,
                                              cap)
 
@@ -260,10 +262,9 @@ def test_one_eigh_per_pair_and_m(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(network, "_PAIR_CACHE", {})
+    network._cg_plan.cache_clear()
     L = 16
-    for l1, l2, ells, _ in network._cg_layout(ActivationType((1,) * (L + 1)),
-                                              L)[1]:
-        network._pair_table(l1, l2, ells)
+    network._cg_plan(ActivationType((1,) * (L + 1)), L).tables
     assert len(calls) == 4161
 
 
@@ -281,6 +282,65 @@ def test_type_queries_build_no_cg_table(monkeypatch):
     assert weights.layers[0][L].shape[0] == spec.cg_input_type(0).tau[L]
     norms = make_norm_states(spec)
     assert [len(n.scales) for n in norms] == [L + 1, L + 1]
+
+
+def test_one_frozen_plan_per_type_and_cap():
+    """A (type, cap) has one memoized ``CGPlan``; it is frozen, its pairs
+    hold the column offsets, widths, top degree and row-buffer row of each
+    producing pair, and its tables are read-only, corrupted ones too."""
+    tau = ActivationType((1, 2))
+    plan = network._cg_plan(tau, None)
+    assert network._cg_plan(ActivationType((1, 2)), None) is plan
+    assert network._cg_plan(tau, 0) is not plan
+    assert network._cg_plan.cache_info().maxsize == 256
+    # L=1: (0,0) -> l0; (0,1) -> l1; (1,1) -> l0, l1 (l2 capped at L)
+    assert plan.out_type == ActivationType((1 + 4, 2 + 4))
+    assert [(p.l1, p.l2, p.ells, p.starts, p.n, p.M, p.row0)
+            for p in plan.pairs] == [(0, 0, (0,), (0,), 1, 0, 1),
+                                     (0, 1, (1,), (0,), 2, 1, 2),
+                                     (1, 1, (0, 1), (1, 2), 4, 1, 3)]
+    assert (plan.kron_size, plan.y_size) == (3 * 4 * 3, 3 * 4 * 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.out_type = tau
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.pairs[0].row0 = 0
+    assert len(plan.tables) == len(plan.pairs)
+    try:
+        network.corrupt_cg_entry(1, 1, 1, 0)
+        corrupted = network._cg_plan(tau, None)
+        assert corrupted is not plan
+        tables = plan.tables + corrupted.tables
+    finally:
+        network.clear_cg_corruption()
+    assert not np.array_equal(plan.tables[2], corrupted.tables[2])
+    assert not any(t.flags.writeable for t in tables)
+
+
+@pytest.mark.parametrize("text, eigh_calls, tables", [
+    pytest.param("bandlimit = 8\ngrid_bandwidth = 16\nlayers = 3\ntau = 8\n",
+                 633, 53, id="band"),
+    pytest.param("bandlimit = 5\ngrid_bandwidth = 8\nlayers = 3\ntau = 4\n",
+                 192, 26, id="desk"),
+])
+def test_layers_share_cg_tables(monkeypatch, text, eigh_calls, tables):
+    """From empty memos, a first band or desk training step builds each
+    distinct pair table once, however many layers' plans name it."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(network, "_PAIR_CACHE", {})
+    network._cg_plan.cache_clear()
+    spec = parse_config(text).network_spec()
+    F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
+    weights = init_weights(spec, n_out=2, hidden=4)
+    loss_and_grad(F, np.array([0, 1]), weights, make_norm_states(spec),
+                  training=True)
+    assert (len(calls), len(network._PAIR_CACHE)) == (eigh_calls, tables)
 
 
 def test_cg_nonlinearity_out_ell_max_zero():

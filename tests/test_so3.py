@@ -13,7 +13,6 @@ from cgsphere.so3 import (
     EulerAngles,
     cg_block,
     cg_table,
-    clebsch_gordan_coeff,
     legendre,
     random_rotation,
     spherical_harmonic,
@@ -22,7 +21,8 @@ from cgsphere.so3 import (
 )
 
 import oracles
-from oracles import compose, euler_from_matrix, rotation_matrix
+from oracles import (clebsch_gordan_coeff, compose, euler_from_matrix,
+                     rotation_matrix)
 
 RNG = np.random.default_rng(20240817)
 

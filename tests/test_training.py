@@ -267,6 +267,78 @@ def test_manifest_values_that_make_no_network(tmp_path, key, value):
     assert f"{key}={value}" in message
 
 
+def field_offsets(weights, norms):
+    """Byte offsets of some 8-byte fields in (weights, norm, adam).bin:
+    layer arrays, then the head in weights.bin; one count per layer, then
+    the scales in norm.bin; the step, lr, beta1, beta2, eps and
+    weight_decay, then m and v per parameter in adam.bin."""
+    layer_bytes = 16 * sum(w.size for layer in weights.layers for w in layer)
+    first = weights.layers[0]
+    adam_head = 48 + 2 * layer_bytes + 2 * 8 * weights.head.w1.size
+    return {
+        "layer 2 degree 0 weights": 16 * sum(w.size for w in first) + 8,
+        "head b1": layer_bytes + 8 * weights.head.w1.size,
+        "layer 2 norm count": 8,
+        "layer 1 degree 0 norm scales": 8 * len(norms),
+        "layer 2 degree 0 norm scales": 8 * len(norms)
+        + 8 * sum(len(sc) for sc in norms[0].scales),
+        "step": 0, "lr": 8, "beta1": 16, "beta2": 24, "eps": 32,
+        "weight_decay": 40,
+        "m of the layer 1 degree 0 weights": 48,
+        "v of the head b1": adam_head + 8 * weights.head.b1.size,
+    }
+
+
+CHECKPOINT_PROBES = [
+    ("weights.bin", "layer 2 degree 0 weights", np.nan, "finite"),
+    ("weights.bin", "head b1", np.inf, "finite"),
+    ("norm.bin", "layer 1 degree 0 norm scales", np.nan,
+     "finite and at least 0"),
+    ("norm.bin", "layer 2 degree 0 norm scales", -0.5,
+     "finite and at least 0"),
+    ("norm.bin", "layer 2 norm count", -1, "at least 0"),
+    ("adam.bin", "step", -1, "at least 0"),
+    ("adam.bin", "lr", np.nan, "finite and at least 0"),
+    ("adam.bin", "lr", -1e-3, "finite and at least 0"),
+    ("adam.bin", "weight_decay", np.inf, "finite and at least 0"),
+    ("adam.bin", "beta1", 1.0, "in [0, 1)"),
+    ("adam.bin", "beta2", -0.1, "in [0, 1)"),
+    ("adam.bin", "eps", 0.0, "finite and above 0"),
+    ("adam.bin", "m of the layer 1 degree 0 weights", np.nan, "finite"),
+    ("adam.bin", "v of the head b1", -np.inf, "finite"),
+]
+
+
+@pytest.mark.parametrize("blob, field, value, rule", [
+    pytest.param(*probe, id=f"{probe[1].replace(' ', '_')}={probe[2]}")
+    for probe in CHECKPOINT_PROBES])
+def test_checkpoint_values_checked_at_load(tmp_path, blob, field, value,
+                                           rule):
+    """A checkpoint field outside the domain training produces fails at
+    load, naming the blob and the field, rather than loading and running."""
+    _, _, _, weights, norms, adam = make_toy_problem()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, weights, norms, adam)
+    path = ckpt / blob
+    data = bytearray(path.read_bytes())
+    at = field_offsets(weights, norms)[field]
+    kind = "<i8" if field in ("step", "layer 2 norm count") else "<f8"
+    data[at:at + 8] = np.array(value, dtype=kind).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value) == f"{path}: {field} must be {rule}"
+
+
+def test_checkpoint_with_zero_norm_scale_loads(tmp_path):
+    """A dead CG column has a zero scale, so zero stays valid."""
+    _, _, _, weights, norms, adam = make_toy_problem()
+    norms[0].scales[1][:] = 0.0
+    save_checkpoint(tmp_path / "ckpt", weights, norms, adam)
+    _, loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+    np.testing.assert_array_equal(loaded[0].scales[1], 0.0)
+
+
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     _, coeffs, labels, weights, norms, adam = make_toy_problem()
     ckpt = tmp_path / "ckpt"
