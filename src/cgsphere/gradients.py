@@ -122,12 +122,14 @@ class ForwardTape:
     apart from the normalization denominators, which it reads from the
     ``NormState`` list the forward pass used.
 
-    ``loss_and_grad`` sets ``cg_outputs[s]`` to None once it has taken
-    the layer's weight gradient from it, so a layer's wide CG output is
-    freed before the CG adjoint below it runs.
+    The wide CG outputs are kept only when gradients will be taken
+    (``keep_cg_outputs``, or training mode); otherwise ``cg_outputs`` is
+    None.  ``loss_and_grad`` sets ``cg_outputs[s]`` to None once it has
+    taken the layer's weight gradient from it, so a layer's wide CG output
+    is freed before the CG adjoint below it runs.
     """
 
-    cg_outputs: list     # raw post-CG activations, the inputs of the mixes
+    cg_outputs: list | None  # raw post-CG activations, the mixes' inputs
     outputs: list        # per-layer outputs
     features: np.ndarray
     hidden_pre: np.ndarray
@@ -135,11 +137,14 @@ class ForwardTape:
 
 
 def forward_with_tape(coeffs: CovariantActivation, weights: NetworkWeights,
-                      norm_states: list,
-                      training: bool = False) -> ForwardTape:
-    """``network_forward`` plus the classifier head, recording the tape."""
+                      norm_states: list, training: bool = False,
+                      keep_cg_outputs: bool = False) -> ForwardTape:
+    """``network_forward`` plus the classifier head, recording the tape.
+    The tape keeps the wide CG outputs only in training mode or with
+    ``keep_cg_outputs``, as ``loss_and_grad`` asks; eval-mode calls mix
+    each CG product in place and never build them."""
     feats, outputs, cg_outputs = network_forward(
-        coeffs, weights.layers, norm_states, training)
+        coeffs, weights.layers, norm_states, training, keep_cg_outputs)
     hid_pre = feats @ weights.head.w1 + weights.head.b1
     logits = np.maximum(hid_pre, 0.0) @ weights.head.w2 + weights.head.b2
     return ForwardTape(cg_outputs, outputs, feats, hid_pre, logits)
@@ -172,7 +177,8 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
     B = labels.shape[0]
     if B == 0:
         raise ValueError("batch must be non-empty")
-    tape = forward_with_tape(coeffs, weights, norm_states, training)
+    tape = forward_with_tape(coeffs, weights, norm_states, training,
+                             keep_cg_outputs=True)
     check_logits(tape.logits)
     probs = _softmax(tape.logits)
     eps = 1e-300
@@ -207,12 +213,12 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
     for s in range(S - 1, -1, -1):
         G_bar[0][:, 0, :] += head_adjoints[s]
         # the mix is H fold(W), so W_bar = fold(H^H G_bar), with H^H G_bar
-        # taken as (G_bar^H H)^H to conjugate the narrow side; ADAM steps
-        # complex gradients through their float64 view
-        g_layers[s] = [np.ascontiguousarray(w) for w in norm_states[s].fold([
+        # taken as (G_bar^H H)^H to conjugate the narrow side; fold returns
+        # C-contiguous arrays, as ADAM's float64 view of them needs
+        g_layers[s] = norm_states[s].fold([
             (g.reshape(len(g) * B, -1).conj().T @ h.reshape(len(h) * B, -1))
             .conj().T for g, h in zip(CovariantActivation(L, G_bar).m_major,
-                                      tape.cg_outputs[s].m_major)])]
+                                      tape.cg_outputs[s].m_major)])
         tape.cg_outputs[s] = None  # nothing reads it again; free it before CG
         if s == 0:
             break  # the network input has no parameters behind it

@@ -10,7 +10,11 @@ fragment normalization, and a learnable per-degree linear mix.  The network
 output is the invariant feature vector built from all l=0 fragments.
 Both CG kernels, ``cg_nonlinearity`` and its adjoint ``backward_cg``, read
 one frozen ``CGPlan`` per (input type, degree cap), so no other module
-knows the CG table layout.
+knows the CG table layout.  With frozen normalization statistics (eval,
+audit) nothing but the mix reads the wide CG output, so ``network_forward``
+has ``cg_nonlinearity`` mix each pair's product in place and never builds
+it; training keeps the wide output, which the statistics and the weight
+gradient read.
 """
 
 from __future__ import annotations
@@ -117,8 +121,9 @@ def cg_pairs(L: int):
 class CGPair:
     """A pair (l1, l2) that produces output: its block of degree ``ells[i]``
     fills the columns ``starts[i]`` to ``starts[i] + n``, n = tau_l1 tau_l2;
-    M = ``ells[-1]`` is its top degree, and ``row0`` = L + l2^2 + l1 + l2 - M
-    the first ``_row_buffer`` row of its l2 view."""
+    M = ``ells[-1]`` is its top degree, ``row0`` = L + l2^2 + l1 + l2 - M
+    the first ``_row_buffer`` row of its l2 view, and ``mix_row`` the first
+    of its len(ells) * n rows in the pair-ordered mixing rows."""
 
     l1: int
     l2: int
@@ -127,6 +132,7 @@ class CGPair:
     n: int
     M: int
     row0: int
+    mix_row: int
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,16 @@ class CGPlan:
         return (np.empty(self.kron_size * B, complex),
                 np.empty(self.y_size * B, complex))
 
+    @cached_property
+    def mix_rows(self) -> np.ndarray:
+        """For each pair-ordered mixing row (pair by pair, then degree by
+        degree, then column), its row in the stack of every degree's mix."""
+        first = np.cumsum((0,) + self.out_type.tau[:-1])
+        return np.concatenate(
+            [np.arange(first[l] + c, first[l] + c + p.n)
+             for p in self.pairs for l, c in zip(p.ells, p.starts)]
+            or [np.zeros(0, int)])
+
 
 @lru_cache(maxsize=256)
 def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
@@ -176,7 +192,7 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
             continue
         M = ells[-1]
         pairs.append(CGPair(l1, l2, ells, tuple(widths[l] for l in ells), n,
-                            M, L + l2 * l2 + l1 + l2 - M))
+                            M, L + l2 * l2 + l1 + l2 - M, sum(widths)))
         for l in ells:
             widths[l] += n
     return CGPlan(
@@ -273,8 +289,8 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
                    for p, table in zip(plan.pairs, plan.tables)))
 
 
-def cg_nonlinearity(F: CovariantActivation,
-                    out_ell_max: int | None = None) -> CovariantActivation:
+def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
+                    mixes: list | None = None) -> CovariantActivation:
     """Tensor-product nonlinearity: all pairwise Kronecker products,
     decomposed into irreducible fragments by the CG selection rule.
 
@@ -284,21 +300,45 @@ def cg_nonlinearity(F: CovariantActivation,
     with no gather; the l1 factor, repeated along t2, is built once per
     run of pairs sharing (l1, t2).  The Kronecker product is then one
     multiply of two operands whose (B, t1, t2) blocks are contiguous,
-    followed by one batched matmul over m with the pair's table.  Each
-    degree's output is allocated once, m-major, and every pair writes its
-    blocks straight into the columns its ``CGPlan`` gives them.
+    followed by one batched matmul over m with the pair's table.  Without
+    ``mixes``, each degree's output is allocated once, m-major, and every
+    pair writes its blocks straight into the columns its ``CGPlan`` gives
+    them.
+
+    ``mixes``, a layer's folded per-degree mixes (``NormState.fold``, as
+    ``backward_cg`` takes them), returns the layer's output
+    ``covariant_linear(H, mixes)`` without building the CG output H: the
+    mixes are stacked once per call in pair order (``CGPlan.mix_rows``),
+    padded with zero columns to the widest, and each pair's product is
+    mixed by its rows in one matmul; each block's rows m = -l..l are then
+    added into the narrow output of degree l.  Either way each pair's
+    table product is written degree-major, (#ells, 2M+1, B, n).
     """
     tau, B, G = F.type, F.batch_size, F.m_major
     plan = _cg_plan(tau, out_ell_max)
-    out = [np.empty((2 * ell + 1, B, w), dtype=complex)
-           for ell, w in enumerate(plan.out_type.tau)]
+    if mixes is None:
+        out = [np.empty((2 * ell + 1, B, w), dtype=complex)
+               for ell, w in enumerate(plan.out_type.tau)]
+    else:
+        if tuple(map(len, mixes)) != plan.out_type.tau:
+            raise ValueError("mixes do not match the CG output widths")
+        width = max(w.shape[1] for w in mixes)
+        stacked = np.concatenate(
+            [w if w.shape[1] == width else
+             np.pad(w, ((0, 0), (0, width - w.shape[1])))
+             for w in mixes if len(w)]
+            or [np.zeros((0, width), complex)]).take(plan.mix_rows, axis=0)
+        # the degrees with CG columns are 0..top; degree l of the mixed
+        # output is rows (top - l .. top + l) * B of acc[l]
+        top = max((p.M for p in plan.pairs), default=0)
+        acc = np.zeros((top + 1, (2 * top + 1) * B, width), complex)
     kron_ws, y_ws = plan.workspaces(B)
     tmax = max(tau.tau)
     rows = _row_buffer(G, tmax)
     S, item = rows.strides[0], rows.itemsize
     run = None
     for p, table in zip(plan.pairs, plan.tables):
-        l1, M, n, d1 = p.l1, p.M, p.n, 2 * p.l1 + 1
+        l1, M, n, d1, k = p.l1, p.M, p.n, 2 * p.l1 + 1, len(p.ells)
         t1, t2 = G[l1].shape[2], G[p.l2].shape[2]
         if run != (l1, t2):
             run = (l1, t2)
@@ -309,12 +349,27 @@ def cg_nonlinearity(F: CovariantActivation,
                         p.row0 * S, (S, -S, tmax * t2 * item, t2 * item, item))
         np.multiply(G1, G2, out=np.ndarray((2 * M + 1, d1, B, t1, t2),
                                            complex, kron_ws))
-        np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
-                  out=np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float,
-                                 y_ws))
-        y = np.ndarray((2 * M + 1, len(p.ells), B, n), complex, y_ws)
-        for i, (l, c) in enumerate(zip(p.ells, p.starts)):
-            out[l][:, :, c:c + n] = y[M - l:M + l + 1, i]
+        np.matmul(table,
+                  np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
+                  out=np.ndarray((k, 2 * M + 1, 2 * B * n), float,
+                                 y_ws).transpose(1, 0, 2))
+        if mixes is None:
+            y = np.ndarray((k, 2 * M + 1, B, n), complex, y_ws)
+            for i, (l, c) in enumerate(zip(p.ells, p.starts)):
+                out[l][:, :, c:c + n] = y[i, M - l:M + l + 1]
+        else:
+            # each block's (m, example) rows are one matrix; the table is
+            # zero in rows |m| > l of block l, which land outside degree
+            # l's rows of acc
+            R = (2 * M + 1) * B
+            acc[p.ells[0]:M + 1, (top - M) * B:(top + M + 1) * B] += (
+                np.ndarray((k, R, n), complex, y_ws)
+                @ stacked[p.mix_row:p.mix_row + k * n].reshape(k, n, width))
+    if mixes is not None:
+        acc = acc.reshape(top + 1, 2 * top + 1, B, width)
+        out = [acc[l, top - l:top + l + 1, :, :w.shape[1]] if len(w)
+               else np.zeros((2 * l + 1, B, w.shape[1]), complex)
+               for l, w in enumerate(mixes)]
     return CovariantActivation.from_m_major(F.bandlimit, out)
 
 
@@ -409,19 +464,32 @@ class NormState:
     def copy(self) -> "NormState":
         return NormState([s.copy() for s in self.scales], self.count)
 
-    def denominators(self) -> list:
-        """Per-degree divisors of the normalization.
+    def denominators(self) -> np.ndarray:
+        """The divisors of the normalization, every degree's in one array
+        in degree order.
 
         Dead fragments (identically-zero CG outputs, e.g. odd-degree
         self-couplings of a column with itself) pass through unscaled:
         dividing their rounding noise by a tiny floor would amplify it.
         """
-        return [np.where(s < NORM_EPS, 1.0, s) for s in self.scales]
+        d = np.concatenate(self.scales)
+        return np.where(d < NORM_EPS, 1.0, d)
 
     def fold(self, weights: list) -> list:
         """The mixes W_l / d_l, so that H (W / d) = (H / d) W mixes the raw
-        CG output H without a normalized copy of it."""
-        return [w / d[:, None] for w, d in zip(weights, self.denominators())]
+        CG output H without a normalized copy of it.  Each is a new
+        C-contiguous array, its re/im view multiplied by 1 / d_l: numpy's
+        complex division by a real d multiplies by the same reciprocal, so
+        the quotients are the same."""
+        if tuple(map(len, weights)) != tuple(map(len, self.scales)):
+            raise ValueError("weights do not match the norm state's widths")
+        r = 1.0 / self.denominators()
+        out, i = [], 0
+        for w in weights:
+            out.append((np.ascontiguousarray(w).view(float)
+                        * r[i:i + len(w), None]).view(complex))
+            i += len(w)
+        return out
 
     def update(self, F: CovariantActivation) -> None:
         """Fold the batch's per-fragment RMS into the expanding average."""
@@ -453,9 +521,11 @@ def covariant_normalize(F: CovariantActivation, norm: NormState,
     if training:
         norm.update(F)
     # real division of the re/im view: each component divided exactly once
+    d = np.split(norm.denominators(),
+                 np.cumsum([len(s) for s in norm.scales])[:-1])
     return CovariantActivation.from_m_major(F.bandlimit, [
-        (g.view(float) / d.repeat(2)).view(complex)
-        for g, d in zip(F.m_major, norm.denominators())])
+        (g.view(float) / d_l.repeat(2)).view(complex)
+        for g, d_l in zip(F.m_major, d)])
 
 
 # --- layer and network composition ---
@@ -537,7 +607,8 @@ def invariant_features(layer_outputs: list, input_l0: np.ndarray) -> np.ndarray:
 
 
 def network_forward(coeffs: CovariantActivation, weights: list,
-                    norm_states: list, training: bool = False):
+                    norm_states: list, training: bool = False,
+                    keep_cg_outputs: bool = False):
     """Full covariant forward pass: S layers (CG nonlinearity,
     normalization, linear mix) then the invariant head.
 
@@ -545,17 +616,26 @@ def network_forward(coeffs: CovariantActivation, weights: list,
     ``norm_states[s]`` its ``NormState``; in training mode the forward pass
     updates the states first.  Returns ``(features, outputs, cg_outputs)``:
     the invariant features (B, head_width), the per-layer outputs, and each
-    layer's raw CG output H, which it mixes by ``NormState.fold``.
+    layer's raw CG output H, which it mixes by ``NormState.fold``.  H is
+    built only in training mode or with ``keep_cg_outputs``; otherwise each
+    layer is one ``cg_nonlinearity`` call that mixes the CG product in
+    place, and ``cg_outputs`` is None.
     """
     S = len(weights)
     L = coeffs.bandlimit
+    keep = training or keep_cg_outputs
     outputs, cg_outputs = [], []
     F = coeffs
     for s in range(S):
-        H = cg_nonlinearity(F, layer_out_ell_max(s, S, L))
-        if training:
-            norm_states[s].update(H)
-        cg_outputs.append(H)
-        F = covariant_linear(H, norm_states[s].fold(weights[s]))
+        cap = layer_out_ell_max(s, S, L)
+        if keep:
+            H = cg_nonlinearity(F, cap)
+            if training:
+                norm_states[s].update(H)
+            cg_outputs.append(H)
+            F = covariant_linear(H, norm_states[s].fold(weights[s]))
+        else:
+            F = cg_nonlinearity(F, cap, norm_states[s].fold(weights[s]))
         outputs.append(F)
-    return invariant_features(outputs, coeffs.fragments[0]), outputs, cg_outputs
+    return (invariant_features(outputs, coeffs.fragments[0]), outputs,
+            cg_outputs if keep else None)

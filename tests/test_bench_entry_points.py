@@ -15,6 +15,7 @@ import pytest
 
 import numpy as np
 
+import cgsphere.cli
 import cgsphere.data
 from cgsphere import gradients, training
 from cgsphere.config import parse_config
@@ -83,3 +84,28 @@ def test_training_step_spans_see_the_fused_stages():
     for name in ("network.cg_nonlinearity", "network.covariant_linear",
                  "gradients.backward_cg"):
         assert calls.get(name, 0) > 0, name
+
+
+def test_eval_and_audit_spans_see_the_cg_kernel():
+    # infer-desk's eval request and audit trial mix each CG product inside
+    # the kernel; they must still reach it through the module attribute
+    # --trace 1 wraps, or its per-layer metric reads 0
+    spec = NetworkSpec(2, 1, (ActivationType((2, 2, 2)),
+                              ActivationType((2, 0, 0))))
+    weights = gradients.init_weights(spec, n_out=3, hidden=4, seed=2)
+    norms = training.make_norm_states(spec)
+    rng = np.random.default_rng(5)
+    batch = CovariantActivation(2, [
+        rng.standard_normal((3, 2 * ell + 1, 1)) + 0j for ell in range(3)])
+    for run in (
+            lambda: gradients.forward_with_tape(batch, weights, norms,
+                                                training=False),
+            lambda: cgsphere.cli.audit_equivariance(weights, norms, 1)):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        calls = tracer.summary().get("network.cg_nonlinearity", {})
+        assert calls.get("calls_setup", 0) > 0

@@ -17,11 +17,13 @@ from cgsphere.network import (
     ActivationType,
     CovariantActivation,
     NetworkSpec,
+    NormState,
     cg_nonlinearity,
     cg_output_type,
     cg_pairs,
     covariant_linear,
     network_forward,
+    tau_schedule,
 )
 from cgsphere.so3 import cg_table, random_rotation, wigner_D
 from cgsphere.training import make_norm_states
@@ -225,24 +227,45 @@ def test_backward_cg_adjoint_identity_at_band_scale(tau, out_ell_max, layout):
     assert_adjoint(real_inner(H_bar, J), real_inner(F_bar, dF))
 
 
+def frozen_mix(F, cap, out_tau, rng):
+    """Random weights from F's CG output of cap ``cap`` to widths
+    ``out_tau``, and a frozen ``NormState`` whose first live column reads
+    as dead (it passes through unscaled)."""
+    cg = cg_output_type(F.type, cap).tau
+    weights = random_like([np.empty((c, w)) for c, w in zip(cg, out_tau)],
+                          rng)
+    norm = NormState([rng.random(c) + 0.5 for c in cg], 3)
+    live = next((s for s in norm.scales if s.size), None)
+    if live is not None:
+        live[0] = NORM_EPS / 10
+    return weights, norm
+
+
 @pytest.mark.parametrize("tau", [(2, 1, 2, 1), (0, 0, 0, 2)])
 def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
     """Both kernels reuse scratch buffers across pairs; whatever those held
-    before (NaN here) must not reach the result.  With one producing pair,
-    (3, 3), every unwritten slot is still NaN when the pair reads it."""
+    before (NaN here) must not reach the result, with or without mixes.
+    With one producing pair, (3, 3), every unwritten slot is still NaN when
+    the pair reads it."""
     F = random_activation(3, tau, batch=2)
     H_bar = random_like(cg_nonlinearity(F).fragments)
-    want = (cg_nonlinearity(F).fragments,
-            backward_cg(H_bar, F, identity_mixes(F)))
+    weights, norm = frozen_mix(F, None, (2, 1, 3, 2), np.random.default_rng(8))
+    mixes = norm.fold(weights)
+
+    def run():
+        return (cg_nonlinearity(F).fragments,
+                backward_cg(H_bar, F, identity_mixes(F)),
+                cg_nonlinearity(F, None, mixes).fragments)
+
+    want = run()
     make = network.CGPlan.workspaces
 
     def poisoned(plan, B):
         return tuple(np.full_like(w, np.nan) for w in make(plan, B))
 
     monkeypatch.setattr(network.CGPlan, "workspaces", poisoned)
-    got = (cg_nonlinearity(F).fragments,
-           backward_cg(H_bar, F, identity_mixes(F)))
-    for a, b in zip(want[0] + want[1], got[0] + got[1]):
+    got = run()
+    for a, b in zip(sum(want, []), sum(got, []), strict=True):
         np.testing.assert_array_equal(a, b)
 
 
@@ -283,6 +306,38 @@ def test_cg_kernels_match_row_gather_oracles(L, batch):
                     np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13)
                 else:
                     assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("L, batch", [
+    (L, batch) for L in (0, 2, 5) for batch in (1, 2, 7)])
+def test_mixing_cg_kernel_matches_cg_then_linear(L, batch):
+    """With frozen statistics, the kernel that mixes each pair's product
+    in place gives covariant_linear(H, fold(W)) to rounding, for every cap
+    (cap 0 is the final layer's) and for output widths that are uniform,
+    differ by degree or vanish."""
+    rng = np.random.default_rng(L * 10 + batch)
+    for tau in kernel_taus(L):
+        F = random_activation(L, tau, batch=batch, rng=rng)
+        for cap in range(L + 1):
+            for out_tau in (tau, tuple(np.resize((2, 0, 3, 1), L + 1))):
+                weights, norm = frozen_mix(F, cap, out_tau, rng)
+                mixes = norm.fold(weights)
+                want = covariant_linear(cg_nonlinearity(F, cap),
+                                        mixes).m_major
+                got = cg_nonlinearity(F, cap, mixes).m_major
+                for g, w in zip(got, want, strict=True):
+                    assert g.shape == w.shape
+                    assert np.abs(g - w).max(initial=0.0) <= \
+                        1e-13 * np.abs(w).max(initial=0.0)
+
+
+def test_mixing_cg_kernel_rejects_mixes_of_the_wrong_height():
+    F = random_activation(2, (2, 1, 2), batch=2)
+    weights, norm = frozen_mix(F, None, (2, 2, 2), RNG)
+    mixes = norm.fold(weights)
+    mixes[1] = mixes[1][1:]
+    with pytest.raises(ValueError, match="CG output widths"):
+        cg_nonlinearity(F, None, mixes)
 
 
 def test_band_cg_call_allocates_only_its_buffers():
@@ -474,6 +529,66 @@ def test_band_step_holds_no_wide_copy():
     wide = 16 * B * sum((2 * ell + 1) * t
                         for ell, t in enumerate(spec.cg_input_type(1).tau))
     assert peak < 1.6 * wide
+
+
+SCHEDULE_SPEC = NetworkSpec(3, 1, (tau_schedule(3, 5), tau_schedule(3, 5),
+                                    ActivationType((3, 0, 0, 0))))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(desk_spec(), id="desk"),
+    pytest.param(ZERO_TAU_SPEC, id="zero-tau"),
+    pytest.param(SCHEDULE_SPEC, id="tau-schedule"),
+    pytest.param(NetworkSpec(2, 1, (ActivationType((0, 0, 0)),
+                                    ActivationType((2, 0, 0)))),
+                 id="zero-hidden-layer"),
+])
+def test_frozen_forward_matches_the_cg_output_path(spec):
+    """An eval-mode forward mixes each CG product in place and returns no
+    CG outputs; its features and layer outputs match the path that builds
+    H and mixes it by ``covariant_linear`` to rounding."""
+    weights = init_weights(spec, n_out=3, hidden=8, seed=4)
+    norms = make_norm_states(spec)
+    rng = np.random.default_rng(6)
+    L = spec.bandlimit
+    coeffs = random_activation(L, spec.input_type().tau, batch=8, rng=rng)
+    loss_and_grad(coeffs, rng.integers(0, 3, size=8), weights, norms,
+                  training=True)
+    for batch in (1, 2, 7):
+        coeffs = random_activation(L, spec.input_type().tau, batch=batch,
+                                   rng=rng)
+        want = network_forward(coeffs, weights.layers, norms,
+                               keep_cg_outputs=True)
+        got = network_forward(coeffs, weights.layers, norms)
+        assert got[2] is None and len(want[2]) == spec.n_layers
+        pairs = [(got[0], want[0])] + [
+            (g, w) for a, b in zip(got[1], want[1], strict=True)
+            for g, w in zip(a.m_major, b.m_major, strict=True)]
+        for g, w in pairs:
+            assert g.shape == w.shape
+            assert np.abs(g - w).max(initial=0.0) <= \
+                1e-13 * np.abs(w).max(initial=0.0)
+
+
+def test_desk_eval_forward_builds_no_wide_cg_output():
+    """An eval-mode desk forward at B=100 peaks below the size of its
+    layer-1 CG output, which the training path builds."""
+    spec, B = desk_spec(), 100
+    weights = init_weights(spec, n_out=4, seed=0)
+    norms = make_norm_states(spec)
+    coeffs = random_activation(5, spec.input_type().tau, batch=B,
+                               rng=np.random.default_rng(9))
+    # builds the memoized CG tables outside the measurement
+    network_forward(coeffs, weights.layers, norms)
+    tracemalloc.start()
+    try:
+        network_forward(coeffs, weights.layers, norms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    wide = 16 * B * sum((2 * ell + 1) * t
+                        for ell, t in enumerate(spec.cg_input_type(1).tau))
+    assert peak < wide
 
 
 def test_init_weights_variance_rule():

@@ -526,7 +526,7 @@ def test_network_forward_layer_composition():
     by_hand = covariant_linear(covariant_normalize(H, norms[0].copy()),
                                weights.layers[0])
     _, outputs, cg_outputs = network_forward(
-        F, weights.layers, [n.copy() for n in norms])
+        F, weights.layers, [n.copy() for n in norms], keep_cg_outputs=True)
     for a, b in zip(by_hand.fragments, outputs[0].fragments):
         np.testing.assert_allclose(a, b, atol=1e-14)
     for a, b in zip(H.fragments, cg_outputs[0].fragments):
