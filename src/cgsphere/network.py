@@ -10,17 +10,21 @@ fragment normalization, and a learnable per-degree linear mix.  The network
 output is the invariant feature vector built from all l=0 fragments.
 Both CG kernels, ``cg_nonlinearity`` and its adjoint ``backward_cg``, read
 one frozen ``CGPlan`` per (input type, degree cap), so no other module
-knows the CG table layout.  With frozen normalization statistics (eval,
-audit) nothing but the mix reads the wide CG output, so ``network_forward``
-has ``cg_nonlinearity`` mix each pair's product in place and never builds
-it; training keeps the wide output, which the statistics and the weight
-gradient read.
+knows the CG table layout.  Each kernel call takes all its scratch from
+one block that ``CGPlan.scratch`` lays out, and returns one output block
+whose per-degree arrays are views, so repeated calls reuse the heap pages
+of the calls before them instead of faulting in fresh ones.  With frozen
+normalization statistics (eval, audit) nothing but the mix reads the wide
+CG output, so ``network_forward`` has ``cg_nonlinearity`` mix each pair's
+product in place and never builds it; training keeps the wide output,
+which the statistics and the weight gradient read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -122,8 +126,9 @@ class CGPair:
     """A pair (l1, l2) that produces output: its block of degree ``ells[i]``
     fills the columns ``starts[i]`` to ``starts[i] + n``, n = tau_l1 tau_l2;
     M = ``ells[-1]`` is its top degree, ``row0`` = L + l2^2 + l1 + l2 - M
-    the first ``_row_buffer`` row of its l2 view, and ``mix_row`` the first
-    of its len(ells) * n rows in the pair-ordered mixing rows."""
+    the first row-buffer row of its l2 view (``CGPlan.scratch``), and
+    ``mix_row`` the first of its len(ells) * n rows in the pair-ordered
+    mixing rows."""
 
     l1: int
     l2: int
@@ -140,30 +145,28 @@ class CGPlan:
     """What the CG product of one activation type and degree cap reads and
     writes: the post-CG type, the producing pairs in column order (l1
     ascending, then l2; blocks of one degree sit side by side), and the
-    per-example complex lengths of the two workspaces, the largest pair's
-    Kronecker rows and its per-m table product.  ``_cg_plan`` builds one
-    per (type, cap), and building it builds no CG table.
+    per-example complex sizes of the scratch regions a kernel call cuts
+    from its one block (``scratch``), each the largest over the pairs,
+    which take turns in it: the Kronecker rows, the per-m table product,
+    the l1 factor repeated along t2 (forward), the table product's rows
+    per mixed column (forward with mixes), and the three mat-vec results
+    (adjoint).  ``_cg_plan`` builds one per (type, cap), and building it
+    builds no CG table.
     """
 
     out_type: ActivationType
     pairs: tuple
     kron_size: int
     y_size: int
+    l1_size: int
+    mix_size: int
+    vec_size: int
 
     @cached_property
     def tables(self) -> tuple:
         """Each pair's read-only CG table, taken on first use from the
         memo that every plan with the pair shares."""
         return tuple(_pair_table(p.l1, p.l2, p.ells) for p in self.pairs)
-
-    def workspaces(self, B: int) -> tuple:
-        """Two complex buffers that fit every pair's Kronecker rows and
-        per-m table product for a batch of B.  Every pair of one call
-        reuses them, so the call touches fresh memory once rather than once
-        per pair; a pair views their leading elements through
-        ``np.ndarray(shape, dtype, buffer)``."""
-        return (np.empty(self.kron_size * B, complex),
-                np.empty(self.y_size * B, complex))
 
     @cached_property
     def mix_rows(self) -> np.ndarray:
@@ -174,6 +177,46 @@ class CGPlan:
             [np.arange(first[l] + c, first[l] + c + p.n)
              for p in self.pairs for l, c in zip(p.ells, p.starts)]
             or [np.zeros(0, int)])
+
+    def scratch(self, G: list, reps: int, *sizes: int) -> list:
+        """Every region a kernel call on the m-major arrays ``G`` works in,
+        cut from one ``np.empty`` block: the row buffer, filled, then flat
+        views of the Kronecker and table-product workspaces and of
+        ``sizes`` more complex elements each.  A pair views a region's
+        leading elements through ``np.ndarray(shape, dtype, buffer)``.
+
+        The row buffer stacks every degree's rows on one axis, degree l's
+        row m at L + l^2 + l + m, between L zero rows at each end.  A row
+        holds G_l[m] repeated ``reps`` times, a contiguous (B, reps, tau_l)
+        block, then zeros up to the common row length B * reps * max(tau);
+        the pad rows and row tails are zeroed here on every call, as the
+        block is not.  With row stride S, the rows m - m1 + l2 of degree l2
+        that a pair (l1, l2) with top degree M reads at [m + M, m1 + l1]
+        are one view at offset ``CGPair.row0`` * S with strides (S, -S,
+        ...).  Entries (m, m1) with no valid m2 read a zero row or a
+        neighbouring degree's finite row, which the CG table weighs by
+        zero.  With M <= L and l1 <= l2 every row read lies inside the
+        buffer, and ``np.ndarray`` refuses a view that would not."""
+        L, B, tmax = len(G) - 1, G[0].shape[1], max(g.shape[2] for g in G)
+        n_rows, width = (L + 1) ** 2 + 2 * L, B * reps * tmax
+        ends = list(accumulate((n_rows * width, self.kron_size * B,
+                                self.y_size * B) + sizes))
+        block = np.empty(ends[-1], complex)
+        rows = block[:ends[0]].reshape(n_rows, width)
+        rows[:L] = 0.0
+        rows[n_rows - L:] = 0.0
+        S, item = rows.strides[0], rows.itemsize
+        for ell, g in enumerate(G):
+            d, _, t = g.shape
+            first = L + ell * ell
+            if t < tmax:
+                rows[first:first + d, B * reps * t:] = 0.0
+            if g.size:  # a zero-size buffer's strides fit no view
+                np.copyto(np.ndarray((d, B, reps, t), complex, rows,
+                                     first * S,
+                                     (S, reps * t * item, t * item, item)),
+                          g[:, :, None, :])
+        return [rows] + [block[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
 @lru_cache(maxsize=256)
@@ -195,10 +238,19 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
                             M, L + l2 * l2 + l1 + l2 - M, sum(widths)))
         for l in ells:
             widths[l] += n
+
+    def largest(size):
+        return max(map(size, pairs), default=0)
+
     return CGPlan(
         ActivationType(tuple(widths)), tuple(pairs),
-        max(((2 * p.M + 1) * p.n * (2 * p.l1 + 1) for p in pairs), default=0),
-        max(((2 * p.M + 1) * p.n * len(p.ells) for p in pairs), default=0))
+        largest(lambda p: (2 * p.M + 1) * p.n * (2 * p.l1 + 1)),
+        largest(lambda p: (2 * p.M + 1) * p.n * len(p.ells)),
+        largest(lambda p: (2 * p.l1 + 1) * p.n),
+        largest(lambda p: (2 * p.M + 1) * len(p.ells)),
+        # k_bar G2, its sum over m, and G1^H k_bar
+        largest(lambda p: (2 * p.l1 + 1) * ((2 * p.M + 2) * tau.tau[p.l1]
+                                            + (2 * p.M + 1) * tau.tau[p.l2])))
 
 
 _PAIR_CACHE: dict = {}
@@ -241,33 +293,6 @@ def _pair_table(ell1: int, ell2: int, ells: tuple) -> np.ndarray:
     return _PAIR_CACHE[key]
 
 
-def _row_buffer(G: list, reps: int) -> np.ndarray:
-    """Every degree's rows stacked on one axis, degree l's row m at
-    L + l^2 + l + m, between L zero rows at each end.  A row holds G_l[m]
-    repeated ``reps`` times, a contiguous (B, reps, tau_l) block, then
-    zeros up to the common row length B * reps * max(tau).
-
-    With row stride S, the rows m - m1 + l2 of degree l2 that a pair
-    (l1, l2) with top degree M reads at [m + M, m1 + l1] are one view at
-    offset ``CGPair.row0`` * S with strides (S, -S, ...).  Entries
-    (m, m1) with no valid m2 read a zero row or a neighbouring degree's
-    finite row, which the CG table weighs by zero.  With M <= L and
-    l1 <= l2 every row read lies inside the buffer, and ``np.ndarray``
-    refuses a view that would not."""
-    L = len(G) - 1
-    B = G[0].shape[1]
-    buf = np.zeros(((L + 1) ** 2 + 2 * L,
-                    B * reps * max(g.shape[2] for g in G)), complex)
-    S, item = buf.strides[0], buf.itemsize
-    for ell, g in enumerate(G):
-        d, _, t = g.shape
-        np.copyto(np.ndarray((d, B, reps, t), complex, buf,
-                             (L + ell * ell) * S,
-                             (S, reps * t * item, t * item, item)),
-                  g[:, :, None, :])
-    return buf
-
-
 def cg_output_type(tau: ActivationType,
                    out_ell_max: int | None = None) -> ActivationType:
     """Fragment counts after the CG nonlinearity (before linear mixing)."""
@@ -289,21 +314,30 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
                    for p, table in zip(plan.pairs, plan.tables)))
 
 
+def _per_degree(alloc, B: int, widths: tuple) -> list:
+    """Per-degree m-major (2l+1, B, widths[l]) views of one flat complex
+    block from ``alloc`` (``np.empty`` or ``np.zeros``), in degree order."""
+    ends = np.cumsum([0] + [(2 * l + 1) * B * w for l, w in enumerate(widths)])
+    block = alloc(ends[-1], complex)
+    return [block[ends[l]:ends[l + 1]].reshape(2 * l + 1, B, w)
+            for l, w in enumerate(widths)]
+
+
 def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
                     mixes: list | None = None) -> CovariantActivation:
     """Tensor-product nonlinearity: all pairwise Kronecker products,
     decomposed into irreducible fragments by the CG selection rule.
 
     Per pair (l1, l2), output m only reads the rows with m1 + m2 = m.  The
-    call stacks every degree's rows, each repeated along t1, in one
-    ``_row_buffer``, so a pair's l2 rows m - m1 are one strided view of it
-    with no gather; the l1 factor, repeated along t2, is built once per
-    run of pairs sharing (l1, t2).  The Kronecker product is then one
-    multiply of two operands whose (B, t1, t2) blocks are contiguous,
+    call stacks every degree's rows, each repeated along t1, in one row
+    buffer (``CGPlan.scratch``), so a pair's l2 rows m - m1 are one strided
+    view of it with no gather; the l1 factor, repeated along t2, is copied
+    once per run of pairs sharing (l1, t2).  The Kronecker product is then
+    one multiply of two operands whose (B, t1, t2) blocks are contiguous,
     followed by one batched matmul over m with the pair's table.  Without
-    ``mixes``, each degree's output is allocated once, m-major, and every
-    pair writes its blocks straight into the columns its ``CGPlan`` gives
-    them.
+    ``mixes``, every degree's output is a view of one block, m-major, and
+    every pair writes its blocks straight into the columns its ``CGPlan``
+    gives them.
 
     ``mixes``, a layer's folded per-degree mixes (``NormState.fold``, as
     ``backward_cg`` takes them), returns the layer's output
@@ -313,28 +347,48 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
     mixed by its rows in one matmul; each block's rows m = -l..l are then
     added into the narrow output of degree l.  Either way each pair's
     table product is written degree-major, (#ells, 2M+1, B, n).
+
+    Every buffer the pairs work in is a region of one scratch block,
+    which is freed when the call returns, and the pairs write into their
+    regions with ``out=``.  Repeated calls therefore do not fault in fresh
+    pages: glibc serves a block above its mmap threshold with a fresh
+    mapping, but freeing one raises that threshold to the block's size (up
+    to 32 MB), so the next call's same-size block comes from the heap
+    pages the last one left.  Many separate blocks of different sizes,
+    allocated and freed in turn, keep being unmapped or trimmed instead.
+    A block above 32 MB, such as a band layer's wide output, is still
+    mapped afresh on every call.
     """
     tau, B, G = F.type, F.batch_size, F.m_major
     plan = _cg_plan(tau, out_ell_max)
     if mixes is None:
-        out = [np.empty((2 * ell + 1, B, w), dtype=complex)
-               for ell, w in enumerate(plan.out_type.tau)]
+        width = 0
+        out = _per_degree(np.empty, B, plan.out_type.tau)
     else:
         if tuple(map(len, mixes)) != plan.out_type.tau:
             raise ValueError("mixes do not match the CG output widths")
         width = max(w.shape[1] for w in mixes)
-        stacked = np.concatenate(
-            [w if w.shape[1] == width else
-             np.pad(w, ((0, 0), (0, width - w.shape[1])))
-             for w in mixes if len(w)]
-            or [np.zeros((0, width), complex)]).take(plan.mix_rows, axis=0)
         # the degrees with CG columns are 0..top; degree l of the mixed
         # output is rows (top - l .. top + l) * B of acc[l]
         top = max((p.M for p in plan.pairs), default=0)
         acc = np.zeros((top + 1, (2 * top + 1) * B, width), complex)
-    kron_ws, y_ws = plan.workspaces(B)
     tmax = max(tau.tau)
-    rows = _row_buffer(G, tmax)
+    n_mix = sum(plan.out_type.tau)
+    rows, kron_ws, y_ws, l1_ws, by_degree, stacked, mixed_ws = plan.scratch(
+        G, tmax, plan.l1_size * B, n_mix * width, n_mix * width,
+        plan.mix_size * B * width)
+    if mixes is not None:
+        # the mixes stacked in degree order, padded to the widest, then
+        # their rows in pair order; the indices are in range, and "clip"
+        # only spares take a buffered copy of its output
+        by_degree = by_degree.reshape(n_mix, width)
+        np.concatenate(
+            [w if w.shape[1] == width else
+             np.pad(w, ((0, 0), (0, width - w.shape[1])))
+             for w in mixes if len(w)] or [np.zeros((0, width), complex)],
+            out=by_degree)
+        stacked = np.take(by_degree, plan.mix_rows, axis=0, mode="clip",
+                          out=stacked.reshape(n_mix, width))
     S, item = rows.strides[0], rows.itemsize
     run = None
     for p, table in zip(plan.pairs, plan.tables):
@@ -342,7 +396,8 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
         t1, t2 = G[l1].shape[2], G[p.l2].shape[2]
         if run != (l1, t2):
             run = (l1, t2)
-            G1 = G[l1].repeat(t2, axis=2).reshape(d1, B, t1, t2)
+            G1 = np.ndarray((d1, B, t1, t2), complex, l1_ws)
+            np.copyto(G1, G[l1][..., None])
         # kron[m, k, b, i, j] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1;
         # the real table then acts on its re/im float view
         G2 = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, rows,
@@ -362,9 +417,11 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
             # zero in rows |m| > l of block l, which land outside degree
             # l's rows of acc
             R = (2 * M + 1) * B
-            acc[p.ells[0]:M + 1, (top - M) * B:(top + M + 1) * B] += (
-                np.ndarray((k, R, n), complex, y_ws)
-                @ stacked[p.mix_row:p.mix_row + k * n].reshape(k, n, width))
+            mixed = np.matmul(
+                np.ndarray((k, R, n), complex, y_ws),
+                stacked[p.mix_row:p.mix_row + k * n].reshape(k, n, width),
+                np.ndarray((k, R, width), complex, mixed_ws))
+            acc[p.ells[0]:M + 1, (top - M) * B:(top + M + 1) * B] += mixed
     if mixes is not None:
         acc = acc.reshape(top + 1, 2 * top + 1, B, width)
         out = [acc[l, top - l:top + l + 1, :, :w.shape[1]] if len(w)
@@ -384,22 +441,31 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     matmul over the (2l+1)*B rows, written straight into the degree-major
     (#ells, 2M+1, B, n) workspace, whose transposed view the transposed
     table maps back to the Kronecker rows (m, m1).  Each factor's
-    cotangent is then a batched mat-vec with the other factor's conjugate:
-    the conjugate l2 rows m - m1 are one strided view of a ``_row_buffer``
-    built once per call, as in the forward kernel.  The l1 cotangent is
+    cotangent is then a batched mat-vec with the other factor's conjugate,
+    read through strided views of the conjugated row buffer
+    (``CGPlan.scratch``), as in the forward kernel.  The l1 cotangent is
     summed over m, and the l2 cotangent is added back to its rows
-    m2 = m - m1 in one slice per m1.  Returns m-major views.
+    m2 = m - m1 in one slice per m1.  As in ``cg_nonlinearity``, every
+    buffer the pairs work in, the conjugated mixes included, is a region
+    of one scratch block, and the cotangents are views of one zeroed
+    output block.
+    Returns m-major views.
     """
     B, G = F.batch_size, F.m_major
     Gb = CovariantActivation(F.bandlimit, G_bar).m_major
     plan = _cg_plan(F.type, out_ell_max)
     if [len(v) for v in mixes] != list(plan.out_type.tau):
         raise ValueError("mixes do not match the CG output widths")
-    F_bar = [np.zeros_like(g) for g in G]
-    k_ws, y_ws = plan.workspaces(B)
-    rows = _row_buffer(G, 1)
+    F_bar = _per_degree(np.zeros, B, F.type.tau)
+    rows, k_ws, y_ws, v_ws, vec_ws = plan.scratch(
+        G, 1, sum(v.size for v in mixes), plan.vec_size * B)
     np.conjugate(rows, out=rows)
-    S, item = rows.strides[0], rows.itemsize
+    V_conj, at = [], 0
+    for v in mixes:
+        V_conj.append(np.conjugate(v, out=v_ws[at:at + v.size].reshape(
+            v.shape)))
+        at += v.size
+    L, S, item = F.bandlimit, rows.strides[0], rows.itemsize
     for p, table in zip(plan.pairs, plan.tables):
         l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
@@ -407,7 +473,7 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
         for i, (l, c) in enumerate(zip(p.ells, p.starts)):
             y_bar[i, :M - l] = 0.0
             np.matmul(Gb[l].reshape((2 * l + 1) * B, -1),
-                      mixes[l][c:c + n].conj().T,
+                      V_conj[l][c:c + n].T,
                       out=y_bar[i, M - l:M + l + 1].reshape(-1, n))
             y_bar[i, M + l + 1:] = 0.0
         np.matmul(table.transpose(0, 2, 1),
@@ -415,14 +481,22 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
                              y_ws).transpose(1, 0, 2),
                   out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
         k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
+        # the conjugate factors: l2 rows m - m1, and l1's own rows
         G2 = np.ndarray((2 * M + 1, d1, B, t2, 1), complex, rows,
                         p.row0 * S, (S, -S, t2 * item, item, item))
-        F_bar[l1] += (k_bar @ G2).sum(axis=0)[..., 0]
-        g2_bar = (G[l1].conj()[:, :, None, :] @ k_bar)[..., 0, :]
+        G1 = np.ndarray((d1, B, 1, t1), complex, rows, (L + l1 * l1) * S,
+                        (S, t1 * item, 0, item))
+        kg = np.ndarray((2 * M + 1, d1, B, t1, 1), complex, vec_ws)
+        kg_sum = np.ndarray((d1, B, t1, 1), complex, vec_ws, kg.nbytes)
+        g2_bar = np.ndarray((2 * M + 1, d1, B, 1, t2), complex, vec_ws,
+                            kg.nbytes + kg_sum.nbytes)
+        np.matmul(k_bar, G2, out=kg)
+        F_bar[l1] += np.sum(kg, axis=0, out=kg_sum)[..., 0]
+        np.matmul(G1, k_bar, out=g2_bar)
         c = l1 + l2 - M  # [m + M, m1 + l1] reads row m2 + l2 = j - k + c
         for k in range(d1):
             lo, hi = max(0, k - c), min(2 * M + 1, k - c + 2 * l2 + 1)
-            F_bar[l2][lo - k + c:hi - k + c] += g2_bar[lo:hi, k]
+            F_bar[l2][lo - k + c:hi - k + c] += g2_bar[lo:hi, k, :, 0]
     return [f.transpose(1, 0, 2) for f in F_bar]
 
 

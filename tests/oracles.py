@@ -197,7 +197,8 @@ def cg_nonlinearity_gather(F, out_ell_max=None):
     G = F.m_major
     out = [np.empty((2 * ell + 1, B, w), dtype=complex)
            for ell, w in enumerate(plan.out_type.tau)]
-    kron_ws, y_ws = plan.workspaces(B)
+    kron_ws = np.empty(plan.kron_size * B, complex)
+    y_ws = np.empty(plan.y_size * B, complex)
     for p, table in zip(plan.pairs, plan.tables):
         l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
@@ -224,7 +225,8 @@ def backward_cg_gather(G_bar, F, mixes, out_ell_max=None):
     Gb = [np.ascontiguousarray(a.transpose(1, 0, 2)) for a in G_bar]
     plan = network._cg_plan(F.type, out_ell_max)
     F_bar = [np.zeros_like(g) for g in G]
-    k_ws, y_ws = plan.workspaces(B)
+    k_ws = np.empty(plan.kron_size * B, complex)
+    y_ws = np.empty(plan.y_size * B, complex)
     for p, table in zip(plan.pairs, plan.tables):
         l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]

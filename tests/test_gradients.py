@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,10 +248,11 @@ def frozen_mix(F, cap, out_tau, rng):
 
 @pytest.mark.parametrize("tau", [(2, 1, 2, 1), (0, 0, 0, 2)])
 def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
-    """Both kernels reuse scratch buffers across pairs; whatever those held
-    before (NaN here) must not reach the result, with or without mixes.
-    With one producing pair, (3, 3), every unwritten slot is still NaN when
-    the pair reads it."""
+    """Both kernels reuse one scratch block across pairs and never clear
+    it; whatever it held before (NaN here, in every element, so also in
+    the row buffer's pads, which the kernels zero themselves) must not
+    reach the result, with or without mixes.  With one producing pair,
+    (3, 3), every unwritten slot is still NaN when the pair reads it."""
     F = random_activation(3, tau, batch=2)
     H_bar = random_like(cg_nonlinearity(F).fragments)
     weights, norm = frozen_mix(F, None, (2, 1, 3, 2), np.random.default_rng(8))
@@ -258,12 +264,15 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
                 cg_nonlinearity(F, None, mixes).fragments)
 
     want = run()
-    make = network.CGPlan.workspaces
+    empty = np.empty
 
-    def poisoned(plan, B):
-        return tuple(np.full_like(w, np.nan) for w in make(plan, B))
+    def poisoned(*args, **kwargs):
+        block = empty(*args, **kwargs)
+        if block.dtype.kind in "fc":
+            block.fill(np.nan)
+        return block
 
-    monkeypatch.setattr(network.CGPlan, "workspaces", poisoned)
+    monkeypatch.setattr(np, "empty", poisoned)
     got = run()
     for a, b in zip(sum(want, []), sum(got, []), strict=True):
         np.testing.assert_array_equal(a, b)
@@ -342,7 +351,7 @@ def test_mixing_cg_kernel_rejects_mixes_of_the_wrong_height():
 
 def test_band_cg_call_allocates_only_its_buffers():
     """A band layer-1 CG call (L=8, tau=8, B=32) peaks at no more than its
-    output, its two workspaces and its two factor buffers, plus 1 MB."""
+    output block and its scratch block, plus 1 MB."""
     L, t, B = 8, 8, 32
     F = random_activation(L, (t,) * (L + 1), batch=B)
     cg_nonlinearity(F)  # builds the memoized CG tables outside the measurement
@@ -355,10 +364,68 @@ def test_band_cg_call_allocates_only_its_buffers():
     out = B * sum((2 * ell + 1) * w
                   for ell, w in enumerate(cg_output_type(F.type).tau))
     plan = network._cg_plan(F.type, None)
-    workspaces = B * (plan.kron_size + plan.y_size)
     rows = ((L + 1) ** 2 + 2 * L) * B * t * t
-    repeated_l1 = (2 * L + 1) * B * t * t
-    assert peak <= 16 * (out + workspaces + rows + repeated_l1) + 2 ** 20
+    scratch = rows + B * (plan.kron_size + plan.y_size + plan.l1_size)
+    assert peak <= 16 * (out + scratch) + 2 ** 20
+
+
+# ten frozen forwards or five training steps of the desk model, after two
+# warm-up calls; prints the minor page faults the measured calls took
+FAULT_SCRIPT = """
+import resource, sys
+import numpy as np
+from cgsphere.gradients import init_weights, loss_and_grad
+from cgsphere.network import (ActivationType, CovariantActivation,
+                              NetworkSpec, network_forward)
+from cgsphere.training import AdamState, adam_step, make_norm_states
+
+what, B, calls = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+t4 = ActivationType((4,) * 6)
+spec = NetworkSpec(5, 1, (t4, t4, ActivationType((4,) + (0,) * 5)))
+weights = init_weights(spec, n_out=4, seed=0)
+norms = make_norm_states(spec)
+adam = AdamState.for_weights(weights)
+rng = np.random.default_rng(1)
+x = CovariantActivation(5, [rng.standard_normal((B, 2 * l + 1, 1))
+                            + 1j * rng.standard_normal((B, 2 * l + 1, 1))
+                            for l in range(6)])
+labels = np.arange(B) % 4
+
+def call():
+    if what == "forward":
+        network_forward(x, weights.layers, norms)
+    else:
+        adam_step(adam, weights,
+                  loss_and_grad(x, labels, weights, norms, training=True)[1])
+
+call()
+call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(calls):
+    call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's reuse of freed heap pages")
+@pytest.mark.parametrize("what, batch, calls", [
+    ("forward", 100, 10), ("train", 32, 5)])
+def test_repeated_desk_calls_fault_in_no_fresh_pages(what, batch, calls):
+    """Repeated frozen desk forwards (B=100) and training steps (B=32)
+    reuse the heap pages of the calls before them: each CG kernel call
+    takes its scratch from one block, which glibc keeps once its mmap
+    threshold has risen to that size.  With separately allocated
+    workspaces and row buffers the same calls took about 16,700 and 6,500
+    minor faults.  Each check runs in a fresh interpreter, because the
+    allocator's state depends on what ran before."""
+    src = str(Path(network.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT, what, str(batch), str(calls)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True)
+    assert int(proc.stdout) < 200
 
 
 # --- full network gradient ---
