@@ -10,7 +10,11 @@ fragment normalization, and a learnable per-degree linear mix.  The network
 output is the invariant feature vector built from all l=0 fragments.
 Both CG kernels, ``cg_nonlinearity`` and its adjoint ``backward_cg``, read
 one frozen ``CGPlan`` per (input type, degree cap), so no other module
-knows the CG table layout.  Each kernel call takes all its scratch from
+knows the CG table layout or which columns a pair keeps: a self-pair
+(l', l') keeps the columns (i, j), i <= j, of its tau_l' x tau_l' grid,
+because column (j, i) is (-1)^l times column (i, j), so the weights, the
+normalization statistics and every column-sized array carry no mirrored
+column.  Each kernel call takes all its scratch from
 one block that ``CGPlan.scratch`` lays out, and returns one output block
 whose per-degree arrays are views, so repeated calls reuse the heap pages
 of the calls before them instead of faulting in fresh ones.  With frozen
@@ -116,19 +120,34 @@ class CovariantActivation:
 # --- Clebsch-Gordan product plans ---
 
 def cg_pairs(L: int):
-    """Degree pairs entering the tensor-product nonlinearity, l1 <= l2
-    (the (l2, l1) columns would repeat them up to sign)."""
+    """Degree pairs entering the tensor-product nonlinearity, l1 <= l2.
+
+    C^l_{l1 m1, l2 m2} = (-1)^{l1+l2-l} C^l_{l2 m2, l1 m1}, so the (l2, l1)
+    columns would repeat the (l1, l2) ones up to sign.  For the same reason
+    a self-pair (l', l') keeps only the columns (i, j) with i <= j of its
+    tau_l' x tau_l' grid: column (j, i) is (-1)^l times column (i, j)
+    (``CGPair.cols``).  At odd l the kept column (i, i) is identically
+    zero; it stays, so that a self-pair table that has lost this symmetry
+    shows as a column that breaks equivariance, even where tau_l' = 1."""
     return [(l1, l2) for l1 in range(L + 1) for l2 in range(l1, L + 1)]
 
 
 @dataclass(frozen=True)
 class CGPair:
     """A pair (l1, l2) that produces output: its block of degree ``ells[i]``
-    fills the columns ``starts[i]`` to ``starts[i] + n``, n = tau_l1 tau_l2;
-    M = ``ells[-1]`` is its top degree, ``row0`` = L + l2^2 + l1 + l2 - M
-    the first row-buffer row of its l2 view (``CGPlan.scratch``), and
-    ``mix_row`` the first of its len(ells) * n rows in the pair-ordered
-    mixing rows."""
+    fills the columns ``starts[i]`` to ``starts[i] + n``; M = ``ells[-1]``
+    is its top degree, ``row0`` = L + l2^2 + l1 + l2 - M the first
+    row-buffer row of its l2 view (``CGPlan.scratch``), ``mix_row`` the
+    first of its len(ells) * n rows in the pair-ordered mixing rows, and
+    ``grid_row`` the first of its len(ells) * tau_l1 * tau_l2 rows in the
+    pair-ordered grid mixing rows (``CGPlan.grid_rows``).
+
+    A pair of two degrees has n = tau_l1 tau_l2 columns, (i, j) in
+    row-major order.  A self-pair keeps the n = tau (tau + 1) / 2 columns
+    (i, j) with i <= j, in row-major order; ``cols`` holds their i and j
+    as the rows of one read-only (2, n) index array, and is None for a
+    pair that keeps its whole grid (every other pair, and a self-pair with
+    tau = 1)."""
 
     l1: int
     l2: int
@@ -138,6 +157,8 @@ class CGPair:
     M: int
     row0: int
     mix_row: int
+    grid_row: int
+    cols: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -147,10 +168,13 @@ class CGPlan:
     ascending, then l2; blocks of one degree sit side by side), and the
     per-example complex sizes of the scratch regions a kernel call cuts
     from its one block (``scratch``), each the largest over the pairs,
-    which take turns in it: the Kronecker rows, the per-m table product,
-    the l1 factor repeated along t2 (forward), the table product's rows
-    per mixed column (forward with mixes), and the three mat-vec results
-    (adjoint).  ``_cg_plan`` builds one per (type, cap), and building it
+    which take turns in it.  The forward kernel works on the kept columns:
+    the Kronecker rows, the per-m table product, the l1 factor repeated
+    along t2, a self-pair's rows gathered on its kept (i, j), and the
+    table product's rows per mixed column (with mixes).  The adjoint
+    works on each pair's full tau_l1 x tau_l2 grid: the Kronecker
+    cotangent, the per-m table-product cotangent, and the three mat-vec
+    results.  ``_cg_plan`` builds one per (type, cap), and building it
     builds no CG table.
     """
 
@@ -159,7 +183,10 @@ class CGPlan:
     kron_size: int
     y_size: int
     l1_size: int
+    self_size: int
     mix_size: int
+    grid_kron_size: int
+    grid_y_size: int
     vec_size: int
 
     @cached_property
@@ -168,21 +195,43 @@ class CGPlan:
         memo that every plan with the pair shares."""
         return tuple(_pair_table(p.l1, p.l2, p.ells) for p in self.pairs)
 
+    def _degree_rows(self, grid: bool) -> np.ndarray:
+        """For each pair-ordered mixing row (pair by pair, then degree by
+        degree, then column: the kept columns, or with ``grid`` every (i, j)
+        of the pair's tau_l1 x tau_l2 grid), its row in the stack of every
+        degree's mix, or with ``grid`` the zero row below that stack for a
+        column a self-pair does not keep."""
+        first = np.cumsum((0,) + self.out_type.tau[:-1])
+        zero = sum(self.out_type.tau)
+        rows = []
+        for p in self.pairs:
+            kept = np.arange(p.n)
+            if grid and p.cols is not None:
+                t = p.cols[0, -1] + 1  # the last kept column is (t-1, t-1)
+                kept = np.full((t, t), -1)
+                kept[p.cols[0], p.cols[1]] = np.arange(p.n)
+                kept = kept.ravel()
+            for l, c in zip(p.ells, p.starts):
+                rows.append(np.where(kept < 0, zero, first[l] + c + kept))
+        return np.concatenate(rows or [np.zeros(0, int)])
+
     @cached_property
     def mix_rows(self) -> np.ndarray:
-        """For each pair-ordered mixing row (pair by pair, then degree by
-        degree, then column), its row in the stack of every degree's mix."""
-        first = np.cumsum((0,) + self.out_type.tau[:-1])
-        return np.concatenate(
-            [np.arange(first[l] + c, first[l] + c + p.n)
-             for p in self.pairs for l, c in zip(p.ells, p.starts)]
-            or [np.zeros(0, int)])
+        """The degree-stack row of each pair-ordered mixing row, kept
+        columns only (the forward kernel's mix)."""
+        return self._degree_rows(grid=False)
+
+    @cached_property
+    def grid_rows(self) -> np.ndarray:
+        """The degree-stack row of each pair-ordered grid mixing row, a
+        self-pair's dropped columns reading the zero row (the adjoint's
+        mix, so its cotangents stay on the full grid)."""
+        return self._degree_rows(grid=True)
 
     def scratch(self, G: list, reps: int, *sizes: int) -> list:
         """Every region a kernel call on the m-major arrays ``G`` works in,
         cut from one ``np.empty`` block: the row buffer, filled, then flat
-        views of the Kronecker and table-product workspaces and of
-        ``sizes`` more complex elements each.  A pair views a region's
+        views of ``sizes`` complex elements each.  A pair views a region's
         leading elements through ``np.ndarray(shape, dtype, buffer)``.
 
         The row buffer stacks every degree's rows on one axis, degree l's
@@ -199,8 +248,7 @@ class CGPlan:
         buffer, and ``np.ndarray`` refuses a view that would not."""
         L, B, tmax = len(G) - 1, G[0].shape[1], max(g.shape[2] for g in G)
         n_rows, width = (L + 1) ** 2 + 2 * L, B * reps * tmax
-        ends = list(accumulate((n_rows * width, self.kron_size * B,
-                                self.y_size * B) + sizes))
+        ends = list(accumulate((n_rows * width,) + sizes))
         block = np.empty(ends[-1], complex)
         rows = block[:ends[0]].reshape(n_rows, width)
         rows[:L] = 0.0
@@ -227,27 +275,42 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
     if out_ell_max is None:
         out_ell_max = L
     widths = [0] * (L + 1)
-    pairs = []
+    pairs, grid_row = [], 0
     for l1, l2 in cg_pairs(L):
-        n = tau.tau[l1] * tau.tau[l2]
+        t1, t2 = tau.tau[l1], tau.tau[l2]
         ells = tuple(range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1))
-        if n == 0 or not ells:
+        if t1 * t2 == 0 or not ells:
             continue
+        cols = None
+        if l1 == l2 and t1 > 1:
+            cols = np.array(np.triu_indices(t1))
+            cols.flags.writeable = False
+        n = t1 * t2 if cols is None else cols.shape[1]
         M = ells[-1]
         pairs.append(CGPair(l1, l2, ells, tuple(widths[l] for l in ells), n,
-                            M, L + l2 * l2 + l1 + l2 - M, sum(widths)))
+                            M, L + l2 * l2 + l1 + l2 - M, sum(widths),
+                            grid_row, cols))
+        grid_row += len(ells) * t1 * t2
         for l in ells:
             widths[l] += n
 
     def largest(size):
         return max(map(size, pairs), default=0)
 
+    def grid(p):
+        return tau.tau[p.l1] * tau.tau[p.l2]
+
     return CGPlan(
         ActivationType(tuple(widths)), tuple(pairs),
-        largest(lambda p: (2 * p.M + 1) * p.n * (2 * p.l1 + 1)),
+        largest(lambda p: (2 * p.M + 1) * (2 * p.l1 + 1) * p.n),
         largest(lambda p: (2 * p.M + 1) * p.n * len(p.ells)),
-        largest(lambda p: (2 * p.l1 + 1) * p.n),
+        largest(lambda p: (2 * p.l1 + 1) * p.n if p.cols is None else 0),
+        # degree l1's rows gathered on i and on j, M more rows on each side
+        largest(lambda p: (2 * p.l1 + 1 + 2 * p.M) * 2 * p.n
+                if p.cols is not None else 0),
         largest(lambda p: (2 * p.M + 1) * len(p.ells)),
+        largest(lambda p: (2 * p.M + 1) * (2 * p.l1 + 1) * grid(p)),
+        largest(lambda p: (2 * p.M + 1) * grid(p) * len(p.ells)),
         # k_bar G2, its sum over m, and G1^H k_bar
         largest(lambda p: (2 * p.l1 + 1) * ((2 * p.M + 2) * tau.tau[p.l1]
                                             + (2 * p.M + 1) * tau.tau[p.l2])))
@@ -302,8 +365,9 @@ def cg_output_type(tau: ActivationType,
 def cg_madd_count(tau: ActivationType, policy: str = "unordered",
                   out_ell_max: int | None = None) -> int:
     """Multiply-add count of the CG transform for one example under the
-    paper's cost model: each stored nonzero CG coefficient touches
-    tau_{l1} * tau_{l2} column pairs.  The kernel in ``cg_nonlinearity``
+    paper's cost model: each stored nonzero CG coefficient touches each of
+    its pair's kept columns once, tau_l1 * tau_l2 of them, or tau (tau + 1)
+    / 2 for a self-pair (``CGPair.n``).  The kernel in ``cg_nonlinearity``
     multiplies by its padded tables, a bounded constant factor more (about
     2x at L = 8).  ``policy`` must be ``NetworkSpec.pair_policy``.
     """
@@ -312,6 +376,25 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
     plan = _cg_plan(tau, out_ell_max)
     return int(sum(np.count_nonzero(table) * p.n
                    for p, table in zip(plan.pairs, plan.tables)))
+
+
+def _stack_mixes(mixes: list, rows: np.ndarray, by_degree: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` (``CGPlan.mix_rows`` or ``grid_rows``) of every
+    degree's mix, padded with zero columns to the widest, stacked in degree
+    order above one zero row in the flat region ``by_degree`` and taken
+    into the flat region ``out``."""
+    width = max(w.shape[1] for w in mixes)
+    by_degree = by_degree.reshape(sum(map(len, mixes)) + 1, width)
+    np.concatenate(
+        [w if w.shape[1] == width else
+         np.pad(w, ((0, 0), (0, width - w.shape[1])))
+         for w in mixes if len(w)] or [np.zeros((0, width), complex)],
+        out=by_degree[:-1])
+    by_degree[-1] = 0.0
+    # the indices are in range; "clip" only spares take a buffered copy
+    return np.take(by_degree, rows, axis=0, mode="clip",
+                   out=out.reshape(len(rows), width))
 
 
 def _per_degree(alloc, B: int, widths: tuple) -> list:
@@ -332,9 +415,13 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
     call stacks every degree's rows, each repeated along t1, in one row
     buffer (``CGPlan.scratch``), so a pair's l2 rows m - m1 are one strided
     view of it with no gather; the l1 factor, repeated along t2, is copied
-    once per run of pairs sharing (l1, t2).  The Kronecker product is then
-    one multiply of two operands whose (B, t1, t2) blocks are contiguous,
-    followed by one batched matmul over m with the pair's table.  Without
+    once per run of pairs sharing (l1, t2).  A self-pair forms only its
+    kept columns (i, j), i <= j (``CGPair.cols``): one ``take`` gathers
+    each of its rows on i and on j into a region with spare rows at each
+    end, its l1 factor is a view of that region, and its l2 rows m - m1
+    are the same kind of strided view.  The Kronecker product is then one
+    multiply of two operands whose (B, n) blocks are contiguous, followed
+    by one batched matmul over m with the pair's table.  Without
     ``mixes``, every degree's output is a view of one block, m-major, and
     every pair writes its blocks straight into the columns its ``CGPlan``
     gives them.
@@ -374,36 +461,46 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
         acc = np.zeros((top + 1, (2 * top + 1) * B, width), complex)
     tmax = max(tau.tau)
     n_mix = sum(plan.out_type.tau)
-    rows, kron_ws, y_ws, l1_ws, by_degree, stacked, mixed_ws = plan.scratch(
-        G, tmax, plan.l1_size * B, n_mix * width, n_mix * width,
+    (rows, kron_ws, y_ws, l1_ws, self_ws, by_degree, stacked,
+     mixed_ws) = plan.scratch(
+        G, tmax, plan.kron_size * B, plan.y_size * B, plan.l1_size * B,
+        plan.self_size * B, (n_mix + 1) * width, n_mix * width,
         plan.mix_size * B * width)
     if mixes is not None:
-        # the mixes stacked in degree order, padded to the widest, then
-        # their rows in pair order; the indices are in range, and "clip"
-        # only spares take a buffered copy of its output
-        by_degree = by_degree.reshape(n_mix, width)
-        np.concatenate(
-            [w if w.shape[1] == width else
-             np.pad(w, ((0, 0), (0, width - w.shape[1])))
-             for w in mixes if len(w)] or [np.zeros((0, width), complex)],
-            out=by_degree)
-        stacked = np.take(by_degree, plan.mix_rows, axis=0, mode="clip",
-                          out=stacked.reshape(n_mix, width))
+        stacked = _stack_mixes(mixes, plan.mix_rows, by_degree, stacked)
+    # a self-pair's l2 rows m - m1 with no valid m2 read zeros or an
+    # earlier self-pair's finite rows, which the CG table weighs by zero
+    self_ws[:] = 0.0
     S, item = rows.strides[0], rows.itemsize
     run = None
     for p, table in zip(plan.pairs, plan.tables):
         l1, M, n, d1, k = p.l1, p.M, p.n, 2 * p.l1 + 1, len(p.ells)
-        t1, t2 = G[l1].shape[2], G[p.l2].shape[2]
-        if run != (l1, t2):
-            run = (l1, t2)
-            G1 = np.ndarray((d1, B, t1, t2), complex, l1_ws)
-            np.copyto(G1, G[l1][..., None])
-        # kron[m, k, b, i, j] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1;
-        # the real table then acts on its re/im float view
-        G2 = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, rows,
-                        p.row0 * S, (S, -S, tmax * t2 * item, t2 * item, item))
-        np.multiply(G1, G2, out=np.ndarray((2 * M + 1, d1, B, t1, t2),
-                                           complex, kron_ws))
+        if p.cols is None:
+            # kron[m, k, b, i, j] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1
+            t1, t2 = G[l1].shape[2], G[p.l2].shape[2]
+            if run != (l1, t2):
+                run = (l1, t2)
+                G1 = np.ndarray((d1, B, t1, t2), complex, l1_ws)
+                np.copyto(G1, G[l1][..., None])
+            G2 = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, rows,
+                            p.row0 * S,
+                            (S, -S, tmax * t2 * item, t2 * item, item))
+        else:
+            # a self-pair's kept columns c = (i, j): kron[m, k, b, c] =
+            # G[m1, b, i] G[m - m1, b, j]; one take gathers each row of
+            # degree l1 on i and on j, below M rows of self_ws, so the
+            # l1 factor is a view of it and rows m - m1 are one more
+            run = None
+            S2 = 2 * B * n * item
+            gathered = np.take(G[l1], p.cols, axis=2, mode="clip",
+                               out=np.ndarray((d1, B, 2, n), complex,
+                                              self_ws, M * S2))
+            G1 = gathered[:, :, 0]
+            G2 = np.ndarray((2 * M + 1, d1, B, n), complex, self_ws,
+                            2 * l1 * S2 + n * item,
+                            (S2, -S2, 2 * n * item, item))
+        # the real table then acts on the product's re/im float view
+        np.multiply(G1, G2, out=np.ndarray(G2.shape, complex, kron_ws))
         np.matmul(table,
                   np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
                   out=np.ndarray((k, 2 * M + 1, 2 * B * n), float,
@@ -437,7 +534,12 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     convention of ``gradients``; mirrors the forward column order exactly.
     Self-pairs accumulate both branch gradients.
 
-    Per pair and degree, G_bar_l V_l^H on the pair's columns is one 2-D
+    The adjoint works on each pair's full tau_l1 x tau_l2 grid of columns:
+    the conjugated mixes are stacked once per call in pair order on that
+    grid (``CGPlan.grid_rows``), a self-pair's dropped columns (j, i), i <
+    j, reading a zero row, so those columns get a zero cotangent, as a
+    column that feeds no output must.  Per pair and degree, G_bar_l V_l^H
+    on the pair's columns is one 2-D
     matmul over the (2l+1)*B rows, written straight into the degree-major
     (#ells, 2M+1, B, n) workspace, whose transposed view the transposed
     table maps back to the Kronecker rows (m, m1).  Each factor's
@@ -457,23 +559,25 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     if [len(v) for v in mixes] != list(plan.out_type.tau):
         raise ValueError("mixes do not match the CG output widths")
     F_bar = _per_degree(np.zeros, B, F.type.tau)
-    rows, k_ws, y_ws, v_ws, vec_ws = plan.scratch(
-        G, 1, sum(v.size for v in mixes), plan.vec_size * B)
+    width = max(v.shape[1] for v in mixes)
+    rows, k_ws, y_ws, by_degree, grid_ws, vec_ws = plan.scratch(
+        G, 1, plan.grid_kron_size * B, plan.grid_y_size * B,
+        (sum(plan.out_type.tau) + 1) * width, len(plan.grid_rows) * width,
+        plan.vec_size * B)
     np.conjugate(rows, out=rows)
-    V_conj, at = [], 0
-    for v in mixes:
-        V_conj.append(np.conjugate(v, out=v_ws[at:at + v.size].reshape(
-            v.shape)))
-        at += v.size
+    V_conj = _stack_mixes(mixes, plan.grid_rows, by_degree, grid_ws)
+    np.conjugate(V_conj, out=V_conj)
     L, S, item = F.bandlimit, rows.strides[0], rows.itemsize
     for p, table in zip(plan.pairs, plan.tables):
-        l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
+        l1, l2, M, d1 = p.l1, p.l2, p.M, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        n = t1 * t2
         y_bar = np.ndarray((len(p.ells), 2 * M + 1, B, n), complex, y_ws)
-        for i, (l, c) in enumerate(zip(p.ells, p.starts)):
+        for i, l in enumerate(p.ells):
+            r, w = p.grid_row + i * n, Gb[l].shape[2]
             y_bar[i, :M - l] = 0.0
-            np.matmul(Gb[l].reshape((2 * l + 1) * B, -1),
-                      V_conj[l][c:c + n].T,
+            np.matmul(Gb[l].reshape((2 * l + 1) * B, w),
+                      V_conj[r:r + n, :w].T,
                       out=y_bar[i, M - l:M + l + 1].reshape(-1, n))
             y_bar[i, M + l + 1:] = 0.0
         np.matmul(table.transpose(0, 2, 1),
@@ -542,9 +646,11 @@ class NormState:
         """The divisors of the normalization, every degree's in one array
         in degree order.
 
-        Dead fragments (identically-zero CG outputs, e.g. odd-degree
-        self-couplings of a column with itself) pass through unscaled:
-        dividing their rounding noise by a tiny floor would amplify it.
+        A column whose scale is below ``NORM_EPS`` passes through unscaled:
+        dividing its rounding noise by a tiny scale would amplify it.  The
+        CG columns that are identically zero for every input are a
+        self-pair's (i, i) at odd degree (``cg_pairs``), so this rule
+        holds for them, and for columns an all-zero input leaves zero.
         """
         d = np.concatenate(self.scales)
         return np.where(d < NORM_EPS, 1.0, d)

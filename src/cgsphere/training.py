@@ -3,7 +3,9 @@
 Checkpoints are directories: a structured-text ``model.manifest`` plus
 binary blobs (``weights.bin``, ``norm.bin``, ``adam.bin``).  Complex
 matrices are stored as little-endian float64 real/imag pairs; the array
-order is documented in the manifest.
+order is documented in the manifest.  The format is CGNET2: each layer's
+weights, norm scales and ADAM moments have one row per post-CG column
+the network keeps (``network.cg_pairs``).
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _write_checkpoint(path: Path, weights: NetworkWeights, norm_states: list,
                       adam: AdamState | None, extra: dict | None) -> None:
     spec = weights.spec
     lines = [
-        "format=CGNET1",
+        "format=CGNET2",
         f"bandlimit={spec.bandlimit}",
         f"layers={spec.n_layers}",
         f"n_in={spec.n_in}",
@@ -253,13 +255,20 @@ def load_checkpoint(path):
     and every value against the domain training can produce: parameters,
     norm scales and ADAM moments finite, scales, counts and the ADAM step
     not negative, and ADAM hyperparameters in the range configs accept.
-    A zero scale stays valid: a dead CG column has one.
+    A zero scale stays valid: the column (i, i) of a self-pair at odd
+    degree is identically zero, so its scale is.  Only format CGNET2 is
+    read: CGNET1 weights and statistics have a row for every column of a
+    self-pair's grid, where CGNET2 has one for each kept column.
     """
     path = Path(path)
     where = path / "model.manifest"
     manifest = _parse_manifest(where.read_text())
-    if manifest.get("format") != "CGNET1":
-        raise ValueError(f"unsupported checkpoint format in {path}")
+    fmt = manifest.get("format")
+    if fmt != "CGNET2":
+        why = ("; its weights hold every column of each self-pair's grid, "
+               "which this version no longer forms: retrain"
+               if fmt == "CGNET1" else "")
+        raise ValueError(f"{where}: format={fmt} is not CGNET2{why}")
     L, S, n_in, n_out, hidden = (
         _manifest_value(manifest, key, where)
         for key in ("bandlimit", "layers", "n_in", "n_out", "hidden"))
@@ -267,10 +276,6 @@ def load_checkpoint(path):
                        ("hidden", hidden)):
         if value < 1:
             raise ValueError(f"{where}: {key}={value} is below 1")
-    # earlier checkpoints name the pair rule; l1 <= l2 is the only one
-    policy = manifest.get("pair_policy", "unordered")
-    if policy != "unordered":
-        raise ValueError(f"{where}: pair_policy={policy} is not unordered")
     taus = []
     for s in range(S):
         key = f"tau{s + 1}"

@@ -11,10 +11,10 @@ one-draw-per-block templates and the one-eigh-per-call little-d that
 ``data.class_templates`` and ``so3.wigner_d_small`` must reproduce byte
 for byte;
 ``cg_nonlinearity_gather`` and ``backward_cg_gather``, the CG kernel and
-its adjoint with a row gather per pair, read from the same ``CGPlan``,
-which the strided-view kernels must reproduce byte for byte (the adjoint
-to rounding at B=1); ``clebsch_gordan_coeff``, one coefficient read from
-``so3.cg_table``;
+its adjoint with a row gather per pair and each self-pair's kept columns
+read from the same ``CGPlan``, which the strided-view kernels must
+reproduce byte for byte (the adjoint to rounding at B=1);
+``clebsch_gordan_coeff``, one coefficient read from ``so3.cg_table``;
 ``loss_and_grad_unfused``, the training step with a normalized copy of
 every CG output and its wide cotangent; and ``audit_two_forwards``, the
 audit with one forward pass per input.
@@ -28,8 +28,8 @@ import numpy as np
 from cgsphere import network
 from cgsphere.data import Dataset, class_templates
 from cgsphere.gradients import HeadWeights, NetworkWeights, backward_linear
-from cgsphere.network import (CovariantActivation, backward_cg,
-                              cg_nonlinearity, cg_output_type,
+from cgsphere.network import (ActivationType, CovariantActivation,
+                              backward_cg, cg_nonlinearity, cg_output_type,
                               covariant_linear, covariant_normalize,
                               invariant_features, layer_out_ell_max,
                               network_forward)
@@ -156,21 +156,36 @@ def intertwiner_from_representations(d_blocks_1, d_blocks_2, d_blocks_out):
     return x
 
 
-def dense_cg_transform(fragments, pairs, out_blocks, out_ell_max):
+def kept_kron_columns(tau, out_ell_max):
+    """For each self-pair of the plan of ``tau`` and ``out_ell_max``, the
+    columns i * tau_l + j of its Kronecker product it keeps, read from
+    ``CGPair.cols``; every other pair keeps all of its columns."""
+    plan = network._cg_plan(ActivationType(tau), out_ell_max)
+    return {(p.l1, p.l2): p.cols[0] * tau[p.l2] + p.cols[1]
+            for p in plan.pairs if p.cols is not None}
+
+
+def dense_cg_transform(fragments, pairs, out_blocks, out_ell_max,
+                       grid=False):
     """Dense Kronecker-product + projection reference for the nonlinearity.
 
     ``fragments`` is a list of (B, 2l+1, tau_l) arrays; ``out_blocks`` maps
     (l1, l2, l) to the dense CG matrix.  Returns per-degree concatenations
-    in the same pair-major order as the production code.
+    in the same pair-major order as the production code, of the columns
+    each pair keeps (``kept_kron_columns``), or with ``grid`` of every
+    column of every pair's tau_l1 x tau_l2 grid.
     """
     L = len(fragments) - 1
     B = fragments[0].shape[0]
+    tau = tuple(f.shape[2] for f in fragments)
+    kept = {} if grid else kept_kron_columns(tau, out_ell_max)
     out = [[] for _ in range(L + 1)]
     for l1, l2 in pairs:
         f1, f2 = fragments[l1], fragments[l2]
         if f1.shape[2] == 0 or f2.shape[2] == 0:
             continue
         kron = np.stack([np.kron(f1[b], f2[b]) for b in range(B)])
+        kron = kron[..., kept.get((l1, l2), slice(None))]
         for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1):
             c = out_blocks[(l1, l2, l)]
             out[l].append(np.einsum("rm,brt->bmt", c, kron))
@@ -202,10 +217,16 @@ def cg_nonlinearity_gather(F, out_ell_max=None):
     for p, table in zip(plan.pairs, plan.tables):
         l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
-        rows = _gathered_rows(l1, l2, M)
-        np.multiply(G[l1][..., None], G[l2].take(rows, axis=0)[..., None, :],
-                    out=np.ndarray((2 * M + 1, d1, B, t1, t2), complex,
-                                   kron_ws))
+        G2 = G[l2].take(_gathered_rows(l1, l2, M), axis=0)
+        if p.cols is None:
+            np.multiply(G[l1][..., None], G2[..., None, :],
+                        out=np.ndarray((2 * M + 1, d1, B, t1, t2), complex,
+                                       kron_ws))
+        else:
+            ci, cj = p.cols
+            np.multiply(G[l1][:, :, ci], G2[..., cj],
+                        out=np.ndarray((2 * M + 1, d1, B, n), complex,
+                                       kron_ws))
         np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
                   out=np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float,
                                  y_ws))
@@ -225,16 +246,22 @@ def backward_cg_gather(G_bar, F, mixes, out_ell_max=None):
     Gb = [np.ascontiguousarray(a.transpose(1, 0, 2)) for a in G_bar]
     plan = network._cg_plan(F.type, out_ell_max)
     F_bar = [np.zeros_like(g) for g in G]
-    k_ws = np.empty(plan.kron_size * B, complex)
-    y_ws = np.empty(plan.y_size * B, complex)
+    k_ws = np.empty(plan.grid_kron_size * B, complex)
+    y_ws = np.empty(plan.grid_y_size * B, complex)
     for p, table in zip(plan.pairs, plan.tables):
-        l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
+        l1, l2, M, d1 = p.l1, p.l2, p.M, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        n = t1 * t2
         y_bar = np.ndarray((2 * M + 1, len(p.ells), B, n), complex, y_ws)
         for i, (l, c) in enumerate(zip(p.ells, p.starts)):
+            # the mix rows of the pair's kept columns on its full grid,
+            # zero for a self-pair's dropped columns
+            V = np.zeros((n, mixes[l].shape[1]), complex)
+            kept = (np.arange(n) if p.cols is None
+                    else p.cols[0] * t2 + p.cols[1])
+            V[kept] = mixes[l][c:c + p.n]
             y_bar[:M - l, i] = 0.0
-            np.matmul(Gb[l], mixes[l][c:c + n].conj().T,
-                      out=y_bar[M - l:M + l + 1, i])
+            np.matmul(Gb[l], V.conj().T, out=y_bar[M - l:M + l + 1, i])
             y_bar[M + l + 1:, i] = 0.0
         np.matmul(table.transpose(0, 2, 1),
                   np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float, y_ws),

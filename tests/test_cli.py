@@ -314,6 +314,25 @@ def test_audit_batch_of_two_matches_two_forwards(workspace, corrupt):
         assert abs(a - b) <= 1e-13
 
 
+@pytest.mark.parametrize("command", ["eval", "audit"])
+def test_checkpoint_of_the_earlier_format_exits_numeric(workspace, capsys,
+                                                        tmp_path, command):
+    # a CGNET1 checkpoint holds a weight row for every column of each
+    # self-pair's grid; the error names the manifest and the format
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    for blob in workspace["ckpt"].iterdir():
+        (ckpt / blob.name).write_bytes(blob.read_bytes())
+    manifest = ckpt / "model.manifest"
+    manifest.write_text(manifest.read_text().replace("format=CGNET2",
+                                                     "format=CGNET1"))
+    args = ["--data", str(workspace["data"] / "test")] \
+        if command == "eval" else ["--trials", "1"]
+    assert main([command, "--checkpoint", str(ckpt)] + args) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: format=CGNET1 is not CGNET2")
+
+
 def test_audit_restores_tables_after_corruption(workspace, capsys):
     # the corruption from the previous invocation must not leak
     code = main(["audit", "--checkpoint", str(workspace["ckpt"]),

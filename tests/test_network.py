@@ -113,6 +113,8 @@ def test_cg_output_type_by_hand():
     assert out.tau == (2, 2)
     clipped = cg_output_type(ActivationType((1, 1)), out_ell_max=0)
     assert clipped.tau == (2, 0)
+    # tau=(2,3): (0,0) keeps 3 of its 2x2 columns, (0,1) all 6, (1,1) 6 of 9
+    assert cg_output_type(ActivationType((2, 3))).tau == (3 + 6, 6 + 6)
     # a list of counts is held as a tuple, so it can key the memoized layout
     assert cg_output_type(ActivationType([1, 1])).tau == (2, 2)
 
@@ -120,11 +122,15 @@ def test_cg_output_type_by_hand():
 def test_cg_output_type_counts_products():
     tau = ActivationType((2, 3, 1))
     out = cg_output_type(tau)
-    # independent recount straight from the definition
+    # independent recount straight from the definition: a self-pair keeps
+    # the columns (i, j) with i <= j of its grid
     expect = [0, 0, 0]
     for l1, l2 in cg_pairs(2):
+        t1, t2 = tau.tau[l1], tau.tau[l2]
+        kept = sum(i <= j for i in range(t1) for j in range(t2)) \
+            if l1 == l2 else t1 * t2
         for l in range(abs(l1 - l2), min(l1 + l2, 2) + 1):
-            expect[l] += tau.tau[l1] * tau.tau[l2]
+            expect[l] += kept
     assert out.tau == tuple(expect)
 
 
@@ -220,6 +226,93 @@ def test_corruption_hook_negates_exactly_one_coefficient(flip):
         np.testing.assert_array_equal(a, b)
 
 
+# the input types of the desk (L=5) and band (L=8) layers, and a type with
+# a zero count
+TWIN_TYPES = [(1,) * 6, (4,) * 6, (1,) * 9, (8,) * 9, (2, 0, 3, 1)]
+
+
+@pytest.mark.parametrize("tau", TWIN_TYPES,
+                         ids=lambda tau: "tau" + "".join(map(str, tau)))
+def test_dropped_self_pair_columns_repeat_kept_ones(tau):
+    """On every pair's full tau_l1 x tau_l2 grid of the dense reference, at
+    every cap, a self-pair's column (j, i), i < j, is (-1)^l times its
+    twin (i, j), and its (i, i) at odd l is zero, to rounding (1e-13 of
+    the degree's largest value), so dropping the columns (j, i) loses
+    nothing; the kernel's columns are the pairs' columns (i, j), i <= j,
+    for a self-pair, all for the others."""
+    L, B = len(tau) - 1, 2
+    F = random_activation(L, tau, batch=B)
+    pairs = cg_pairs(L)
+    blocks = {(l1, l2, l): cg_block(l1, l2, l).dense() for l1, l2 in pairs
+              for l in range(abs(l1 - l2), min(l1 + l2, L) + 1)}
+    for cap in range(L + 1):
+        grid = oracles.dense_cg_transform(F.fragments, pairs, blocks, cap,
+                                          grid=True)
+        got = cg_nonlinearity(F, cap).fragments
+        start, kept = [0] * (L + 1), [0] * (L + 1)
+        for l1, l2 in pairs:
+            t1, t2 = tau[l1], tau[l2]
+            for l in range(abs(l1 - l2), min(l1 + l2, cap) + 1):
+                block = grid[l][..., start[l]:start[l] + t1 * t2].reshape(
+                    B, 2 * l + 1, t1, t2)
+                start[l] += t1 * t2
+                if l1 == l2:
+                    # to rounding of the reference's sums over (m1, m2)
+                    tol = 1e-13 * np.abs(grid[l]).max()
+                    i, j = np.triu_indices(t1, 1)
+                    np.testing.assert_allclose(
+                        block[..., j, i], (-1) ** l * block[..., i, j],
+                        rtol=0, atol=tol)
+                    if l % 2:
+                        diag = block[..., np.arange(t1), np.arange(t1)]
+                        assert np.abs(diag).max(initial=0.0) <= tol
+                    i, j = np.triu_indices(t1)
+                    block = block[..., i, j]
+                else:
+                    block = block.reshape(B, 2 * l + 1, t1 * t2)
+                n = block.shape[2]
+                np.testing.assert_allclose(
+                    got[l][..., kept[l]:kept[l] + n], block, rtol=0,
+                    atol=1e-13)
+                kept[l] += n
+        assert tuple(kept) == cg_output_type(F.type, cap).tau
+
+
+@pytest.mark.parametrize("text", [
+    "bandlimit = 5\ngrid_bandwidth = 8\nlayers = 3\ntau = 4\n",   # desk
+    "bandlimit = 8\ngrid_bandwidth = 16\nlayers = 3\ntau = 8\n",  # band
+])
+def test_only_odd_degree_self_pair_diagonals_are_dead(text):
+    """For random inputs at every desk and band layer, a CG column is
+    identically zero exactly when it is a self-pair's (i, i) at odd degree:
+    its RMS is below 1e-13 of the degree's largest, while every other
+    column's is above 1e-3 of it.  ``NORM_EPS`` lets those columns, and
+    columns an all-zero input leaves zero, pass through unscaled."""
+    spec = parse_config(text).network_spec()
+    rng = np.random.default_rng(5)
+    for s in range(spec.n_layers):
+        tau, cap = spec._layer_cg(s)
+        H = cg_nonlinearity(
+            random_activation(spec.bandlimit, tau.tau, batch=3, rng=rng), cap)
+        dead = [np.zeros(t, bool) for t in H.type.tau]
+        at = [0] * (spec.bandlimit + 1)
+        for l1, l2 in cg_pairs(spec.bandlimit):
+            t1, t2 = tau.tau[l1], tau.tau[l2]
+            for l in range(abs(l1 - l2), min(l1 + l2, cap) + 1):
+                if l1 != l2:
+                    at[l] += t1 * t2
+                    continue
+                i, j = np.triu_indices(t1)
+                dead[l][at[l]:at[l] + i.size] = (i == j) & (l % 2 == 1)
+                at[l] += i.size
+        assert tuple(at) == H.type.tau
+        for h, d in zip(H.m_major, dead):
+            rms = np.sqrt(np.mean(np.abs(h) ** 2, axis=(0, 1)))
+            top = rms.max(initial=0.0)
+            assert np.all(rms[d] <= 1e-13 * top)
+            assert np.all(rms[~d] > 1e-3 * top)
+
+
 @pytest.mark.parametrize("text", [
     "bandlimit = 5\ngrid_bandwidth = 8\nlayers = 3\ntau = 4\n",   # desk
     "bandlimit = 8\ngrid_bandwidth = 16\nlayers = 3\ntau = 8\n",  # band
@@ -232,7 +325,7 @@ def test_kernel_tables_follow_the_cost_model(text):
     for s in range(spec.n_layers):
         tau, cap = spec._layer_cg(s)
         plan = network._cg_plan(tau, cap)
-        stored = sum(table.size * tau.tau[p.l1] * tau.tau[p.l2]
+        stored = sum(table.size * p.n
                      for p, table in zip(plan.pairs, plan.tables))
         assert stored <= 2.5 * cg_madd_count(tau, NetworkSpec.pair_policy,
                                              cap)
@@ -241,7 +334,10 @@ def test_kernel_tables_follow_the_cost_model(text):
 @pytest.mark.parametrize("tau, out_ell_max", LAYOUT_CASES)
 def test_cg_madd_count_recounts_stored_entries(tau, out_ell_max):
     L = len(tau) - 1
-    want = sum(len(cg_block(l1, l2, l).entries) * tau[l1] * tau[l2]
+    # a self-pair keeps tau (tau + 1) / 2 of its tau^2 columns
+    want = sum(len(cg_block(l1, l2, l).entries)
+               * (tau[l1] * (tau[l1] + 1) // 2 if l1 == l2
+                  else tau[l1] * tau[l2])
                for l1, l2 in cg_pairs(L)
                for l in range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1))
     got = cg_madd_count(ActivationType(tau), out_ell_max=out_ell_max)
@@ -293,13 +389,24 @@ def test_one_frozen_plan_per_type_and_cap():
     assert network._cg_plan(ActivationType((1, 2)), None) is plan
     assert network._cg_plan(tau, 0) is not plan
     assert network._cg_plan.cache_info().maxsize == 256
-    # L=1: (0,0) -> l0; (0,1) -> l1; (1,1) -> l0, l1 (l2 capped at L)
-    assert plan.out_type == ActivationType((1 + 4, 2 + 4))
-    assert [(p.l1, p.l2, p.ells, p.starts, p.n, p.M, p.row0)
-            for p in plan.pairs] == [(0, 0, (0,), (0,), 1, 0, 1),
-                                     (0, 1, (1,), (0,), 2, 1, 2),
-                                     (1, 1, (0, 1), (1, 2), 4, 1, 3)]
-    assert (plan.kron_size, plan.y_size) == (3 * 4 * 3, 3 * 4 * 2)
+    # L=1: (0,0) -> l0; (0,1) -> l1; (1,1) -> l0, l1 (l2 capped at L);
+    # (1,1) keeps the columns (0,0), (0,1) and (1,1) of its 2 x 2 grid
+    assert plan.out_type == ActivationType((1 + 3, 2 + 3))
+    assert [(p.l1, p.l2, p.ells, p.starts, p.n, p.M, p.row0, p.mix_row,
+             p.grid_row) for p in plan.pairs] == [
+        (0, 0, (0,), (0,), 1, 0, 1, 0, 0),
+        (0, 1, (1,), (0,), 2, 1, 2, 1, 1),
+        (1, 1, (0, 1), (1, 2), 3, 1, 3, 3, 3)]
+    assert plan.pairs[1].cols is None
+    assert [c.tolist() for c in plan.pairs[2].cols] == [[0, 0, 1], [0, 1, 1]]
+    # (1,1)'s rows in the degree-major stack of the mixes (degree 0 rows
+    # 0..3, degree 1 rows 4..8, zero row 9): kept columns, then its grid
+    assert plan.mix_rows.tolist() == [0, 4, 5, 1, 2, 3, 6, 7, 8]
+    assert plan.grid_rows.tolist() == [0, 4, 5, 1, 2, 9, 3, 6, 7, 9, 8]
+    # the forward works on the kept columns, the adjoint on the grid
+    assert (plan.kron_size, plan.y_size) == (3 * 3 * 3, 3 * 3 * 2)
+    assert (plan.grid_kron_size, plan.grid_y_size) == (3 * 3 * 4, 3 * 4 * 2)
+    assert plan.self_size == (3 + 2) * 2 * 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.out_type = tau
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -375,9 +482,12 @@ def test_cg_madd_count_small_case():
 
 
 def test_cg_madd_count_scales_quadratically():
-    base = cg_madd_count(ActivationType((2,) * 4))
-    double = cg_madd_count(ActivationType((4,) * 4))
-    assert double == 4 * base
+    """At uniform tau = t the count is a t^2 + b t: pairs of two degrees
+    keep t^2 columns and self-pairs t (t + 1) / 2, so it has no constant
+    term and its second difference over t = 1, 2, 4 vanishes exactly."""
+    c1, c2, c4 = (cg_madd_count(ActivationType((t,) * 4)) for t in (1, 2, 4))
+    assert c4 - 6 * c2 + 8 * c1 == 0
+    assert 3.5 * c2 < c4 < 4 * c2
 
 
 # --- linear mixing ---

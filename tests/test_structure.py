@@ -40,13 +40,15 @@ def test_cg_kernels_allocate_nothing_per_pair():
     block: the per-pair loops of ``cg_nonlinearity`` and ``backward_cg``
     hold no ``@`` (which allocates its result) and call none of the
     allocating ``repeat``, ``conj``, ``empty``, ``zeros``, ``pad`` or
-    ``concatenate``."""
+    ``concatenate``.  The ``take`` there (a self-pair's kept columns) writes
+    into a region with ``out=`` and ``mode="clip"``: in the default mode
+    numpy takes into a buffered copy of ``out``."""
     allocating = {"repeat", "conj", "empty", "zeros", "pad", "concatenate"}
     loops = per_pair_loops(SRC / "network.py",
                            ("cg_nonlinearity", "backward_cg"))
     assert {name: len(found) for name, found in loops.items()} == {
         "cg_nonlinearity": 1, "backward_cg": 1}
-    found = []
+    found, takes = [], []
     for name, kernel_loops in loops.items():
         for node in (n for loop in kernel_loops for n in ast.walk(loop)):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
@@ -58,4 +60,13 @@ def test_cg_kernels_allocate_nothing_per_pair():
                     f, "id", None)
                 if called in allocating:
                     found.append(f"{name}:{node.lineno} {called}")
+                keywords = {k.arg: ast.unparse(k.value)
+                            for k in node.keywords}
+                if called == "take":
+                    takes.append(name)
+                    if "out" not in keywords or \
+                            keywords.get("mode") != "'clip'":
+                        found.append(f"{name}:{node.lineno} take")
     assert found == []
+    # a self-pair's rows, gathered on i and on j
+    assert takes == ["cg_nonlinearity"]

@@ -135,7 +135,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(ckpt, weights, norms, adam, extra={"note": "x"})
     w2, n2, a2, manifest = load_checkpoint(ckpt)
 
-    assert manifest["format"] == "CGNET1"
+    assert manifest["format"] == "CGNET2"
     assert manifest["note"] == "x"
     assert w2.spec == weights.spec
     for a, b in zip(weights.arrays(), w2.arrays()):
@@ -186,26 +186,27 @@ def test_checkpoint_resume_equivalence(tmp_path):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_checkpoint_with_unordered_pair_policy_line_loads(tmp_path):
-    # earlier checkpoints carry the line; it names the only pair rule
-    _, _, _, weights, norms, adam = make_toy_problem()
-    ckpt = tmp_path / "ckpt"
-    save_checkpoint(ckpt, weights, norms, adam)
-    path = ckpt / "model.manifest"
-    assert "pair_policy" not in path.read_text()
-    path.write_text(path.read_text() + "pair_policy=unordered\n")
-    w2, _, _, _ = load_checkpoint(ckpt)
-    assert w2.spec == weights.spec
-    for a, b in zip(weights.arrays(), w2.arrays()):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_checkpoint_bad_format(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
     (d / "model.manifest").write_text("format=WRONG\n")
     with pytest.raises(ValueError):
         load_checkpoint(d)
+
+
+def test_checkpoint_of_the_earlier_format_is_rejected(tmp_path):
+    """A CGNET1 checkpoint has a weight row for every column of each
+    self-pair's grid; loading one fails, naming the file and the format."""
+    _, _, _, weights, norms, adam = make_toy_problem()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, weights, norms, adam)
+    path = ckpt / "model.manifest"
+    assert path.read_text().startswith("format=CGNET2\n")
+    path.write_text(path.read_text().replace("format=CGNET2",
+                                             "format=CGNET1"))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value).startswith(f"{path}: format=CGNET1 is not CGNET2")
 
 
 @pytest.mark.parametrize("blob", ["weights.bin", "norm.bin", "adam.bin"])
@@ -249,7 +250,6 @@ def test_manifest_key_checked(tmp_path, key, damage):
 
 @pytest.mark.parametrize("key, value", [("layers", "0"), ("tau1", "3,3"),
                                         ("tau2", "-1,0,0"), ("tau2", "1,1,0"),
-                                        ("pair_policy", "ordered"),
                                         ("n_out", "0"), ("n_out", "-2"),
                                         ("hidden", "0"), ("n_in", "0")])
 def test_manifest_values_that_make_no_network(tmp_path, key, value):
@@ -331,7 +331,8 @@ def test_checkpoint_values_checked_at_load(tmp_path, blob, field, value,
 
 
 def test_checkpoint_with_zero_norm_scale_loads(tmp_path):
-    """A dead CG column has a zero scale, so zero stays valid."""
+    """A self-pair's column (i, i) at odd degree is identically zero, and
+    so is its scale, so zero stays valid."""
     _, _, _, weights, norms, adam = make_toy_problem()
     norms[0].scales[1][:] = 0.0
     save_checkpoint(tmp_path / "ckpt", weights, norms, adam)
