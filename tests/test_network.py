@@ -10,12 +10,12 @@ from cgsphere.network import (
     NetworkSpec,
     NormState,
     cg_madd_count,
-    cg_nonlinearity,
     cg_output_type,
     cg_pairs,
     covariant_linear,
     covariant_normalize,
     invariant_features,
+    layer_out_ell_max,
     network_forward,
     tau_schedule,
 )
@@ -153,7 +153,7 @@ LAYOUT_CASES = [
 def test_cg_nonlinearity_matches_dense_oracle(tau, out_ell_max):
     L = len(tau) - 1
     F = random_activation(L, tau, batch=3)
-    got = cg_nonlinearity(F, out_ell_max=out_ell_max)
+    got = oracles.cg_product(F, out_ell_max)
     pairs = cg_pairs(L)
     blocks = {(l1, l2, l): cg_block(l1, l2, l).dense()
               for l1, l2 in pairs
@@ -196,7 +196,7 @@ def test_cg_kernel_matches_dense_oracle_at_band_scale(tau, out_ell_max,
     frags = [np.ascontiguousarray(f) for f in F.fragments]
     if layout == "m-major":
         frags = m_major_views(frags)
-    got = cg_nonlinearity(CovariantActivation(L, frags), out_ell_max)
+    got = oracles.cg_product(CovariantActivation(L, frags), out_ell_max)
     want = dense_oracle(F, out_ell_max)
     for ell in range(L + 1):
         assert got.fragments[ell].shape == want[ell].shape
@@ -209,10 +209,10 @@ def test_cg_kernel_matches_dense_oracle_at_band_scale(tau, out_ell_max,
                                   (1, 1, 1, 8)])
 def test_corruption_hook_negates_exactly_one_coefficient(flip):
     F = random_activation(3, (2, 1, 2, 1), batch=3)
-    clean = cg_nonlinearity(F)
+    clean = oracles.cg_product(F)
     try:
         network.corrupt_cg_entry(*flip)
-        bad = cg_nonlinearity(F)
+        bad = oracles.cg_product(F)
     finally:
         network.clear_cg_corruption()
     want = dense_oracle(F, 3, flip=flip)
@@ -221,7 +221,7 @@ def test_corruption_hook_negates_exactly_one_coefficient(flip):
                                    rtol=0, atol=1e-13)
     l = flip[2]
     assert np.abs(bad.fragments[l] - clean.fragments[l]).max() > 1e-3
-    again = cg_nonlinearity(F)
+    again = oracles.cg_product(F)
     for a, b in zip(again.fragments, clean.fragments):
         np.testing.assert_array_equal(a, b)
 
@@ -248,7 +248,7 @@ def test_dropped_self_pair_columns_repeat_kept_ones(tau):
     for cap in range(L + 1):
         grid = oracles.dense_cg_transform(F.fragments, pairs, blocks, cap,
                                           grid=True)
-        got = cg_nonlinearity(F, cap).fragments
+        got = oracles.cg_product(F, cap).fragments
         start, kept = [0] * (L + 1), [0] * (L + 1)
         for l1, l2 in pairs:
             t1, t2 = tau[l1], tau[l2]
@@ -292,7 +292,7 @@ def test_only_odd_degree_self_pair_diagonals_are_dead(text):
     rng = np.random.default_rng(5)
     for s in range(spec.n_layers):
         tau, cap = spec._layer_cg(s)
-        H = cg_nonlinearity(
+        H = oracles.cg_product(
             random_activation(spec.bandlimit, tau.tau, batch=3, rng=rng), cap)
         dead = [np.zeros(t, bool) for t in H.type.tau]
         at = [0] * (spec.bandlimit + 1)
@@ -452,14 +452,14 @@ def test_layers_share_cg_tables(monkeypatch, text, eigh_calls, tables):
 
 def test_cg_nonlinearity_out_ell_max_zero():
     F = random_activation(2, (1, 2, 1), batch=2)
-    got = cg_nonlinearity(F, out_ell_max=0)
+    got = oracles.cg_product(F, 0)
     assert got.type.tau[0] == cg_output_type(F.type, out_ell_max=0).tau[0]
     assert all(t == 0 for t in got.type.tau[1:])
 
 
 def test_cg_nonlinearity_type_consistency():
     F = random_activation(3, (2, 0, 1, 3), batch=1)
-    assert cg_nonlinearity(F).type == cg_output_type(F.type)
+    assert oracles.cg_product(F).type == cg_output_type(F.type)
 
 
 def test_cg_nonlinearity_equivariant():
@@ -467,8 +467,8 @@ def test_cg_nonlinearity_equivariant():
     F = random_activation(L, (2, 1, 1, 2), batch=2)
     rot = random_rotation(RNG)
     d = d_matrices(L, rot)
-    lhs = cg_nonlinearity(F.rotated(d))
-    rhs = cg_nonlinearity(F).rotated(d)
+    lhs = oracles.cg_product(F.rotated(d))
+    rhs = oracles.cg_product(F).rotated(d)
     for a, b in zip(lhs.fragments, rhs.fragments):
         np.testing.assert_allclose(a, b, atol=1e-10)
 
@@ -632,26 +632,31 @@ def test_network_forward_layer_composition():
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
     # one training pass, so the divisors are not all 1
     network_forward(F, weights.layers, norms, training=True)
-    H = cg_nonlinearity(F)
+    H = oracles.cg_product(F)
     by_hand = covariant_linear(covariant_normalize(H, norms[0].copy()),
                                weights.layers[0])
-    _, outputs, cg_outputs = network_forward(
-        F, weights.layers, [n.copy() for n in norms], keep_cg_outputs=True)
+    _, outputs = network_forward(F, weights.layers,
+                                 [n.copy() for n in norms])
     for a, b in zip(by_hand.fragments, outputs[0].fragments):
         np.testing.assert_allclose(a, b, atol=1e-14)
-    for a, b in zip(H.fragments, cg_outputs[0].fragments):
+    # the bare product through identity mixes is the CG output H itself
+    for a, b in zip(H.fragments, oracles.cg_nonlinearity_gather(F).fragments):
         np.testing.assert_array_equal(a, b)
 
 
 def test_training_forward_updates_norm_states_as_normalize_does():
+    """The training forward's per-pair statistics (and the staged ones of
+    layer 0, whose pairs are narrower than its mix) give the scales that
+    ``covariant_normalize`` gives from each layer's whole CG output H."""
     spec = desk_spec()
     weights, norms = build_network(spec)
     by_normalize = [n.copy() for n in norms]
+    S, L = spec.n_layers, spec.bandlimit
     for _ in range(2):  # the second pass takes the expanding average
         F = random_activation(spec.bandlimit, spec.input_type().tau, batch=3)
-        _, _, cg_outputs = network_forward(F, weights.layers, norms,
-                                           training=True)
-        for H, state in zip(cg_outputs, by_normalize):
+        _, outputs = network_forward(F, weights.layers, norms, training=True)
+        for s, (x, state) in enumerate(zip([F] + outputs[:-1], by_normalize)):
+            H = oracles.cg_product(x, layer_out_ell_max(s, S, L))
             covariant_normalize(H, state, training=True)
         for got, want in zip(norms, by_normalize):
             assert got.count == want.count
@@ -664,7 +669,7 @@ def test_network_forward_shapes():
     spec = desk_spec(L=3, S=3, n_in=1, width=4)
     weights, norms = build_network(spec)
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=5)
-    feats, acts, _ = network_forward(F, weights.layers, norms, training=True)
+    feats, acts = network_forward(F, weights.layers, norms, training=True)
     assert feats.shape == (5, spec.head_width())
     assert feats.dtype == np.float64
     assert len(acts) == 3
@@ -677,10 +682,10 @@ def test_network_forward_invariant_under_rotation():
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
     # freeze statistics with one training pass, then evaluate
     network_forward(F, weights.layers, norms, training=True)
-    base, _, _ = network_forward(F, weights.layers, norms)
+    base, _ = network_forward(F, weights.layers, norms)
     for _ in range(5):
         d = d_matrices(spec.bandlimit, random_rotation(RNG))
-        rot, _, _ = network_forward(F.rotated(d), weights.layers, norms)
+        rot, _ = network_forward(F.rotated(d), weights.layers, norms)
         np.testing.assert_allclose(rot, base, atol=1e-8)
 
 
@@ -690,8 +695,8 @@ def test_network_forward_intermediate_covariance():
     F = random_activation(spec.bandlimit, spec.input_type().tau, batch=2)
     network_forward(F, weights.layers, norms, training=True)
     d = d_matrices(spec.bandlimit, random_rotation(RNG))
-    _, acts, _ = network_forward(F, weights.layers, norms)
-    _, acts_r, _ = network_forward(F.rotated(d), weights.layers, norms)
+    _, acts = network_forward(F, weights.layers, norms)
+    _, acts_r = network_forward(F.rotated(d), weights.layers, norms)
     for a, ar in zip(acts, acts_r):
         expect = a.rotated(d)
         for x, y in zip(ar.fragments, expect.fragments):

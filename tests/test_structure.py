@@ -24,49 +24,76 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-def per_pair_loops(path: Path, kernels: tuple) -> dict:
-    """The loops over ``plan.pairs`` in each named function of ``path``."""
-    loops = {}
-    for node in ast.parse(path.read_text(), str(path)).body:
-        if isinstance(node, ast.FunctionDef) and node.name in kernels:
-            loops[node.name] = [
-                loop for loop in ast.walk(node) if isinstance(loop, ast.For)
-                and "plan.pairs" in ast.unparse(loop.iter)]
-    return loops
+def per_pair_loops(path: Path, kernels: tuple) -> tuple:
+    """The loops over ``plan.pairs``, or over the products that
+    ``_products`` yields pair by pair, in each named function of ``path``;
+    and every function and method defined in ``path``, by name."""
+    loops, functions = {}, {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+    for name in kernels:
+        loops[name] = [
+            loop for loop in ast.walk(functions[name])
+            if isinstance(loop, ast.For) and any(
+                key in ast.unparse(loop.iter)
+                for key in ("plan.pairs", "_products("))]
+    return loops, functions
+
+
+def called_name(call: ast.Call):
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
 
 
 def test_cg_kernels_allocate_nothing_per_pair():
     """Every temporary of a CG kernel call is a region of its one scratch
-    block: the per-pair loops of ``cg_nonlinearity`` and ``backward_cg``
-    hold no ``@`` (which allocates its result) and call none of the
-    allocating ``repeat``, ``conj``, ``empty``, ``zeros``, ``pad`` or
-    ``concatenate``.  The ``take`` there (a self-pair's kept columns) writes
-    into a region with ``out=`` and ``mode="clip"``: in the default mode
-    numpy takes into a buffered copy of ``out``."""
+    block: the per-pair loops of ``_products`` (the CG table products),
+    ``cg_nonlinearity`` (the training statistics, the fold, the staging
+    copies and the mix), ``cg_weight_gradient`` and ``backward_cg`` hold no
+    ``@`` (which allocates its result) and call none of the allocating
+    ``repeat``, ``conj``, ``empty``, ``zeros``, ``pad`` or
+    ``concatenate``; every ``einsum``, ``matmul``, ``take`` and arithmetic
+    ufunc there, and in the module's own helpers those loops call (the
+    column powers, the expanding-average step, the fold), writes into a
+    region with ``out=``.  The ``take`` (a self-pair's kept columns) also
+    passes ``mode="clip"``: in the default mode numpy takes into a
+    buffered copy of ``out``."""
     allocating = {"repeat", "conj", "empty", "zeros", "pad", "concatenate"}
-    loops = per_pair_loops(SRC / "network.py",
-                           ("cg_nonlinearity", "backward_cg"))
+    writing = {"einsum", "matmul", "take", "multiply", "add", "divide",
+               "sqrt", "sum", "conjugate"}
+    loops, functions = per_pair_loops(
+        SRC / "network.py",
+        ("_products", "cg_nonlinearity", "cg_weight_gradient", "backward_cg"))
     assert {name: len(found) for name, found in loops.items()} == {
-        "cg_nonlinearity": 1, "backward_cg": 1}
-    found, takes = [], []
+        "_products": 1, "cg_nonlinearity": 1, "cg_weight_gradient": 1,
+        "backward_cg": 1}
+    found, takes, helpers = [], [], set()
     for name, kernel_loops in loops.items():
-        for node in (n for loop in kernel_loops for n in ast.walk(loop)):
+        nodes = [n for loop in kernel_loops for n in ast.walk(loop)]
+        while nodes:
+            node = nodes.pop()
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
                     node.op, ast.MatMult):
                 found.append(f"{name}:{node.lineno} @")
             elif isinstance(node, ast.Call):
-                f = node.func
-                called = f.attr if isinstance(f, ast.Attribute) else getattr(
-                    f, "id", None)
+                called = called_name(node)
+                if called in functions and called not in loops \
+                        and called not in helpers:
+                    helpers.add(called)
+                    nodes += ast.walk(functions[called])
                 if called in allocating:
                     found.append(f"{name}:{node.lineno} {called}")
                 keywords = {k.arg: ast.unparse(k.value)
                             for k in node.keywords}
+                if called in writing and "out" not in keywords:
+                    found.append(f"{name}:{node.lineno} {called} without out")
                 if called == "take":
                     takes.append(name)
-                    if "out" not in keywords or \
-                            keywords.get("mode") != "'clip'":
+                    if keywords.get("mode") != "'clip'":
                         found.append(f"{name}:{node.lineno} take")
     assert found == []
+    assert helpers == {"_column_power", "_average", "_fold_rows",
+                       "_reciprocals"}
     # a self-pair's rows, gathered on i and on j
-    assert takes == ["cg_nonlinearity"]
+    assert takes == ["_products"]
