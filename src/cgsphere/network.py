@@ -174,10 +174,7 @@ class CGPlan:
     column, and a training forward the pair's column powers
     (``stat_size``, not per example).  The adjoint works on each pair's
     full tau_l1 x tau_l2 grid: the Kronecker cotangent, the per-m
-    table-product cotangent, and the three mat-vec results.
-    ``row_reps`` is how often the row buffer repeats each row, max(tau),
-    or 0 when every pair gathers its rows through a kept-column map, so
-    the product needs no row buffer.  ``_cg_plan``
+    table-product cotangent, and the three mat-vec results.  ``_cg_plan``
     builds one per (type, cap), and building it builds no CG table; the
     staging layout of each mix width is memoized on the plan
     (``staging``).
@@ -194,7 +191,6 @@ class CGPlan:
     grid_y_size: int
     vec_size: int
     stat_size: int
-    row_reps: int
     _staged: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
@@ -237,13 +233,13 @@ class CGPlan:
         return self._degree_rows(grid=True)
 
     def staging(self, width: int) -> tuple:
-        """Where the kernels stage the pairs narrower than a mix of
-        ``width`` columns (n < width), memoized per width: for each pair,
-        None, or the first staged column of each of its blocks within its
-        degree; each degree's staged column count, and their per-example
-        size; and, degree by degree, the staged columns' pair-ordered
-        mixing rows and their rows within their degree, as two read-only
-        index arrays.  ``staged_views`` cuts the staging region."""
+        """Where the forward kernel stages the pairs narrower than a mix
+        of ``width`` columns (n < width), memoized per width: for each
+        pair, None, or the first staged column of each of its blocks within
+        its degree; each degree's staged column count, and their
+        per-example size; and, degree by degree, the staged columns'
+        pair-ordered mixing rows, as one read-only index array.
+        ``_staged_views`` cuts the staging region."""
         if width not in self._staged:
             counts = [0] * len(self.out_type.tau)
             cols, rows = [], [[] for _ in counts]
@@ -251,24 +247,23 @@ class CGPlan:
                 narrow = p.n < width
                 cols.append(tuple(counts[l] for l in p.ells) if narrow
                             else None)
-                for i, (l, c) in enumerate(zip(p.ells, p.starts)
-                                           if narrow else ()):
+                for i, l in enumerate(p.ells if narrow else ()):
                     counts[l] += p.n
-                    rows[l] += [(p.mix_row + i * p.n + j, c + j)
-                                for j in range(p.n)]
-            taken = np.array(sum(rows, []), dtype=np.intp).reshape(-1, 2).T
+                    rows[l] += range(p.mix_row + i * p.n,
+                                     p.mix_row + (i + 1) * p.n)
+            taken = np.array(sum(rows, []), dtype=np.intp)
             taken.flags.writeable = False
             size = sum((2 * l + 1) * c for l, c in enumerate(counts))
-            self._staged[width] = (tuple(cols), tuple(counts), size, *taken)
+            self._staged[width] = (tuple(cols), tuple(counts), size, taken)
         return self._staged[width]
 
     def product_scratch(self, G: list, *sizes: int) -> list:
         """``scratch`` for a kernel call that forms the products
-        (``_products``): the row buffer, which is empty when no pair reads
-        it (``row_reps``), the products' Kronecker, table-product, l1
-        factor and self-pair regions for the batch, then ``sizes``."""
+        (``_products``): the row buffer, each row repeated max(tau) times,
+        the products' Kronecker, table-product, l1 factor and self-pair
+        regions for the batch, then ``sizes``."""
         B = G[0].shape[1]
-        return self.scratch(G, self.row_reps, self.kron_size * B,
+        return self.scratch(G, max(g.shape[2] for g in G), self.kron_size * B,
                             self.y_size * B, self.l1_size * B,
                             self.self_size * B, *sizes)
 
@@ -289,10 +284,7 @@ class CGPlan:
         ...).  Entries (m, m1) with no valid m2 read a zero row or a
         neighbouring degree's finite row, which the CG table weighs by
         zero.  With M <= L and l1 <= l2 every row read lies inside the
-        buffer, and ``np.ndarray`` refuses a view that would not.  With
-        ``reps`` 0 the rows are empty: no pair of a plan whose pairs all
-        gather their rows through a kept-column map reads them
-        (``CGPlan.row_reps``)."""
+        buffer, and ``np.ndarray`` refuses a view that would not."""
         L, B, tmax = len(G) - 1, G[0].shape[1], max(g.shape[2] for g in G)
         n_rows, width = (L + 1) ** 2 + 2 * L, B * reps * tmax
         ends = list(accumulate((n_rows * width,) + sizes))
@@ -306,8 +298,7 @@ class CGPlan:
             first = L + ell * ell
             if t < tmax:
                 rows[first:first + d, B * reps * t:] = 0.0
-            # a zero-size buffer's strides fit no view
-            if g.size and reps:
+            if g.size:  # a zero-size buffer's strides fit no view
                 np.copyto(np.ndarray((d, B, reps, t), complex, rows,
                                      first * S,
                                      (S, reps * t * item, t * item, item)),
@@ -363,9 +354,7 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
         largest(lambda p: (2 * p.l1 + 1) * ((2 * p.M + 2) * tau.tau[p.l1]
                                             + (2 * p.M + 1) * tau.tau[p.l2])),
         # a training forward's column powers
-        largest(lambda p: len(p.ells) * p.n),
-        # only a pair without a kept-column map reads the row buffer
-        max(tau.tau) if any(p.cols is None for p in pairs) else 0)
+        largest(lambda p: len(p.ells) * p.n))
 
 
 _PAIR_CACHE: dict = {}
@@ -466,7 +455,9 @@ def _per_degree(alloc, B: int, widths: tuple) -> list:
             for l, w in enumerate(widths)]
 
 
-# the Kronecker rows a pair forms at a time, about a core's L2 cache
+# the Kronecker rows a pair forms at a time: band training steps (L=8,
+# tau=8, B=32) took the same time with 64 KB to 1 MB on a host with 2 MB
+# of L2 cache per core, and about 6% more with each pair's rows whole
 _CACHE_BYTES = 1 << 18
 
 
@@ -486,13 +477,13 @@ def _products(plan: CGPlan, G: list, rows: np.ndarray, kron_ws: np.ndarray,
     j), i <= j (``CGPair.cols``): one ``take`` gathers each of its rows on
     i and on j into a region with spare rows at each end, its l1 factor is
     a view of that region, and its l2 rows m - m1 are the same kind of
-    strided view.  The Kronecker product is then one multiply of two
-    operands whose (B, n) blocks are contiguous, followed by one batched
-    matmul over m with the pair's table; a pair whose Kronecker rows exceed
-    ``_CACHE_BYTES`` does both a run of rows m at a time, which gives the
-    same products, byte for byte, from cache.  In block l of the product
-    the rows |m| > l are exact zeros, because the table is."""
-    B, tmax = G[0].shape[1], plan.row_reps
+    strided view.  The Kronecker product is then a multiply of two
+    operands whose (B, n) blocks are contiguous, followed by a batched
+    matmul over m with the pair's table, both on runs of rows m of at
+    most ``_CACHE_BYTES`` of Kronecker rows (at least one row), so that
+    the table reads each run from cache.  In block l of the product the
+    rows |m| > l are exact zeros, because the table is."""
+    B, tmax = G[0].shape[1], max(g.shape[2] for g in G)
     # a self-pair's l2 rows m - m1 with no valid m2 read zeros or an
     # earlier self-pair's finite rows, which the CG table weighs by zero
     self_ws[:] = 0.0
@@ -524,47 +515,39 @@ def _products(plan: CGPlan, G: list, rows: np.ndarray, kron_ws: np.ndarray,
             G2 = np.ndarray((2 * M + 1, d1, B, n), complex, self_ws,
                             2 * l1 * S2 + n * item,
                             (S2, -S2, 2 * n * item, item))
-        # the real table then acts on the product's re/im float view
         y = np.ndarray((k, 2 * M + 1, 2 * B * n), float,
                        y_ws).transpose(1, 0, 2)
+        # a run of rows m at a time, whose Kronecker rows are still in
+        # cache when the real table acts on their re/im float view
         step = _CACHE_BYTES // (d1 * B * n * 16) or 1
-        if step > 2 * M:
-            np.multiply(G1, G2, out=np.ndarray(G2.shape, complex, kron_ws))
-            np.matmul(table,
-                      np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
-                      out=y)
-        else:
-            # the same, a run of rows m at a time, so that each run's
-            # Kronecker rows are still in cache when the table reads them
-            for a in range(0, 2 * M + 1, step):
-                m = G2[a:a + step]
-                np.multiply(G1, m, out=np.ndarray(m.shape, complex, kron_ws))
-                np.matmul(table[a:a + step],
-                          np.ndarray((len(m), d1, 2 * B * n), float,
-                                     kron_ws),
-                          out=y[a:a + step])
+        for a in range(0, 2 * M + 1, step):
+            m = G2[a:a + step]
+            np.multiply(G1, m, out=np.ndarray(m.shape, complex, kron_ws))
+            np.matmul(table[a:a + step],
+                      np.ndarray((len(m), d1, 2 * B * n), float, kron_ws),
+                      out=y[a:a + step])
         yield p
 
 
 def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
-                    mixes: list, norm: NormState | None = None,
-                    training: bool = False) -> CovariantActivation:
+                    mixes: list, norm: NormState | None = None
+                    ) -> CovariantActivation:
     """Tensor-product nonlinearity followed by the layer's mix: all
     pairwise Kronecker products, decomposed into irreducible fragments by
     the CG selection rule (``_products``), each mixed in place, so the CG
     output H is never built.  Returns ``covariant_linear(H, mixes)``;
     identity mixes give H itself, exactly.
 
-    ``mixes`` are a layer's per-degree mixes, one row per CG column.  With
-    ``norm`` they are the layer's unfolded weights W, and the call folds
-    the normalization into them, as ``NormState.fold`` does (the mixes
-    ``backward_cg`` takes), once for all the stacked rows.  With
-    ``training`` too, the forward of a training step, while each pair's
-    product is in cache its column power updates ``norm``'s expanding
-    average for the pair's columns (each column belongs to one pair, so
-    the scales are those ``NormState.update(H)`` would give, bit for bit),
-    and the pair's mix rows are folded with the new scales;
-    ``norm.count`` advances once.
+    ``mixes`` are a layer's per-degree mixes, one row per CG column: with
+    frozen statistics (eval, audit) its folded weights
+    (``NormState.fold``).  ``norm``, the layer's state, makes the call the
+    forward of a training step, and ``mixes`` the unfolded weights W:
+    while each pair's product is in cache, its column power updates
+    ``norm``'s expanding average for the pair's columns (each column
+    belongs to one pair, so the scales are those ``NormState.update(H)``
+    would give, bit for bit), and the pair's mix rows are folded with the
+    new scales, as ``NormState.fold`` folds them; ``norm.count`` advances
+    once.
 
     The mixes are stacked once per call in pair order
     (``CGPlan.mix_rows``), padded with zero columns to the widest, and each
@@ -590,24 +573,23 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     plan = _cg_plan(tau, out_ell_max)
     if tuple(map(len, mixes)) != plan.out_type.tau:
         raise ValueError("mixes do not match the CG output widths")
-    if norm is not None and tuple(map(len, norm.scales)) != plan.out_type.tau:
+    training = norm is not None
+    if training and tuple(map(len, norm.scales)) != plan.out_type.tau:
         raise ValueError("norm state widths do not match the CG output "
                          "widths")
-    if training and norm is None:
-        raise ValueError("a training forward needs the layer's norm state")
     width = max(w.shape[1] for w in mixes)
     # the degrees with CG columns are 0..top; degree l of the mixed output
     # is rows (top - l .. top + l) * B of acc[l]
     top = max((p.M for p in plan.pairs), default=0)
     acc = np.zeros((top + 1, (2 * top + 1) * B, width), complex)
-    staged_cols, staged_widths, staged_size, staged_rows, _ = \
+    staged_cols, staged_widths, staged_size, staged_rows = \
         plan.staging(width)
     n_mix = sum(plan.out_type.tau)
-    # the scales in pair order; in training also the staged columns'
-    # scales, and each pair's or staged degree's squares and column powers,
-    # as floats
+    # in training the scales in pair order, the staged columns' scales,
+    # and each pair's or staged degree's squares and column powers, as
+    # floats
     n_stat = 2 * n_mix + 3 * max((plan.stat_size,) + staged_widths) \
-        if training else n_mix if norm is not None else 0
+        if training else 0
     *regions, by_degree, stacked, mixed_ws, stage_ws, staged_mix, stat_ws = \
         plan.product_scratch(
             G, (n_mix + 1) * width, n_mix * width, plan.mix_size * B * width,
@@ -615,16 +597,13 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     y_ws = regions[2]
     stacked = _stack_mixes(mixes, plan.mix_rows, by_degree, stacked)
     stage = _staged_views(stage_ws, staged_widths, B) if staged_size else []
-    if norm is not None:
+    if training:
         stat = np.ndarray((n_stat,), float, stat_ws)
         scales = np.take(np.concatenate(norm.scales), plan.mix_rows,
                          out=stat[:n_mix])
-    if training:
         work = stat[2 * n_mix:]
         # the (m, example) rows of each degree
         dims = (2.0 * np.arange(top + 1)[:, None] + 1.0) * B
-    elif norm is not None:
-        _fold_rows(stacked, _reciprocals(scales, out=scales))
     for cols, p in zip(staged_cols, _products(plan, G, *regions)):
         M, n, k = p.M, p.n, len(p.ells)
         R = (2 * M + 1) * B
@@ -694,11 +673,10 @@ def cg_weight_gradient(G_bar: list, F: CovariantActivation,
     kernel forms it, from one scratch block, and each of its blocks meets
     its degree's conjugated cotangent in one matmul over the block's valid
     (m, example) rows, written straight into the block's rows of the
-    gradient.  A pair narrower than the cotangent (n < width) copies its
-    blocks' valid rows into a staging region instead, as in
-    ``cg_nonlinearity``, and each degree's staged columns take one matmul
-    after the pairs.  Cotangents are in the convention of ``gradients``.
-    Returns per-degree (columns, width_l) arrays.
+    gradient.  Unlike the forward's mix, this matmul gives only n x width
+    entries, so a pair narrower than the cotangent (n < width) is not
+    staged.  Cotangents are in the convention of ``gradients``.  Returns
+    per-degree (columns, width_l) arrays.
     """
     B, G = F.batch_size, F.m_major
     Gb = CovariantActivation(F.bandlimit, G_bar).m_major
@@ -707,26 +685,14 @@ def cg_weight_gradient(G_bar: list, F: CovariantActivation,
               for g in Gb]
     W_conj = [np.empty((c, g.shape[1]), complex)
               for c, g in zip(plan.out_type.tau, G_conj)]
-    staged_cols, staged_widths, staged_size, _, staged_at = plan.staging(
-        max(g.shape[1] for g in G_conj))
-    *regions, stage_ws = plan.product_scratch(G, staged_size * B)
-    stage = _staged_views(stage_ws, staged_widths, B)
-    for cols, p in zip(staged_cols, _products(plan, G, *regions)):
+    regions = plan.product_scratch(G)
+    for p in _products(plan, G, *regions):
         M, n = p.M, p.n
         y = np.ndarray((len(p.ells), 2 * M + 1, B, n), complex, regions[2])
         for i, (l, c) in enumerate(zip(p.ells, p.starts)):
-            if cols is None:
-                # y^T conj(G_bar): the conjugate of the block's H^H G_bar
-                np.matmul(y[i, M - l:M + l + 1].reshape(-1, n).T, G_conj[l],
-                          out=W_conj[l][c:c + n])
-            else:
-                stage[l][:, :, cols[i]:cols[i] + n] = y[i, M - l:M + l + 1]
-    first = 0
-    for l, c in enumerate(staged_widths):
-        if c:
-            W_conj[l][staged_at[first:first + c]] = \
-                stage[l].reshape(-1, c).T @ G_conj[l]
-            first += c
+            # y^T conj(G_bar): the conjugate of the block's H^H G_bar
+            np.matmul(y[i, M - l:M + l + 1].reshape(-1, n).T, G_conj[l],
+                      out=W_conj[l][c:c + n])
     return [np.conjugate(w, out=w) for w in W_conj]
 
 
@@ -1040,10 +1006,12 @@ def network_forward(coeffs: CovariantActivation, weights: list,
 
     ``weights[s]`` is the per-degree weight list of layer s and
     ``norm_states[s]`` its ``NormState``.  Each layer is one
-    ``cg_nonlinearity`` call, which folds the layer's normalization into
-    its weights and mixes each pair's CG product in place, so no layer
-    builds its CG output H; in training mode the call first updates the
-    layer's state from each pair's product.
+    ``cg_nonlinearity`` call, which mixes each pair's CG product in place,
+    so no layer builds its CG output H: with frozen statistics it takes
+    the weights folded with the layer's normalization
+    (``NormState.fold``); in training mode it takes the state and the
+    unfolded weights, updates the state from each pair's product and
+    folds the pair's weights with the new scales.
     Returns ``(features, outputs)``: the invariant features (B,
     head_width) and the per-layer outputs.
     """
@@ -1052,7 +1020,8 @@ def network_forward(coeffs: CovariantActivation, weights: list,
     outputs = []
     F = coeffs
     for s in range(S):
-        F = cg_nonlinearity(F, layer_out_ell_max(s, S, L), weights[s],
-                            norm_states[s], training)
+        cap = layer_out_ell_max(s, S, L)
+        F = (cg_nonlinearity(F, cap, weights[s], norm_states[s]) if training
+             else cg_nonlinearity(F, cap, norm_states[s].fold(weights[s])))
         outputs.append(F)
     return invariant_features(outputs, coeffs.fragments[0]), outputs
