@@ -213,14 +213,15 @@ def loss_and_grad(coeffs: CovariantActivation, labels: np.ndarray,
     for s in range(S - 1, -1, -1):
         G_bar[0][:, 0, :] += head_adjoints[s]
         cap = layer_out_ell_max(s, S, L)
+        # adjoint first: its larger block's pages serve the weight gradient
+        G_in = backward_cg(G_bar, inputs[s],
+                           norm_states[s].fold(weights.layers[s]),
+                           cap) if s else None
         # the mix is H fold(W), so W_bar = fold(H^H G_bar); fold returns
         # C-contiguous arrays, as ADAM's float64 view of them needs
         g_layers[s] = norm_states[s].fold(
             cg_weight_gradient(G_bar, inputs[s], cap))
-        if s == 0:
-            break  # the network input has no parameters behind it
-        G_bar = backward_cg(G_bar, inputs[s],
-                            norm_states[s].fold(weights.layers[s]), cap)
+        G_bar = G_in
 
     grads = NetworkWeights(spec, g_layers, g_head)
     return loss, grads, tape.logits

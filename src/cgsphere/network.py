@@ -124,10 +124,11 @@ def cg_pairs(L: int):
     C^l_{l1 m1, l2 m2} = (-1)^{l1+l2-l} C^l_{l2 m2, l1 m1}, so the (l2, l1)
     columns would repeat the (l1, l2) ones up to sign.  For the same reason
     a self-pair (l', l') keeps only the columns (i, j) with i <= j of its
-    tau_l' x tau_l' grid: column (j, i) is (-1)^l times column (i, j)
-    (``CGPair.cols``).  At odd l the kept column (i, i) is identically
-    zero; it stays, so that a self-pair table that has lost this symmetry
-    shows as a column that breaks equivariance, even where tau_l' = 1."""
+    tau_l' x tau_l' grid: column (j, i) is (-1)^l times column (i, j).
+    Every pair lists the (i, j) it keeps in ``CGPair.cols``.  At odd l the
+    kept column (i, i) is identically zero; it stays, so that a self-pair
+    table that has lost this symmetry shows as a column that breaks
+    equivariance, even where tau_l' = 1."""
     return [(l1, l2) for l1 in range(L + 1) for l2 in range(l1, L + 1)]
 
 
@@ -135,18 +136,15 @@ def cg_pairs(L: int):
 class CGPair:
     """A pair (l1, l2) that produces output: its block of degree ``ells[i]``
     fills the columns ``starts[i]`` to ``starts[i] + n``; M = ``ells[-1]``
-    is its top degree, ``row0`` = L + l2^2 + l1 + l2 - M the first
-    row-buffer row of its l2 view (``CGPlan.scratch``), ``mix_row`` the
-    first of its len(ells) * n rows in the pair-ordered mixing rows, and
-    ``grid_row`` the first of its len(ells) * tau_l1 * tau_l2 rows in the
-    pair-ordered grid mixing rows (``CGPlan.grid_rows``).
+    is its top degree, ``mix_row`` the first of its len(ells) * n rows in
+    the pair-ordered mixing rows, and ``grid_row`` the first of its
+    len(ells) * tau_l1 * tau_l2 rows in the pair-ordered grid mixing rows
+    (``CGPlan.grid_rows``).
 
-    A pair of two degrees has n = tau_l1 tau_l2 columns, (i, j) in
-    row-major order.  A self-pair keeps the n = tau (tau + 1) / 2 columns
-    (i, j) with i <= j, in row-major order; ``cols`` holds their i and j
-    as the rows of one read-only (2, n) index array, and is None for a
-    pair that keeps its whole grid (every other pair, and a self-pair with
-    tau = 1)."""
+    ``cols`` holds the i and j of the pair's n kept columns (i, j), in
+    row-major order, as the rows of one read-only (2, n) index array: the
+    whole tau_l1 x tau_l2 grid for l1 < l2, and the n = tau (tau + 1) / 2
+    columns with i <= j for a self-pair (``cg_pairs``)."""
 
     l1: int
     l2: int
@@ -154,10 +152,9 @@ class CGPair:
     starts: tuple
     n: int
     M: int
-    row0: int
     mix_row: int
     grid_row: int
-    cols: np.ndarray | None = field(default=None, compare=False)
+    cols: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -168,16 +165,17 @@ class CGPlan:
     per-example complex sizes of the scratch regions a kernel call cuts
     from its one block (``scratch``), each the largest over the pairs,
     which take turns in it.  The product (``_products``) works on the
-    kept columns: the Kronecker rows, the per-m table product, the l1
-    factor repeated along t2, and a self-pair's rows gathered on its kept
-    (i, j); the forward kernel adds the table product's rows per mixed
-    column, and a training forward the pair's column powers
-    (``stat_size``, not per example).  The adjoint works on each pair's
-    full tau_l1 x tau_l2 grid: the Kronecker cotangent, the per-m
-    table-product cotangent, and the three mat-vec results.  ``_cg_plan``
-    builds one per (type, cap), and building it builds no CG table; the
-    staging layout of each mix width is memoized on the plan
-    (``staging``).
+    kept columns: the Kronecker rows, the per-m table product, degree l1's
+    rows gathered on i (the l1 region), and degree l2's rows gathered on j
+    between M + l1 - l2 spare rows at each end (the l2 region, where the
+    adjoint copies the conjugated l2 rows, as tau_l2 <= n); the forward
+    kernel adds the table product's rows per mixed column, and a training
+    forward the pair's column powers (``stat_size``, not per example).
+    The adjoint works on each pair's full tau_l1 x tau_l2 grid: the
+    Kronecker cotangent, the per-m table-product cotangent, and the three
+    mat-vec results.  ``_cg_plan`` builds one per (type, cap), and
+    building it builds no CG table; the staging layout of each mix width
+    is memoized on the plan (``staging``).
     """
 
     out_type: ActivationType
@@ -185,7 +183,7 @@ class CGPlan:
     kron_size: int
     y_size: int
     l1_size: int
-    self_size: int
+    l2_size: int
     mix_size: int
     grid_kron_size: int
     grid_y_size: int
@@ -210,9 +208,9 @@ class CGPlan:
         rows = []
         for p in self.pairs:
             kept = np.arange(p.n)
-            if grid and p.cols is not None:
-                t = p.cols[0, -1] + 1  # the last kept column is (t-1, t-1)
-                kept = np.full((t, t), -1)
+            if grid:
+                # the last kept column is (tau_l1 - 1, tau_l2 - 1)
+                kept = np.full(tuple(p.cols[:, -1] + 1), -1)
                 kept[p.cols[0], p.cols[1]] = np.arange(p.n)
                 kept = kept.ravel()
             for l, c in zip(p.ells, p.starts):
@@ -239,7 +237,7 @@ class CGPlan:
         its degree; each degree's staged column count, and their
         per-example size; and, degree by degree, the staged columns'
         pair-ordered mixing rows, as one read-only index array.
-        ``_staged_views`` cuts the staging region."""
+        ``_per_degree`` cuts the staging region."""
         if width not in self._staged:
             counts = [0] * len(self.out_type.tau)
             cols, rows = [], [[] for _ in counts]
@@ -257,53 +255,15 @@ class CGPlan:
             self._staged[width] = (tuple(cols), tuple(counts), size, taken)
         return self._staged[width]
 
-    def product_scratch(self, G: list, *sizes: int) -> list:
-        """``scratch`` for a kernel call that forms the products
-        (``_products``): the row buffer, each row repeated max(tau) times,
-        the products' Kronecker, table-product, l1 factor and self-pair
-        regions for the batch, then ``sizes``."""
-        B = G[0].shape[1]
-        return self.scratch(G, max(g.shape[2] for g in G), self.kron_size * B,
-                            self.y_size * B, self.l1_size * B,
-                            self.self_size * B, *sizes)
-
-    def scratch(self, G: list, reps: int, *sizes: int) -> list:
-        """Every region a kernel call on the m-major arrays ``G`` works in,
-        cut from one ``np.empty`` block: the row buffer, filled, then flat
-        views of ``sizes`` complex elements each.  A pair views a region's
-        leading elements through ``np.ndarray(shape, dtype, buffer)``.
-
-        The row buffer stacks every degree's rows on one axis, degree l's
-        row m at L + l^2 + l + m, between L zero rows at each end.  A row
-        holds G_l[m] repeated ``reps`` times, a contiguous (B, reps, tau_l)
-        block, then zeros up to the common row length B * reps * max(tau);
-        the pad rows and row tails are zeroed here on every call, as the
-        block is not.  With row stride S, the rows m - m1 + l2 of degree l2
-        that a pair (l1, l2) with top degree M reads at [m + M, m1 + l1]
-        are one view at offset ``CGPair.row0`` * S with strides (S, -S,
-        ...).  Entries (m, m1) with no valid m2 read a zero row or a
-        neighbouring degree's finite row, which the CG table weighs by
-        zero.  With M <= L and l1 <= l2 every row read lies inside the
-        buffer, and ``np.ndarray`` refuses a view that would not."""
-        L, B, tmax = len(G) - 1, G[0].shape[1], max(g.shape[2] for g in G)
-        n_rows, width = (L + 1) ** 2 + 2 * L, B * reps * tmax
-        ends = list(accumulate((n_rows * width,) + sizes))
+    @staticmethod
+    def scratch(*sizes: int) -> list:
+        """Every region a kernel call works in, cut from one ``np.empty``
+        block: flat views of ``sizes`` complex elements each.  A pair views
+        a region's leading elements through ``np.ndarray(shape, dtype,
+        buffer)``."""
+        ends = list(accumulate((0,) + sizes))
         block = np.empty(ends[-1], complex)
-        rows = block[:ends[0]].reshape(n_rows, width)
-        rows[:L] = 0.0
-        rows[n_rows - L:] = 0.0
-        S, item = rows.strides[0], rows.itemsize
-        for ell, g in enumerate(G):
-            d, _, t = g.shape
-            first = L + ell * ell
-            if t < tmax:
-                rows[first:first + d, B * reps * t:] = 0.0
-            if g.size:  # a zero-size buffer's strides fit no view
-                np.copyto(np.ndarray((d, B, reps, t), complex, rows,
-                                     first * S,
-                                     (S, reps * t * item, t * item, item)),
-                          g[:, :, None, :])
-        return [rows] + [block[a:b] for a, b in zip(ends[:-1], ends[1:])]
+        return [block[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
 @lru_cache(maxsize=256)
@@ -320,15 +280,12 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
         ells = tuple(range(abs(l1 - l2), min(l1 + l2, out_ell_max) + 1))
         if t1 * t2 == 0 or not ells:
             continue
-        cols = None
-        if l1 == l2 and t1 > 1:
-            cols = np.array(np.triu_indices(t1))
-            cols.flags.writeable = False
-        n = t1 * t2 if cols is None else cols.shape[1]
-        M = ells[-1]
+        cols = np.array(np.triu_indices(t1) if l1 == l2
+                        else np.indices((t1, t2)).reshape(2, -1))
+        cols.flags.writeable = False
+        n = cols.shape[1]
         pairs.append(CGPair(l1, l2, ells, tuple(widths[l] for l in ells), n,
-                            M, L + l2 * l2 + l1 + l2 - M, sum(widths),
-                            grid_row, cols))
+                            ells[-1], sum(widths), grid_row, cols))
         grid_row += len(ells) * t1 * t2
         for l in ells:
             widths[l] += n
@@ -343,10 +300,8 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
         ActivationType(tuple(widths)), tuple(pairs),
         largest(lambda p: (2 * p.M + 1) * (2 * p.l1 + 1) * p.n),
         largest(lambda p: (2 * p.M + 1) * p.n * len(p.ells)),
-        largest(lambda p: (2 * p.l1 + 1) * p.n if p.cols is None else 0),
-        # degree l1's rows gathered on i and on j, M more rows on each side
-        largest(lambda p: (2 * p.l1 + 1 + 2 * p.M) * 2 * p.n
-                if p.cols is not None else 0),
+        largest(lambda p: (2 * p.l1 + 1) * p.n),
+        largest(lambda p: (2 * p.M + 2 * p.l1 + 1) * p.n),
         largest(lambda p: (2 * p.M + 1) * len(p.ells)),
         largest(lambda p: (2 * p.M + 1) * (2 * p.l1 + 1) * grid(p)),
         largest(lambda p: (2 * p.M + 1) * grid(p) * len(p.ells)),
@@ -438,21 +393,12 @@ def _stack_mixes(mixes: list, rows: np.ndarray, by_degree: np.ndarray,
                    out=out.reshape(len(rows), width))
 
 
-def _staged_views(region: np.ndarray, widths: tuple, B: int) -> list:
-    """Degree l's staged columns (``CGPlan.staging``), an m-major (2l+1,
-    B, widths[l]) view of the flat ``region`` each, degree after degree."""
-    ends = accumulate((2 * l + 1) * B * c for l, c in enumerate(widths))
-    return [region[e - (2 * l + 1) * B * c:e].reshape(2 * l + 1, B, c)
-            for l, (e, c) in enumerate(zip(ends, widths))]
-
-
-def _per_degree(alloc, B: int, widths: tuple) -> list:
-    """Per-degree m-major (2l+1, B, widths[l]) views of one flat complex
-    block from ``alloc`` (``np.empty`` or ``np.zeros``), in degree order."""
-    ends = np.cumsum([0] + [(2 * l + 1) * B * w for l, w in enumerate(widths)])
-    block = alloc(ends[-1], complex)
-    return [block[ends[l]:ends[l + 1]].reshape(2 * l + 1, B, w)
-            for l, w in enumerate(widths)]
+def _per_degree(block: np.ndarray, B: int, widths: tuple) -> list:
+    """Per-degree m-major (2l+1, B, widths[l]) views of the leading
+    elements of the flat complex ``block``, degree after degree."""
+    ends = accumulate((2 * l + 1) * B * w for l, w in enumerate(widths))
+    return [block[e - (2 * l + 1) * B * w:e].reshape(2 * l + 1, B, w)
+            for l, (e, w) in enumerate(zip(ends, widths))]
 
 
 # the Kronecker rows a pair forms at a time: band training steps (L=8,
@@ -461,61 +407,43 @@ def _per_degree(alloc, B: int, widths: tuple) -> list:
 _CACHE_BYTES = 1 << 18
 
 
-def _products(plan: CGPlan, G: list, rows: np.ndarray, kron_ws: np.ndarray,
-              y_ws: np.ndarray, l1_ws: np.ndarray, self_ws: np.ndarray):
+def _products(plan: CGPlan, G: list, kron_ws: np.ndarray, y_ws: np.ndarray,
+              l1_ws: np.ndarray, l2_ws: np.ndarray):
     """Each pair's CG table product, in pair order: yields each pair once
     its product, degree-major, (#ells, 2M+1, B, n), fills the head of
     ``y_ws``, which the next product overwrites.  The regions are the
-    first five that ``CGPlan.product_scratch`` cuts: the row buffer,
-    filled with every degree's rows of ``G`` repeated max(tau) times, and
-    the Kronecker, table product, l1 factor and self-pair regions.
+    Kronecker, table-product, l1 and l2 regions of ``CGPlan``, in that
+    order.
 
-    Per pair (l1, l2), output m only reads the rows with m1 + m2 = m, so a
-    pair's l2 rows m - m1 are one strided view of the row buffer with no
-    gather; the l1 factor, repeated along t2, is copied once per run of
-    pairs sharing (l1, t2).  A self-pair forms only its kept columns (i,
-    j), i <= j (``CGPair.cols``): one ``take`` gathers each of its rows on
-    i and on j into a region with spare rows at each end, its l1 factor is
-    a view of that region, and its l2 rows m - m1 are the same kind of
-    strided view.  The Kronecker product is then a multiply of two
-    operands whose (B, n) blocks are contiguous, followed by a batched
-    matmul over m with the pair's table, both on runs of rows m of at
-    most ``_CACHE_BYTES`` of Kronecker rows (at least one row), so that
-    the table reads each run from cache.  In block l of the product the
-    rows |m| > l are exact zeros, because the table is."""
-    B, tmax = G[0].shape[1], max(g.shape[2] for g in G)
-    # a self-pair's l2 rows m - m1 with no valid m2 read zeros or an
-    # earlier self-pair's finite rows, which the CG table weighs by zero
-    self_ws[:] = 0.0
-    S, item = rows.strides[0], rows.itemsize
-    run = None
+    A pair forms only its kept columns c = (i, j) (``CGPair.cols``):
+    kron[m, k, b, c] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1.  One
+    ``take`` gathers degree l1's rows on i into the l1 region, and one
+    gathers degree l2's rows on j into the l2 region, below M + l1 - l2
+    rows, so that output m, which only reads the rows with m1 + m2 = m,
+    reads its l2 rows m - m1 through one sheared view of that region.  The
+    Kronecker product is then a multiply of two operands whose (B, n)
+    blocks are contiguous, followed by a batched matmul over m with the
+    pair's table, both on runs of rows m of at most ``_CACHE_BYTES`` of
+    Kronecker rows (at least one row), so that the table reads each run
+    from cache.  In block l of the product the rows |m| > l are exact
+    zeros, because the table is."""
+    B, item = G[0].shape[1], l2_ws.itemsize
+    # the l2 rows m - m1 with no valid m2 read zeros or an earlier pair's
+    # finite rows, which the CG table weighs by zero
+    l2_ws[:] = 0.0
     for p, table in zip(plan.pairs, plan.tables):
-        l1, M, n, d1, k = p.l1, p.M, p.n, 2 * p.l1 + 1, len(p.ells)
-        if p.cols is None:
-            # kron[m, k, b, i, j] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1
-            t1, t2 = G[l1].shape[2], G[p.l2].shape[2]
-            if run != (l1, t2):
-                run = (l1, t2)
-                G1 = np.ndarray((d1, B, t1, t2), complex, l1_ws)
-                np.copyto(G1, G[l1][..., None])
-            G2 = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, rows,
-                            p.row0 * S,
-                            (S, -S, tmax * t2 * item, t2 * item, item))
-        else:
-            # a self-pair's kept columns c = (i, j): kron[m, k, b, c] =
-            # G[m1, b, i] G[m - m1, b, j]; one take gathers each row of
-            # degree l1 on i and on j, below M rows of self_ws, so the
-            # l1 factor is a view of it and rows m - m1 are one more
-            run = None
-            S2 = 2 * B * n * item
-            gathered = np.take(G[l1], p.cols, axis=2, mode="clip",
-                               out=np.ndarray((d1, B, 2, n), complex,
-                                              self_ws, M * S2))
-            G1 = gathered[:, :, 0]
-            G2 = np.ndarray((2 * M + 1, d1, B, n), complex, self_ws,
-                            2 * l1 * S2 + n * item,
-                            (S2, -S2, 2 * n * item, item))
-        y = np.ndarray((k, 2 * M + 1, 2 * B * n), float,
+        l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
+        S = B * n * item
+        # the indices are in range; "clip" only spares take a buffered copy
+        G1 = np.take(G[l1], p.cols[0], axis=2, mode="clip",
+                     out=np.ndarray((d1, B, n), complex, l1_ws))
+        np.take(G[l2], p.cols[1], axis=2, mode="clip",
+                out=np.ndarray((2 * l2 + 1, B, n), complex, l2_ws,
+                               (M + l1 - l2) * S))
+        # [m + M, m1 + l1] reads region row m - m1 + M + l1
+        G2 = np.ndarray((2 * M + 1, d1, B, n), complex, l2_ws, 2 * l1 * S,
+                        (S, -S, n * item, item))
+        y = np.ndarray((len(p.ells), 2 * M + 1, 2 * B * n), float,
                        y_ws).transpose(1, 0, 2)
         # a run of rows m at a time, whose Kronecker rows are still in
         # cache when the real table acts on their re/im float view
@@ -557,8 +485,9 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     pair narrower than its mix (n < width, such as every pair of a first
     layer with one input channel) would make that matmul an outer product
     as wide as the mix: it copies its blocks' valid rows into a staging
-    region instead (``CGPlan.staging``), and the staged columns of each
-    degree are mixed by one matmul after the pairs.
+    region instead (``CGPlan.staging``), after its statistics in
+    training, and the staged columns of each degree are folded and mixed
+    by one matmul after the pairs.
 
     Every buffer the pairs work in is a region of one scratch block,
     which is freed when the call returns, and the pairs write into their
@@ -585,23 +514,24 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     staged_cols, staged_widths, staged_size, staged_rows = \
         plan.staging(width)
     n_mix = sum(plan.out_type.tau)
-    # in training the scales in pair order, the staged columns' scales,
-    # and each pair's or staged degree's squares and column powers, as
+    # in training the scales in pair order, the staged columns'
+    # reciprocal divisors, and each pair's squares and column powers, as
     # floats
-    n_stat = 2 * n_mix + 3 * max((plan.stat_size,) + staged_widths) \
-        if training else 0
+    n_stat = n_mix + len(staged_rows) + 3 * plan.stat_size if training else 0
     *regions, by_degree, stacked, mixed_ws, stage_ws, staged_mix, stat_ws = \
-        plan.product_scratch(
-            G, (n_mix + 1) * width, n_mix * width, plan.mix_size * B * width,
-            staged_size * B, len(staged_rows) * width, (n_stat + 1) // 2)
-    y_ws = regions[2]
+        plan.scratch(
+            plan.kron_size * B, plan.y_size * B, plan.l1_size * B,
+            plan.l2_size * B, (n_mix + 1) * width, n_mix * width,
+            plan.mix_size * B * width, staged_size * B,
+            len(staged_rows) * width, (n_stat + 1) // 2)
+    y_ws = regions[1]
     stacked = _stack_mixes(mixes, plan.mix_rows, by_degree, stacked)
-    stage = _staged_views(stage_ws, staged_widths, B) if staged_size else []
+    stage = _per_degree(stage_ws, B, staged_widths) if staged_size else []
     if training:
         stat = np.ndarray((n_stat,), float, stat_ws)
         scales = np.take(np.concatenate(norm.scales), plan.mix_rows,
                          out=stat[:n_mix])
-        work = stat[2 * n_mix:]
+        work = stat[n_mix + len(staged_rows):]
         # the (m, example) rows of each degree
         dims = (2.0 * np.arange(top + 1)[:, None] + 1.0) * B
     for cols, p in zip(staged_cols, _products(plan, G, *regions)):
@@ -609,11 +539,6 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
         R = (2 * M + 1) * B
         if cols is not None or training:
             y = np.ndarray((k, 2 * M + 1, B, n), complex, y_ws)
-        if cols is not None:
-            for i, (l, c) in enumerate(zip(p.ells, cols)):
-                stage[l][:, :, c:c + n] = y[i, M - l:M + l + 1]
-            continue
-        mix = stacked[p.mix_row:p.mix_row + k * n].reshape(k, n, width)
         if training:
             # each block's valid rows, as NormState.update reads them in H
             power = work[2 * k * n:3 * k * n].reshape(k, n)
@@ -623,6 +548,12 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
                               work[2 * i * n:2 * (i + 1) * n], power[i])
             s = scales[p.mix_row:p.mix_row + k * n].reshape(k, n)
             norm._average(s, power, dims[p.ells[0]:M + 1])
+        if cols is not None:
+            for i, (l, c) in enumerate(zip(p.ells, cols)):
+                stage[l][:, :, c:c + n] = y[i, M - l:M + l + 1]
+            continue
+        mix = stacked[p.mix_row:p.mix_row + k * n].reshape(k, n, width)
+        if training:
             _fold_rows(mix, _reciprocals(s, out=power))
         # each block's (m, example) rows are one matrix
         mixed = np.matmul(np.ndarray((k, R, n), complex, y_ws), mix,
@@ -633,25 +564,17 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
         V = np.take(stacked, staged_rows, axis=0, mode="clip",
                     out=staged_mix.reshape(-1, width))
         if training:
-            s = np.take(scales, staged_rows, out=stat[n_mix:n_mix
-                                                      + len(staged_rows)])
+            r = np.take(scales, staged_rows,
+                        out=stat[n_mix:n_mix + len(staged_rows)])
+            _fold_rows(V, _reciprocals(r, out=r))
         first = 0
         for l, c in enumerate(staged_widths):
             if not c:
                 continue
-            staged_l = stage[l].reshape((2 * l + 1) * B, c)
-            if training:
-                power = _column_power(staged_l.view(float), work[:2 * c],
-                                      work[2 * c:3 * c])
-                norm._average(s[first:first + c], power, dims[l])
-                _fold_rows(V[first:first + c],
-                           _reciprocals(s[first:first + c], out=power))
             acc[l, (top - l) * B:(top + l + 1) * B] += np.matmul(
-                staged_l, V[first:first + c],
+                stage[l].reshape((2 * l + 1) * B, c), V[first:first + c],
                 out=mixed_ws[:(2 * l + 1) * B * width].reshape(-1, width))
             first += c
-        if training:
-            scales[staged_rows] = s
     if training:
         flat = np.empty(n_mix)
         flat[plan.mix_rows] = scales
@@ -685,10 +608,11 @@ def cg_weight_gradient(G_bar: list, F: CovariantActivation,
               for g in Gb]
     W_conj = [np.empty((c, g.shape[1]), complex)
               for c, g in zip(plan.out_type.tau, G_conj)]
-    regions = plan.product_scratch(G)
+    regions = plan.scratch(plan.kron_size * B, plan.y_size * B,
+                           plan.l1_size * B, plan.l2_size * B)
     for p in _products(plan, G, *regions):
         M, n = p.M, p.n
-        y = np.ndarray((len(p.ells), 2 * M + 1, B, n), complex, regions[2])
+        y = np.ndarray((len(p.ells), 2 * M + 1, B, n), complex, regions[1])
         for i, (l, c) in enumerate(zip(p.ells, p.starts)):
             # y^T conj(G_bar): the conjugate of the block's H^H G_bar
             np.matmul(y[i, M - l:M + l + 1].reshape(-1, n).T, G_conj[l],
@@ -708,38 +632,44 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     grid (``CGPlan.grid_rows``), a self-pair's dropped columns (j, i), i <
     j, reading a zero row, so those columns get a zero cotangent, as a
     column that feeds no output must.  Per pair and degree, G_bar_l V_l^H
-    on the pair's columns is one 2-D
-    matmul over the (2l+1)*B rows, written straight into the degree-major
-    (#ells, 2M+1, B, n) workspace, whose transposed view the transposed
-    table maps back to the Kronecker rows (m, m1).  Each factor's
-    cotangent is then a batched mat-vec with the other factor's conjugate,
-    read through strided views of the conjugated row buffer
-    (``CGPlan.scratch``), as in the forward kernel.  The l1 cotangent is
-    summed over m, and the l2 cotangent is added back to its rows
-    m2 = m - m1 in one slice per m1.  As in ``cg_nonlinearity``, every
-    buffer the pairs work in, the conjugated mixes included, is a region
-    of one scratch block, and the cotangents are views of one zeroed
-    output block.
+    on the pair's columns is one 2-D matmul over the (2l+1)*B rows,
+    written straight into the degree-major (#ells, 2M+1, B, n) workspace,
+    whose transposed view the transposed table maps back to the Kronecker
+    rows (m, m1).  Each factor's cotangent is then a batched mat-vec with
+    the other factor's conjugate.  Every degree of ``F`` is conjugated
+    once per call; per pair, the conjugated l2 rows are copied into the
+    l2 region below M + l1 - l2 rows and read as rows m - m1 through the
+    same sheared view as in ``_products``.  The l1 cotangent is summed
+    over m, and the l2 cotangent is added back to its rows m2 = m - m1 in
+    one slice per m1.  As in ``cg_nonlinearity``, every buffer the pairs
+    work in, the conjugated mixes included, is a region of one scratch
+    block, and the cotangents are views of one zeroed output block.
     Returns m-major views.
     """
-    B, G = F.batch_size, F.m_major
+    B, G, tau = F.batch_size, F.m_major, F.type.tau
     Gb = CovariantActivation(F.bandlimit, G_bar).m_major
     plan = _cg_plan(F.type, out_ell_max)
     if [len(v) for v in mixes] != list(plan.out_type.tau):
         raise ValueError("mixes do not match the CG output widths")
-    F_bar = _per_degree(np.zeros, B, F.type.tau)
+    size = B * sum((2 * l + 1) * t for l, t in enumerate(tau))
+    F_bar = _per_degree(np.zeros(size, complex), B, tau)
     width = max(v.shape[1] for v in mixes)
-    rows, k_ws, y_ws, by_degree, grid_ws, vec_ws = plan.scratch(
-        G, 1, plan.grid_kron_size * B, plan.grid_y_size * B,
-        (sum(plan.out_type.tau) + 1) * width, len(plan.grid_rows) * width,
-        plan.vec_size * B)
-    np.conjugate(rows, out=rows)
+    conj_ws, l2_ws, k_ws, y_ws, by_degree, grid_ws, vec_ws = plan.scratch(
+        size, plan.l2_size * B, plan.grid_kron_size * B,
+        plan.grid_y_size * B, (sum(plan.out_type.tau) + 1) * width,
+        len(plan.grid_rows) * width, plan.vec_size * B)
+    G_conj = _per_degree(conj_ws, B, tau)
+    for g, c in zip(G, G_conj):
+        np.conjugate(g, out=c)
+    # as in _products, rows m - m1 with no valid m2 read zeros or an
+    # earlier pair's finite rows, which the CG table weighs by zero
+    l2_ws[:] = 0.0
     V_conj = _stack_mixes(mixes, plan.grid_rows, by_degree, grid_ws)
     np.conjugate(V_conj, out=V_conj)
-    L, S, item = F.bandlimit, rows.strides[0], rows.itemsize
+    item = l2_ws.itemsize
     for p, table in zip(plan.pairs, plan.tables):
         l1, l2, M, d1 = p.l1, p.l2, p.M, 2 * p.l1 + 1
-        t1, t2 = G[l1].shape[2], G[l2].shape[2]
+        t1, t2 = tau[l1], tau[l2]
         n = t1 * t2
         y_bar = np.ndarray((len(p.ells), 2 * M + 1, B, n), complex, y_ws)
         for i, l in enumerate(p.ells):
@@ -755,10 +685,12 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
                   out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
         k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
         # the conjugate factors: l2 rows m - m1, and l1's own rows
-        G2 = np.ndarray((2 * M + 1, d1, B, t2, 1), complex, rows,
-                        p.row0 * S, (S, -S, t2 * item, item, item))
-        G1 = np.ndarray((d1, B, 1, t1), complex, rows, (L + l1 * l1) * S,
-                        (S, t1 * item, 0, item))
+        S = B * t2 * item
+        np.copyto(np.ndarray(G_conj[l2].shape, complex, l2_ws,
+                             (M + l1 - l2) * S), G_conj[l2])
+        G2 = np.ndarray((2 * M + 1, d1, B, t2, 1), complex, l2_ws,
+                        2 * l1 * S, (S, -S, t2 * item, item, item))
+        G1 = G_conj[l1][:, :, None, :]
         kg = np.ndarray((2 * M + 1, d1, B, t1, 1), complex, vec_ws)
         kg_sum = np.ndarray((d1, B, t1, 1), complex, vec_ws, kg.nbytes)
         g2_bar = np.ndarray((2 * M + 1, d1, B, 1, t2), complex, vec_ws,

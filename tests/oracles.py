@@ -11,8 +11,8 @@ one-draw-per-block templates and the one-eigh-per-call little-d that
 ``data.class_templates`` and ``so3.wigner_d_small`` must reproduce byte
 for byte;
 ``cg_nonlinearity_gather`` and ``backward_cg_gather``, the CG kernel and
-its adjoint with a row gather per pair and each self-pair's kept columns
-read from the same ``CGPlan``, which the strided-view kernels must
+its adjoint with a row gather per pair and each pair's kept columns read
+from the same ``CGPlan``, which the strided-view kernels must
 reproduce byte for byte (the adjoint to rounding at B=1);
 ``clebsch_gordan_coeff``, one coefficient read from ``so3.cg_table``;
 ``loss_and_grad_unfused``, the training step with a normalized copy of
@@ -157,12 +157,12 @@ def intertwiner_from_representations(d_blocks_1, d_blocks_2, d_blocks_out):
 
 
 def kept_kron_columns(tau, out_ell_max):
-    """For each self-pair of the plan of ``tau`` and ``out_ell_max``, the
-    columns i * tau_l + j of its Kronecker product it keeps, read from
-    ``CGPair.cols``; every other pair keeps all of its columns."""
+    """For each pair of the plan of ``tau`` and ``out_ell_max``, the
+    columns i * tau_l2 + j of its Kronecker product it keeps, read from
+    ``CGPair.cols``."""
     plan = network._cg_plan(ActivationType(tau), out_ell_max)
     return {(p.l1, p.l2): p.cols[0] * tau[p.l2] + p.cols[1]
-            for p in plan.pairs if p.cols is not None}
+            for p in plan.pairs}
 
 
 def dense_cg_transform(fragments, pairs, out_blocks, out_ell_max,
@@ -221,6 +221,23 @@ def cg_product(F, out_ell_max=None, chunk=64):
     return CovariantActivation.from_m_major(F.bandlimit, H)
 
 
+def cg_adjoint(H_bar, F, out_ell_max=None, chunk=64):
+    """The bare CG adjoint of ``F``'s product at the cotangent ``H_bar``:
+    ``network.backward_cg`` with identity mixes, taken ``chunk`` columns
+    of ``H_bar`` at a time and summed, as ``cg_product`` takes the
+    forward, so that a band layer's widths stack no gigabyte of eye rows
+    on the pairs' grids."""
+    tau = cg_output_type(F.type, out_ell_max).tau
+    F_bar = [np.zeros(f.shape, complex) for f in F.fragments]
+    for a in range(0, max(tau), chunk):
+        part = backward_cg([h[:, :, a:a + chunk] for h in H_bar], F, [
+            np.eye(t, min(chunk, max(t - a, 0)), -a, dtype=complex)
+            for t in tau], out_ell_max)
+        for f, g in zip(F_bar, part):
+            f += g
+    return F_bar
+
+
 def cg_nonlinearity_gather(F, out_ell_max=None):
     """The bare CG output H of ``F`` with one row gather (``take``) of the
     l2 factor per pair, a broadcast Kronecker product and a scatter of each
@@ -235,17 +252,10 @@ def cg_nonlinearity_gather(F, out_ell_max=None):
     y_ws = np.empty(plan.y_size * B, complex)
     for p, table in zip(plan.pairs, plan.tables):
         l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
-        t1, t2 = G[l1].shape[2], G[l2].shape[2]
         G2 = G[l2].take(_gathered_rows(l1, l2, M), axis=0)
-        if p.cols is None:
-            np.multiply(G[l1][..., None], G2[..., None, :],
-                        out=np.ndarray((2 * M + 1, d1, B, t1, t2), complex,
-                                       kron_ws))
-        else:
-            ci, cj = p.cols
-            np.multiply(G[l1][:, :, ci], G2[..., cj],
-                        out=np.ndarray((2 * M + 1, d1, B, n), complex,
-                                       kron_ws))
+        ci, cj = p.cols
+        np.multiply(G[l1][:, :, ci], G2[..., cj],
+                    out=np.ndarray((2 * M + 1, d1, B, n), complex, kron_ws))
         np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
                   out=np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float,
                                  y_ws))
@@ -276,9 +286,7 @@ def backward_cg_gather(G_bar, F, mixes, out_ell_max=None):
             # the mix rows of the pair's kept columns on its full grid,
             # zero for a self-pair's dropped columns
             V = np.zeros((n, mixes[l].shape[1]), complex)
-            kept = (np.arange(n) if p.cols is None
-                    else p.cols[0] * t2 + p.cols[1])
-            V[kept] = mixes[l][c:c + p.n]
+            V[p.cols[0] * t2 + p.cols[1]] = mixes[l][c:c + p.n]
             y_bar[:M - l, i] = 0.0
             np.matmul(Gb[l], V.conj().T, out=y_bar[M - l:M + l + 1, i])
             y_bar[M + l + 1:, i] = 0.0
@@ -376,9 +384,8 @@ def loss_and_grad_unfused(coeffs, labels, weights, norm_states,
     output H (``cg_product``), ``covariant_normalize`` into a copy,
     ``covariant_linear``.  Backward: ``backward_linear`` forms the wide
     cotangent of the CG output and the weight gradient from H, and
-    ``backward_cg`` with identity mixes (the bare CG adjoint) takes the
-    cotangent on.  Returns (loss, NetworkWeights-shaped gradients,
-    logits)."""
+    ``cg_adjoint`` (the bare CG adjoint) takes the cotangent on.
+    Returns (loss, NetworkWeights-shaped gradients, logits)."""
     spec = weights.spec
     S, L, B = spec.n_layers, spec.bandlimit, len(labels)
     normed, outputs, F = [], [], coeffs
@@ -413,10 +420,7 @@ def loss_and_grad_unfused(coeffs, labels, weights, norm_states,
             G_bar, normed[s], norm_states[s].fold(weights.layers[s]))
         if s == 0:
             break
-        cap = layer_out_ell_max(s, S, L)
-        G_bar = backward_cg(H_bar, outputs[s - 1], [
-            np.eye(w) for w in cg_output_type(outputs[s - 1].type, cap).tau],
-            cap)
+        G_bar = cg_adjoint(H_bar, outputs[s - 1], layer_out_ell_max(s, S, L))
     return loss, NetworkWeights(spec, g_layers, g_head), logits
 
 

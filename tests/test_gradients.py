@@ -226,8 +226,7 @@ def test_backward_cg_adjoint_identity_at_band_scale(tau, out_ell_max, layout):
     J = [(p - m) / 2 for p, m in zip(plus, minus)]
     H_bar = in_layout(random_like(J), layout)
     F_in = CovariantActivation(L, in_layout(F.fragments, layout))
-    F_bar = backward_cg(H_bar, F_in, identity_mixes(F, out_ell_max),
-                        out_ell_max=out_ell_max)
+    F_bar = oracles.cg_adjoint(H_bar, F_in, out_ell_max)
     assert [f.shape for f in F_bar] == [f.shape for f in F.fragments]
     assert_adjoint(real_inner(H_bar, J), real_inner(F_bar, dF))
 
@@ -250,10 +249,10 @@ def frozen_mix(F, cap, out_tau, rng):
 def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
     """The CG kernels reuse one scratch block across pairs and never clear
     it; whatever it held before (NaN here, in every element, so also in
-    the row buffer's pads, which the kernels zero themselves) must not
-    reach the result: the bare product (every pair staged), the adjoint,
-    the frozen mix, the training forward with its statistics, and the
-    weight gradient.  With one producing pair, (3, 3), every unwritten
+    the spare rows of the l2 regions, which the kernels zero themselves)
+    must not reach the result: the bare product (every pair staged), the
+    adjoint, the frozen mix, the training forward with its statistics,
+    and the weight gradient.  With one producing pair, (3, 3), every unwritten
     slot is still NaN when the pair reads it."""
     F = random_activation(3, tau, batch=2)
     H_bar = random_like(oracles.cg_product(F).fragments)
@@ -359,7 +358,9 @@ def test_mixing_cg_kernel_rejects_mixes_of_the_wrong_height():
 def test_band_cg_call_allocates_only_its_buffers():
     """A band layer-1 training forward (L=8, tau=8, B=32, width 8) peaks at
     no more than its accumulator and its scratch block, plus 1 MB: no
-    region the size of the CG output, which is 16x wider, is allocated."""
+    region the size of the CG output, which is 16x wider, is allocated,
+    and no buffer of every degree's rows repeated max(tau) times (3.2 MB
+    here) either."""
     L, t, B = 8, 8, 32
     F = random_activation(L, (t,) * (L + 1), batch=B)
     weights, norm = frozen_mix(F, None, (t,) * (L + 1),
@@ -375,9 +376,8 @@ def test_band_cg_call_allocates_only_its_buffers():
     plan = network._cg_plan(F.type, None)
     n_mix = sum(plan.out_type.tau)
     acc = (L + 1) * (2 * L + 1) * B * t
-    rows = ((L + 1) ** 2 + 2 * L) * B * t * t
-    scratch = rows + B * (plan.kron_size + plan.y_size + plan.l1_size
-                          + plan.self_size + plan.mix_size * t) \
+    scratch = B * (plan.kron_size + plan.y_size + plan.l1_size
+                   + plan.l2_size + plan.mix_size * t) \
         + (2 * n_mix + 1) * t + plan.stat_size + n_mix
     assert plan.staging(t)[2] == 0  # no pair is narrower than its mix
     assert peak <= 16 * (acc + scratch) + 2 ** 20
@@ -619,9 +619,10 @@ def test_band_step_holds_no_wide_copy():
 
 # the tracemalloc peak of one band training step at B=4 (numpy 2.4); with
 # a row for every column of each self-pair's grid it was 13,335,279 bytes,
-# and with each layer's CG output built for the statistics and the weight
-# gradient 11,942,327
-BAND_STEP_PEAK_B4 = 9_014_642
+# with each layer's CG output built for the statistics and the weight
+# gradient 11,942,327, and with a buffer of every degree's rows repeated
+# max(tau) times 9,014,642
+BAND_STEP_PEAK_B4 = 7_589_396
 
 
 def test_band_step_peak_is_pinned():

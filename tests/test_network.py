@@ -382,8 +382,9 @@ def test_type_queries_build_no_cg_table(monkeypatch):
 
 def test_one_frozen_plan_per_type_and_cap():
     """A (type, cap) has one memoized ``CGPlan``; it is frozen, its pairs
-    hold the column offsets, widths, top degree and row-buffer row of each
-    producing pair, and its tables are read-only, corrupted ones too."""
+    hold the column offsets, widths, top degree and read-only kept (i, j)
+    of each producing pair, and its tables are read-only, corrupted ones
+    too."""
     tau = ActivationType((1, 2))
     plan = network._cg_plan(tau, None)
     assert network._cg_plan(ActivationType((1, 2)), None) is plan
@@ -392,13 +393,15 @@ def test_one_frozen_plan_per_type_and_cap():
     # L=1: (0,0) -> l0; (0,1) -> l1; (1,1) -> l0, l1 (l2 capped at L);
     # (1,1) keeps the columns (0,0), (0,1) and (1,1) of its 2 x 2 grid
     assert plan.out_type == ActivationType((1 + 3, 2 + 3))
-    assert [(p.l1, p.l2, p.ells, p.starts, p.n, p.M, p.row0, p.mix_row,
+    assert [(p.l1, p.l2, p.ells, p.starts, p.n, p.M, p.mix_row,
              p.grid_row) for p in plan.pairs] == [
-        (0, 0, (0,), (0,), 1, 0, 1, 0, 0),
-        (0, 1, (1,), (0,), 2, 1, 2, 1, 1),
-        (1, 1, (0, 1), (1, 2), 3, 1, 3, 3, 3)]
-    assert plan.pairs[1].cols is None
-    assert [c.tolist() for c in plan.pairs[2].cols] == [[0, 0, 1], [0, 1, 1]]
+        (0, 0, (0,), (0,), 1, 0, 0, 0),
+        (0, 1, (1,), (0,), 2, 1, 1, 1),
+        (1, 1, (0, 1), (1, 2), 3, 1, 3, 3)]
+    # every pair lists its kept (i, j): the whole grid, or i <= j
+    assert [p.cols.tolist() for p in plan.pairs] == [
+        [[0], [0]], [[0, 0], [0, 1]], [[0, 0, 1], [0, 1, 1]]]
+    assert not any(p.cols.flags.writeable for p in plan.pairs)
     # (1,1)'s rows in the degree-major stack of the mixes (degree 0 rows
     # 0..3, degree 1 rows 4..8, zero row 9): kept columns, then its grid
     assert plan.mix_rows.tolist() == [0, 4, 5, 1, 2, 3, 6, 7, 8]
@@ -406,11 +409,13 @@ def test_one_frozen_plan_per_type_and_cap():
     # the forward works on the kept columns, the adjoint on the grid
     assert (plan.kron_size, plan.y_size) == (3 * 3 * 3, 3 * 3 * 2)
     assert (plan.grid_kron_size, plan.grid_y_size) == (3 * 3 * 4, 3 * 4 * 2)
-    assert plan.self_size == (3 + 2) * 2 * 3
+    # (1,1)'s 3 rows on i, and its 3 rows on j between M + l1 - l2 = 1
+    # spare row at each end
+    assert (plan.l1_size, plan.l2_size) == (3 * 3, (1 + 3 + 1) * 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.out_type = tau
     with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.pairs[0].row0 = 0
+        plan.pairs[0].M = 0
     assert len(plan.tables) == len(plan.pairs)
     try:
         network.corrupt_cg_entry(1, 1, 1, 0)

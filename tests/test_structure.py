@@ -56,9 +56,10 @@ def test_cg_kernels_allocate_nothing_per_pair():
     ``concatenate``; every ``einsum``, ``matmul``, ``take`` and arithmetic
     ufunc there, and in the module's own helpers those loops call (the
     column powers, the expanding-average step, the fold), writes into a
-    region with ``out=``.  The ``take`` (a self-pair's kept columns) also
-    passes ``mode="clip"``: in the default mode numpy takes into a
-    buffered copy of ``out``."""
+    region with ``out=``.  ``_products`` gathers each pair's factors with
+    exactly two ``take``s (degree l1's rows on the kept i, degree l2's on
+    the kept j), and each also passes ``mode="clip"``: in the default mode
+    numpy takes into a buffered copy of ``out``."""
     allocating = {"repeat", "conj", "empty", "zeros", "pad", "concatenate"}
     writing = {"einsum", "matmul", "take", "multiply", "add", "divide",
                "sqrt", "sum", "conjugate"}
@@ -95,5 +96,5 @@ def test_cg_kernels_allocate_nothing_per_pair():
     assert found == []
     assert helpers == {"_column_power", "_average", "_fold_rows",
                        "_reciprocals"}
-    # a self-pair's rows, gathered on i and on j
-    assert takes == ["_products"]
+    # each pair's l1 rows on i and l2 rows on j, one take each
+    assert takes == ["_products", "_products"]
