@@ -14,7 +14,6 @@ from .network import (
     backward_cg,
     cg_nonlinearity,
     covariant_linear,
-    covariant_normalize,
     invariant_features,
     network_forward,
     tau_schedule,
@@ -22,7 +21,6 @@ from .network import (
 from .gradients import (
     NetworkWeights,
     NumericError,
-    backward_linear,
     init_weights,
     loss_and_grad,
 )
@@ -51,10 +49,8 @@ __all__ = [
     "CovariantActivation", "EulerAngles", "HarmonicCoefficients",
     "NetworkSpec", "NetworkWeights", "NormState", "NumericError",
     "SphericalSignal", "WignerD", "adam_step", "backward_cg",
-    "backward_linear", "cg_block", "cg_nonlinearity",
-    "covariant_linear", "covariant_normalize",
-    "forward_sht", "init_weights", "invariant_features", "inverse_sht",
-    "loss_and_grad", "network_forward", "random_rotation",
+    "cg_block", "cg_nonlinearity", "covariant_linear", "forward_sht",
+    "init_weights", "invariant_features", "inverse_sht", "loss_and_grad", "network_forward", "random_rotation",
     "rotate_coefficients", "spherical_harmonic", "tau_schedule",
     "train_loop", "wigner_D", "wigner_d_small",
 ]

@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 # cg_block is unused here, but bench/spans.py wraps network.cg_block
-from .so3 import cg_block, cg_table  # noqa: F401
+from .so3 import MAX_DEGREE, cg_block, cg_table  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,8 @@ class CGPlan:
     between M + l1 - l2 spare rows at each end (the l2 region, where the
     adjoint copies the conjugated l2 rows, as tau_l2 <= n); the forward
     kernel adds the table product's rows per mixed column, and a training
-    forward the pair's column powers (``stat_size``, not per example).
+    forward the pair's squares and column powers (``stat_size``, not per
+    example), taken in one call over its product.
     The adjoint works on each pair's full tau_l1 x tau_l2 grid: the
     Kronecker cotangent, the per-m table-product cotangent, and the three
     mat-vec results.  ``_cg_plan`` builds one per (type, cap), and
@@ -237,7 +238,9 @@ class CGPlan:
         its degree; each degree's staged column count, and their
         per-example size; and, degree by degree, the staged columns'
         pair-ordered mixing rows, as one read-only index array.
-        ``_per_degree`` cuts the staging region."""
+        ``_per_degree`` cuts the staging region.  A staged pair takes its
+        statistics and folds its mix rows in the pair loop like any other,
+        so the staged columns are only mixed after it."""
         if width not in self._staged:
             counts = [0] * len(self.out_type.tau)
             cols, rows = [], [[] for _ in counts]
@@ -470,12 +473,14 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     frozen statistics (eval, audit) its folded weights
     (``NormState.fold``).  ``norm``, the layer's state, makes the call the
     forward of a training step, and ``mixes`` the unfolded weights W:
-    while each pair's product is in cache, its column power updates
-    ``norm``'s expanding average for the pair's columns (each column
-    belongs to one pair, so the scales are those ``NormState.update(H)``
-    would give, bit for bit), and the pair's mix rows are folded with the
-    new scales, as ``NormState.fold`` folds them; ``norm.count`` advances
-    once.
+    while each pair's product is in cache, one ``_column_power`` call over
+    the whole degree-major product (block l's rows |m| > l are zeros,
+    which leave each column's sum unchanged) updates ``norm``'s expanding
+    average for the pair's columns (each column belongs to one pair, so
+    the scales are those ``NormState.update(H)`` would give, bit for bit),
+    and the pair's mix rows are folded with the new scales, as
+    ``NormState.fold`` folds them; ``norm.count`` advances once.  Every
+    pair takes its statistics and its fold in the pair loop.
 
     The mixes are stacked once per call in pair order
     (``CGPlan.mix_rows``), padded with zero columns to the widest, and each
@@ -485,9 +490,9 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     pair narrower than its mix (n < width, such as every pair of a first
     layer with one input channel) would make that matmul an outer product
     as wide as the mix: it copies its blocks' valid rows into a staging
-    region instead (``CGPlan.staging``), after its statistics in
-    training, and the staged columns of each degree are folded and mixed
-    by one matmul after the pairs.
+    region instead (``CGPlan.staging``), and after the pairs the staged
+    columns of each degree, whose rows are already folded, are only mixed,
+    by one matmul.
 
     Every buffer the pairs work in is a region of one scratch block,
     which is freed when the call returns, and the pairs write into their
@@ -514,10 +519,9 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     staged_cols, staged_widths, staged_size, staged_rows = \
         plan.staging(width)
     n_mix = sum(plan.out_type.tau)
-    # in training the scales in pair order, the staged columns'
-    # reciprocal divisors, and each pair's squares and column powers, as
-    # floats
-    n_stat = n_mix + len(staged_rows) + 3 * plan.stat_size if training else 0
+    # in training the scales in pair order, and each pair's squares and
+    # column powers, as floats
+    n_stat = n_mix + 3 * plan.stat_size if training else 0
     *regions, by_degree, stacked, mixed_ws, stage_ws, staged_mix, stat_ws = \
         plan.scratch(
             plan.kron_size * B, plan.y_size * B, plan.l1_size * B,
@@ -531,42 +535,36 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
         stat = np.ndarray((n_stat,), float, stat_ws)
         scales = np.take(np.concatenate(norm.scales), plan.mix_rows,
                          out=stat[:n_mix])
-        work = stat[n_mix + len(staged_rows):]
+        work = stat[n_mix:]
         # the (m, example) rows of each degree
         dims = (2.0 * np.arange(top + 1)[:, None] + 1.0) * B
     for cols, p in zip(staged_cols, _products(plan, G, *regions)):
         M, n, k = p.M, p.n, len(p.ells)
         R = (2 * M + 1) * B
-        if cols is not None or training:
-            y = np.ndarray((k, 2 * M + 1, B, n), complex, y_ws)
+        rows = slice(p.mix_row, p.mix_row + k * n)
         if training:
-            # each block's valid rows, as NormState.update reads them in H
+            # block l's rows |m| > l are zeros, which leave each column's
+            # row-order sum of squares as NormState.update takes it in H
             power = work[2 * k * n:3 * k * n].reshape(k, n)
-            for i, l in enumerate(p.ells):
-                block = y[i, M - l:M + l + 1].reshape(-1, n)
-                _column_power(block.view(float),
-                              work[2 * i * n:2 * (i + 1) * n], power[i])
-            s = scales[p.mix_row:p.mix_row + k * n].reshape(k, n)
+            _column_power(np.ndarray((k, R, 2 * n), float, y_ws),
+                          work[:2 * k * n].reshape(k, 2 * n), power)
+            s = scales[rows].reshape(k, n)
             norm._average(s, power, dims[p.ells[0]:M + 1])
+            _fold_rows(stacked[rows], _reciprocals(s, out=power).ravel())
         if cols is not None:
+            y = np.ndarray((k, 2 * M + 1, B, n), complex, y_ws)
             for i, (l, c) in enumerate(zip(p.ells, cols)):
                 stage[l][:, :, c:c + n] = y[i, M - l:M + l + 1]
             continue
-        mix = stacked[p.mix_row:p.mix_row + k * n].reshape(k, n, width)
-        if training:
-            _fold_rows(mix, _reciprocals(s, out=power))
         # each block's (m, example) rows are one matrix
-        mixed = np.matmul(np.ndarray((k, R, n), complex, y_ws), mix,
+        mixed = np.matmul(np.ndarray((k, R, n), complex, y_ws),
+                          stacked[rows].reshape(k, n, width),
                           out=np.ndarray((k, R, width), complex, mixed_ws))
         acc[p.ells[0]:M + 1, (top - M) * B:(top + M + 1) * B] += mixed
     if staged_size:
         # the staged columns' mix rows, degree by degree
         V = np.take(stacked, staged_rows, axis=0, mode="clip",
                     out=staged_mix.reshape(-1, width))
-        if training:
-            r = np.take(scales, staged_rows,
-                        out=stat[n_mix:n_mix + len(staged_rows)])
-            _fold_rows(V, _reciprocals(r, out=r))
         first = 0
         for l, c in enumerate(staged_widths):
             if not c:
@@ -733,10 +731,10 @@ NORM_EPS = 1e-8
 def _column_power(x: np.ndarray, squares: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """|f|^2 of each complex column summed over the rows, from the re/im
-    float view ``x`` (rows, 2 * columns): each float column's squares
-    summed in row order, then re + im."""
-    squares = np.einsum("ij,ij->j", x, x, out=squares)
-    return np.add(squares[0::2], squares[1::2], out=out)
+    float view ``x`` (..., rows, 2 * columns), with any leading batch axes:
+    each float column's squares summed in row order, then re + im."""
+    squares = np.einsum("...ij,...ij->...j", x, x, out=squares)
+    return np.add(squares[..., 0::2], squares[..., 1::2], out=out)
 
 
 def _fold_rows(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -747,12 +745,23 @@ def _fold_rows(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _divisors(scales: np.ndarray) -> np.ndarray:
+    """The divisor of each column of the normalization: its scale, or 1
+    where the scale is below ``NORM_EPS``.
+
+    Such a column passes through unscaled: dividing its rounding noise by
+    a tiny scale would amplify it.  The CG columns that are identically
+    zero for every input are a self-pair's (i, i) at odd degree
+    (``cg_pairs``), so this rule holds for them, and for columns an
+    all-zero input leaves zero."""
+    return np.where(scales < NORM_EPS, 1.0, scales)
+
+
 def _reciprocals(scales: np.ndarray, out: np.ndarray | None = None
                  ) -> np.ndarray:
-    """1 / each scale's divisor, as ``NormState.fold`` takes them: the
-    divisor is 1 where the scale is below ``NORM_EPS``
-    (``NormState.denominators``)."""
-    return np.divide(1.0, np.where(scales < NORM_EPS, 1.0, scales), out=out)
+    """1 / each scale's divisor (``_divisors``), the factors
+    ``NormState.fold`` multiplies the mix rows by."""
+    return np.divide(1.0, _divisors(scales), out=out)
 
 
 @dataclass
@@ -760,10 +769,11 @@ class NormState:
     """Expanding-average fragment scales for one layer's post-CG activation.
 
     A training forward updates them pair by pair inside
-    ``cg_nonlinearity``, from each pair's CG product; ``update`` does the
-    same from a whole activation, for ``covariant_normalize``.  Both take
-    the one expanding-average step ``_average``, so they agree bit for
-    bit, and ``count`` advances once per update of the layer.
+    ``cg_nonlinearity``, one ``_column_power`` call over each pair's CG
+    product; ``update`` does the same from a whole activation, for
+    ``covariant_normalize``.  Both take the one expanding-average step
+    ``_average``, so they agree bit for bit, and ``count`` advances once
+    per update of the layer.  Every divisor comes from ``_divisors``.
     """
 
     scales: list = field(default_factory=list)   # per-l float arrays (tau_l,)
@@ -776,28 +786,15 @@ class NormState:
     def copy(self) -> "NormState":
         return NormState([s.copy() for s in self.scales], self.count)
 
-    def denominators(self) -> np.ndarray:
-        """The divisors of the normalization, every degree's in one array
-        in degree order.
-
-        A column whose scale is below ``NORM_EPS`` passes through unscaled:
-        dividing its rounding noise by a tiny scale would amplify it.  The
-        CG columns that are identically zero for every input are a
-        self-pair's (i, i) at odd degree (``cg_pairs``), so this rule
-        holds for them, and for columns an all-zero input leaves zero.
-        """
-        d = np.concatenate(self.scales)
-        return np.where(d < NORM_EPS, 1.0, d)
-
     def fold(self, weights: list) -> list:
         """The mixes W_l / d_l, so that H (W / d) = (H / d) W mixes the raw
         CG output H without a normalized copy of it.  Each is a new
-        C-contiguous array, its re/im view multiplied by 1 / d_l: numpy's
-        complex division by a real d multiplies by the same reciprocal, so
-        the quotients are the same."""
+        C-contiguous array, its re/im view multiplied by 1 / d_l
+        (``_reciprocals``): numpy's complex division by a real d multiplies
+        by the same reciprocal, so the quotients are the same."""
         if tuple(map(len, weights)) != tuple(map(len, self.scales)):
             raise ValueError("weights do not match the norm state's widths")
-        r = 1.0 / self.denominators()
+        r = _reciprocals(np.concatenate(self.scales))
         out, i = [], 0
         for w in weights:
             out.append((np.ascontiguousarray(w).view(float)
@@ -846,11 +843,9 @@ def covariant_normalize(F: CovariantActivation, norm: NormState,
     if training:
         norm.update(F)
     # real division of the re/im view: each component divided exactly once
-    d = np.split(norm.denominators(),
-                 np.cumsum([len(s) for s in norm.scales])[:-1])
     return CovariantActivation.from_m_major(F.bandlimit, [
-        (g.view(float) / d_l.repeat(2)).view(complex)
-        for g, d_l in zip(F.m_major, d)])
+        (g.view(float) / _divisors(s).repeat(2)).view(complex)
+        for g, s in zip(F.m_major, norm.scales)])
 
 
 # --- layer and network composition ---
@@ -871,6 +866,9 @@ class NetworkSpec:
     pair_policy: ClassVar[str] = "unordered"
 
     def __post_init__(self):
+        if not 0 <= self.bandlimit <= MAX_DEGREE:
+            raise ValueError(f"bandlimit must lie in 0..{MAX_DEGREE}, got "
+                             f"{self.bandlimit}")
         if self.n_layers < 1:
             raise ValueError("need at least one layer")
         for tau in self.layer_types:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .gradients import HeadWeights, NetworkWeights, loss_and_grad
 from .network import ActivationType, CovariantActivation, NetworkSpec, NormState
+from .so3 import MAX_DEGREE
 
 
 @dataclass
@@ -272,6 +273,8 @@ def load_checkpoint(path):
     L, S, n_in, n_out, hidden = (
         _manifest_value(manifest, key, where)
         for key in ("bandlimit", "layers", "n_in", "n_out", "hidden"))
+    if not 0 <= L <= MAX_DEGREE:
+        raise ValueError(f"{where}: bandlimit={L} is outside 0..{MAX_DEGREE}")
     for key, value in (("layers", S), ("n_in", n_in), ("n_out", n_out),
                        ("hidden", hidden)):
         if value < 1:

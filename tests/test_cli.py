@@ -112,10 +112,14 @@ def test_audit_passes_on_trained_checkpoint(workspace, capsys):
 
 
 def test_audit_detects_corrupted_coefficient(workspace, capsys):
-    code = main(["audit", "--checkpoint", str(workspace["ckpt"]),
-                 "--trials", "5", "--corrupt-cg", "1,1,1,0"])
-    assert code == EXIT_AUDIT
-    assert "AUDIT FAILED" in capsys.readouterr().out
+    # this network reads block (1,1,1) only through layer 0's odd-degree
+    # diagonal column, which is zero in a correct network, and (1,2,1)
+    # through live columns
+    for block in ("1,1,1,0", "1,2,1,0"):
+        code = main(["audit", "--checkpoint", str(workspace["ckpt"]),
+                     "--trials", "5", "--corrupt-cg", block])
+        assert code == EXIT_AUDIT
+        assert "AUDIT FAILED" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["1,1,5,0", "4,4,4,0", "1,1", "1,1,x,0"])
@@ -299,7 +303,7 @@ def test_resume_rejects_config_of_another_network(workspace, capsys, tmp_path,
     assert not (out / "checkpoint").exists()
 
 
-@pytest.mark.parametrize("corrupt", [None, (1, 1, 1, 0)])
+@pytest.mark.parametrize("corrupt", [None, (1, 1, 1, 0), (1, 2, 1, 0)])
 def test_audit_batch_of_two_matches_two_forwards(workspace, corrupt):
     weights, norms, _, _ = load_checkpoint(workspace["ckpt"])
     if corrupt:

@@ -607,6 +607,14 @@ def test_spec_validates_final_layer():
         NetworkSpec(2, 1, (hidden,))  # bandlimit mismatch
 
 
+@pytest.mark.parametrize("L", [-1, 65])
+def test_spec_rejects_bandlimit_outside_verified_range(L):
+    # MAX_DEGREE = 64 bounds the degrees the CG and Wigner tests verify
+    last = ActivationType((1,) + (0,) * max(L, 0))
+    with pytest.raises(ValueError, match="bandlimit must lie in 0..64"):
+        NetworkSpec(L, 1, (last,))
+
+
 def test_spec_head_width():
     spec = desk_spec(L=2, S=3, n_in=2, width=5)
     assert spec.head_width() == 2 * (3 * 5 + 2)
@@ -668,6 +676,26 @@ def test_training_forward_updates_norm_states_as_normalize_does():
             for a, b in zip(got.scales, want.scales):
                 np.testing.assert_array_equal(a, b)
     assert norms[0].count == 2
+
+
+@pytest.mark.parametrize("n_in", [1, 3])
+def test_frozen_forward_repeats_the_training_forward(n_in):
+    """With the statistics a training forward leaves, a frozen forward on
+    the same input gives its features and layer outputs byte for byte:
+    the training forward folds each pair's mix rows with the new scales as
+    ``NormState.fold`` does, the staged pairs of layer 0 included (with
+    one input channel every pair there is narrower than its mix)."""
+    spec = desk_spec(L=5, n_in=n_in)
+    weights, norms = build_network(spec)
+    for _ in range(2):  # the second pass takes the expanding average
+        F = random_activation(spec.bandlimit, spec.input_type().tau, batch=3)
+        feats, outputs = network_forward(F, weights.layers, norms,
+                                         training=True)
+    frozen_feats, frozen = network_forward(F, weights.layers, norms)
+    assert frozen_feats.tobytes() == feats.tobytes()
+    for got, want in zip(frozen, outputs):
+        for a, b in zip(got.m_major, want.m_major):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_network_forward_shapes():

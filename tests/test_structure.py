@@ -95,6 +95,20 @@ def test_cg_kernels_allocate_nothing_per_pair():
                         found.append(f"{name}:{node.lineno} take")
     assert found == []
     assert helpers == {"_column_power", "_average", "_fold_rows",
-                       "_reciprocals"}
+                       "_reciprocals", "_divisors"}
     # each pair's l1 rows on i and l2 rows on j, one take each
     assert takes == ["_products", "_products"]
+
+
+def test_one_function_holds_the_epsilon_rule():
+    """``NORM_EPS`` is read in one place, the divisor helper that the
+    training fold, ``NormState.fold`` and ``covariant_normalize`` share,
+    so the rule for columns with a tiny scale cannot drift between them."""
+    tree = ast.parse((SRC / "network.py").read_text())
+    inside = {id(node): function.name for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef)
+              for node in ast.walk(function)}
+    readers = [inside.get(id(node), "<module>") for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "NORM_EPS"
+               and isinstance(node.ctx, ast.Load)]
+    assert readers == ["_divisors"]

@@ -251,7 +251,9 @@ def test_manifest_key_checked(tmp_path, key, damage):
 @pytest.mark.parametrize("key, value", [("layers", "0"), ("tau1", "3,3"),
                                         ("tau2", "-1,0,0"), ("tau2", "1,1,0"),
                                         ("n_out", "0"), ("n_out", "-2"),
-                                        ("hidden", "0"), ("n_in", "0")])
+                                        ("hidden", "0"), ("n_in", "0"),
+                                        ("bandlimit", "65"),
+                                        ("bandlimit", "-1")])
 def test_manifest_values_that_make_no_network(tmp_path, key, value):
     _, _, _, weights, norms, adam = make_toy_problem()
     ckpt = tmp_path / "ckpt"
