@@ -164,29 +164,30 @@ class CGPlan:
     ascending, then l2; blocks of one degree sit side by side), and the
     per-example complex sizes of the scratch regions a kernel call cuts
     from its one block (``scratch``), each the largest over the pairs,
-    which take turns in it.  The product (``_products``) works on the
-    kept columns: the Kronecker rows, the per-m table product, degree l1's
+    which take turns in it.  The product (``_products``) works on the kept
+    columns: one run of Kronecker rows (``kron``: the widest row m and the
+    largest pair, see ``_run_size``), the per-m table product, degree l1's
     rows gathered on i (the l1 region), and degree l2's rows gathered on j
     between M + l1 - l2 spare rows at each end (the l2 region, where the
     adjoint copies the conjugated l2 rows, as tau_l2 <= n); the forward
     kernel adds the table product's rows per mixed column, and a training
     forward the pair's squares and column powers (``stat_size``, not per
-    example), taken in one call over its product.
-    The adjoint works on each pair's full tau_l1 x tau_l2 grid: the
-    Kronecker cotangent, the per-m table-product cotangent, and the three
-    mat-vec results.  ``_cg_plan`` builds one per (type, cap), and
-    building it builds no CG table; the staging layout of each mix width
-    is memoized on the plan (``staging``).
+    example), taken in one call over its product.  The adjoint works on each
+    pair's full tau_l1 x tau_l2 grid: one run of the Kronecker cotangent
+    (``grid_kron``), the per-m table-product cotangent, and the three
+    mat-vec results.  ``_cg_plan`` builds one per (type, cap), and building
+    it builds no CG table; the staging layout of each mix width is memoized
+    on the plan (``staging``).
     """
 
     out_type: ActivationType
     pairs: tuple
-    kron_size: int
+    kron: tuple
     y_size: int
     l1_size: int
     l2_size: int
     mix_size: int
-    grid_kron_size: int
+    grid_kron: tuple
     grid_y_size: int
     vec_size: int
     stat_size: int
@@ -299,14 +300,16 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
     def grid(p):
         return tau.tau[p.l1] * tau.tau[p.l2]
 
+    def kron(n):  # the widest Kronecker row m, and the largest pair
+        return (largest(lambda p: (2 * p.l1 + 1) * n(p)),
+                largest(lambda p: (2 * p.M + 1) * (2 * p.l1 + 1) * n(p)))
+
     return CGPlan(
-        ActivationType(tuple(widths)), tuple(pairs),
-        largest(lambda p: (2 * p.M + 1) * (2 * p.l1 + 1) * p.n),
+        ActivationType(tuple(widths)), tuple(pairs), kron(lambda p: p.n),
         largest(lambda p: (2 * p.M + 1) * p.n * len(p.ells)),
         largest(lambda p: (2 * p.l1 + 1) * p.n),
         largest(lambda p: (2 * p.M + 2 * p.l1 + 1) * p.n),
-        largest(lambda p: (2 * p.M + 1) * len(p.ells)),
-        largest(lambda p: (2 * p.M + 1) * (2 * p.l1 + 1) * grid(p)),
+        largest(lambda p: (2 * p.M + 1) * len(p.ells)), kron(grid),
         largest(lambda p: (2 * p.M + 1) * grid(p) * len(p.ells)),
         # k_bar G2, its sum over m, and G1^H k_bar
         largest(lambda p: (2 * p.l1 + 1) * ((2 * p.M + 2) * tau.tau[p.l1]
@@ -404,10 +407,18 @@ def _per_degree(block: np.ndarray, B: int, widths: tuple) -> list:
             for l, (e, w) in enumerate(zip(ends, widths))]
 
 
-# the Kronecker rows a pair forms at a time: band training steps (L=8,
-# tau=8, B=32) took the same time with 64 KB to 1 MB on a host with 2 MB
-# of L2 cache per core, and about 6% more with each pair's rows whole
+# the Kronecker rows all three CG kernels form at a time: band steps (L=8,
+# tau=8, B=32, 2 MB of L2 cache per core) took the same time with forward
+# runs of 64 KB to 1 MB, 6% more with each pair whole; adjoint runs of 256
+# KB, 512 KB, 1 MB and 2 MB read 65.9, 65.9, 66.5, 67.3 MB band peak RSS
 _CACHE_BYTES = 1 << 18
+
+
+def _run_size(B: int, row: int, pair: int) -> int:
+    """The complex size of a run of Kronecker rows m of ``row`` elements
+    per example of a pair of ``pair``: ``_CACHE_BYTES``, at least a row, at
+    most the pair, so at the widest row and largest pair it holds all."""
+    return min(B * pair, max(_CACHE_BYTES // 16, B * row))
 
 
 def _products(plan: CGPlan, G: list, kron_ws: np.ndarray, y_ws: np.ndarray,
@@ -415,8 +426,8 @@ def _products(plan: CGPlan, G: list, kron_ws: np.ndarray, y_ws: np.ndarray,
     """Each pair's CG table product, in pair order: yields each pair once
     its product, degree-major, (#ells, 2M+1, B, n), fills the head of
     ``y_ws``, which the next product overwrites.  The regions are the
-    Kronecker, table-product, l1 and l2 regions of ``CGPlan``, in that
-    order.
+    Kronecker region of one run (``_run_size``), and the table-product, l1
+    and l2 regions of ``CGPlan``, in that order.
 
     A pair forms only its kept columns c = (i, j) (``CGPair.cols``):
     kron[m, k, b, c] = G1[m1, b, i] G2[m - m1, b, j], k = m1 + l1.  One
@@ -426,10 +437,9 @@ def _products(plan: CGPlan, G: list, kron_ws: np.ndarray, y_ws: np.ndarray,
     reads its l2 rows m - m1 through one sheared view of that region.  The
     Kronecker product is then a multiply of two operands whose (B, n)
     blocks are contiguous, followed by a batched matmul over m with the
-    pair's table, both on runs of rows m of at most ``_CACHE_BYTES`` of
-    Kronecker rows (at least one row), so that the table reads each run
-    from cache.  In block l of the product the rows |m| > l are exact
-    zeros, because the table is."""
+    pair's table, both on runs of rows m (``_run_size``), so that the
+    table reads each run from cache.  In block l of the product the rows
+    |m| > l are exact zeros, because the table is."""
     B, item = G[0].shape[1], l2_ws.itemsize
     # the l2 rows m - m1 with no valid m2 read zeros or an earlier pair's
     # finite rows, which the CG table weighs by zero
@@ -450,7 +460,7 @@ def _products(plan: CGPlan, G: list, kron_ws: np.ndarray, y_ws: np.ndarray,
                        y_ws).transpose(1, 0, 2)
         # a run of rows m at a time, whose Kronecker rows are still in
         # cache when the real table acts on their re/im float view
-        step = _CACHE_BYTES // (d1 * B * n * 16) or 1
+        step = _run_size(B, d1 * n, (2 * M + 1) * d1 * n) // (d1 * B * n)
         for a in range(0, 2 * M + 1, step):
             m = G2[a:a + step]
             np.multiply(G1, m, out=np.ndarray(m.shape, complex, kron_ws))
@@ -494,14 +504,15 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     columns of each degree, whose rows are already folded, are only mixed,
     by one matmul.
 
-    Every buffer the pairs work in is a region of one scratch block,
-    which is freed when the call returns, and the pairs write into their
-    regions with ``out=``.  Repeated calls therefore do not fault in fresh
-    pages: glibc serves a block above its mmap threshold with a fresh
-    mapping, but freeing one raises that threshold to the block's size (up
-    to 32 MB), so the next call's same-size block comes from the heap
-    pages the last one left.  Many separate blocks of different sizes,
-    allocated and freed in turn, keep being unmapped or trimmed instead.
+    Every buffer the pairs work in, one run of Kronecker rows m among
+    them (``_run_size``), is a region of one scratch block, which is freed
+    when the call returns, and the pairs write into their regions with
+    ``out=``.  Repeated calls therefore do not fault in fresh pages: glibc
+    serves a block above its mmap threshold with a fresh mapping, but
+    freeing one raises that threshold to the block's size (up to 32 MB),
+    so the next call's same-size block comes from the heap pages the last
+    one left.  Many separate blocks of different sizes, allocated and
+    freed in turn, keep being unmapped or trimmed instead.
     """
     tau, B, G = F.type, F.batch_size, F.m_major
     plan = _cg_plan(tau, out_ell_max)
@@ -524,7 +535,7 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
     n_stat = n_mix + 3 * plan.stat_size if training else 0
     *regions, by_degree, stacked, mixed_ws, stage_ws, staged_mix, stat_ws = \
         plan.scratch(
-            plan.kron_size * B, plan.y_size * B, plan.l1_size * B,
+            _run_size(B, *plan.kron), plan.y_size * B, plan.l1_size * B,
             plan.l2_size * B, (n_mix + 1) * width, n_mix * width,
             plan.mix_size * B * width, staged_size * B,
             len(staged_rows) * width, (n_stat + 1) // 2)
@@ -590,8 +601,8 @@ def cg_weight_gradient(G_bar: list, F: CovariantActivation,
     """The weight gradient H_l^H G_bar_l of the mix G_l = H_l W_l that
     follows the CG product H of ``F``, per degree, unfolded (the gradient
     of the unfolded weights is ``NormState.fold`` of it), without building
-    H: each pair's product is recomputed by ``_products``, as the forward
-    kernel forms it, from one scratch block, and each of its blocks meets
+    H: each pair's product is recomputed by ``_products``, in runs as the
+    forward kernel forms it, from one scratch block, and each block meets
     its degree's conjugated cotangent in one matmul over the block's valid
     (m, example) rows, written straight into the block's rows of the
     gradient.  Unlike the forward's mix, this matmul gives only n x width
@@ -606,7 +617,7 @@ def cg_weight_gradient(G_bar: list, F: CovariantActivation,
               for g in Gb]
     W_conj = [np.empty((c, g.shape[1]), complex)
               for c, g in zip(plan.out_type.tau, G_conj)]
-    regions = plan.scratch(plan.kron_size * B, plan.y_size * B,
+    regions = plan.scratch(_run_size(B, *plan.kron), plan.y_size * B,
                            plan.l1_size * B, plan.l2_size * B)
     for p in _products(plan, G, *regions):
         M, n = p.M, p.n
@@ -633,16 +644,16 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     on the pair's columns is one 2-D matmul over the (2l+1)*B rows,
     written straight into the degree-major (#ells, 2M+1, B, n) workspace,
     whose transposed view the transposed table maps back to the Kronecker
-    rows (m, m1).  Each factor's cotangent is then a batched mat-vec with
-    the other factor's conjugate.  Every degree of ``F`` is conjugated
-    once per call; per pair, the conjugated l2 rows are copied into the
-    l2 region below M + l1 - l2 rows and read as rows m - m1 through the
-    same sheared view as in ``_products``.  The l1 cotangent is summed
-    over m, and the l2 cotangent is added back to its rows m2 = m - m1 in
-    one slice per m1.  As in ``cg_nonlinearity``, every buffer the pairs
-    work in, the conjugated mixes included, is a region of one scratch
-    block, and the cotangents are views of one zeroed output block.
-    Returns m-major views.
+    rows (m, m1) in runs of rows m (``_run_size``), on which each factor's
+    cotangent is a batched mat-vec with the other factor's conjugate.  Every
+    degree of ``F`` is conjugated once per call; per pair, the conjugated l2
+    rows are copied into the l2 region below M + l1 - l2 rows and read as
+    rows m - m1 through the same sheared view as in ``_products``.  After
+    the runs, the l1 cotangent is summed over m, and the l2 cotangent is
+    added back to its rows m2 = m - m1 in one slice per m1.  As in
+    ``cg_nonlinearity``, every buffer the pairs work in, the conjugated
+    mixes included, is a region of one scratch block, and the cotangents are
+    views of one zeroed output block.  Returns m-major views.
     """
     B, G, tau = F.batch_size, F.m_major, F.type.tau
     Gb = CovariantActivation(F.bandlimit, G_bar).m_major
@@ -653,7 +664,7 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     F_bar = _per_degree(np.zeros(size, complex), B, tau)
     width = max(v.shape[1] for v in mixes)
     conj_ws, l2_ws, k_ws, y_ws, by_degree, grid_ws, vec_ws = plan.scratch(
-        size, plan.l2_size * B, plan.grid_kron_size * B,
+        size, plan.l2_size * B, _run_size(B, *plan.grid_kron),
         plan.grid_y_size * B, (sum(plan.out_type.tau) + 1) * width,
         len(plan.grid_rows) * width, plan.vec_size * B)
     G_conj = _per_degree(conj_ws, B, tau)
@@ -677,11 +688,8 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
                       V_conj[r:r + n, :w].T,
                       out=y_bar[i, M - l:M + l + 1].reshape(-1, n))
             y_bar[i, M + l + 1:] = 0.0
-        np.matmul(table.transpose(0, 2, 1),
-                  np.ndarray((len(p.ells), 2 * M + 1, 2 * B * n), float,
-                             y_ws).transpose(1, 0, 2),
-                  out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
-        k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
+        y = np.ndarray((len(p.ells), 2 * M + 1, 2 * B * n), float,
+                       y_ws).transpose(1, 0, 2)
         # the conjugate factors: l2 rows m - m1, and l1's own rows
         S = B * t2 * item
         np.copyto(np.ndarray(G_conj[l2].shape, complex, l2_ws,
@@ -693,9 +701,16 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
         kg_sum = np.ndarray((d1, B, t1, 1), complex, vec_ws, kg.nbytes)
         g2_bar = np.ndarray((2 * M + 1, d1, B, 1, t2), complex, vec_ws,
                             kg.nbytes + kg_sum.nbytes)
-        np.matmul(k_bar, G2, out=kg)
+        # a run of rows m at a time, still in cache when the mat-vecs read it
+        step = _run_size(B, d1 * n, (2 * M + 1) * d1 * n) // (d1 * B * n)
+        for a in range(0, 2 * M + 1, step):
+            t = table[a:a + step]
+            np.matmul(t.transpose(0, 2, 1), y[a:a + step],
+                      out=np.ndarray((len(t), d1, 2 * B * n), float, k_ws))
+            k_bar = np.ndarray((len(t), d1, B, t1, t2), complex, k_ws)
+            np.matmul(k_bar, G2[a:a + step], out=kg[a:a + step])
+            np.matmul(G1, k_bar, out=g2_bar[a:a + step])
         F_bar[l1] += np.sum(kg, axis=0, out=kg_sum)[..., 0]
-        np.matmul(G1, k_bar, out=g2_bar)
         c = l1 + l2 - M  # [m + M, m1 + l1] reads row m2 + l2 = j - k + c
         for k in range(d1):
             lo, hi = max(0, k - c), min(2 * M + 1, k - c + 2 * l2 + 1)

@@ -255,11 +255,12 @@ def load_checkpoint(path):
     Every blob's size is checked against the manifest before it is parsed,
     and every value against the domain training can produce: parameters,
     norm scales and ADAM moments finite, scales, counts and the ADAM step
-    not negative, and ADAM hyperparameters in the range configs accept.
-    A zero scale stays valid: the column (i, i) of a self-pair at odd
-    degree is identically zero, so its scale is.  Only format CGNET2 is
-    read: CGNET1 weights and statistics have a row for every column of a
-    self-pair's grid, where CGNET2 has one for each kept column.
+    not negative, and ADAM hyperparameters in the range configs accept.  A
+    zero scale stays valid: the column (i, i) of a self-pair at odd degree
+    is identically zero, so its scale is.  ``head_width`` and ``blob_order``
+    must read what the writer writes.  Only format CGNET2 is read: CGNET1
+    weights and statistics have a row for every column of a self-pair's
+    grid, where CGNET2 has one for each kept column.
     """
     path = Path(path)
     where = path / "model.manifest"
@@ -294,6 +295,9 @@ def load_checkpoint(path):
     spec = NetworkSpec(L, n_in, tuple(taus))
     fans = [spec.cg_input_type(s).tau for s in range(S)]
     d = spec.head_width()
+    for key, v in (("head_width", str(d)), ("blob_order", _BLOB_DOC)):
+        if (got := manifest.get(key)) != v:
+            raise ValueError(f"{where}: {key}={got}, expected {v}")
     layer_shapes = [(fan[ell], tau.tau[ell])
                     for fan, tau in zip(fans, taus) for ell in range(L + 1)]
     head_shapes = [(d, hidden), (hidden,), (hidden, n_out), (n_out,)]

@@ -248,18 +248,15 @@ def cg_nonlinearity_gather(F, out_ell_max=None):
     G = F.m_major
     out = [np.empty((2 * ell + 1, B, w), dtype=complex)
            for ell, w in enumerate(plan.out_type.tau)]
-    kron_ws = np.empty(plan.kron_size * B, complex)
-    y_ws = np.empty(plan.y_size * B, complex)
     for p, table in zip(plan.pairs, plan.tables):
         l1, l2, M, n, d1 = p.l1, p.l2, p.M, p.n, 2 * p.l1 + 1
         G2 = G[l2].take(_gathered_rows(l1, l2, M), axis=0)
         ci, cj = p.cols
-        np.multiply(G[l1][:, :, ci], G2[..., cj],
-                    out=np.ndarray((2 * M + 1, d1, B, n), complex, kron_ws))
-        np.matmul(table, np.ndarray((2 * M + 1, d1, 2 * B * n), float, kron_ws),
-                  out=np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float,
-                                 y_ws))
-        y = np.ndarray((2 * M + 1, len(p.ells), B, n), complex, y_ws)
+        kron = np.multiply(G[l1][:, :, ci], G2[..., cj],
+                           out=np.empty((2 * M + 1, d1, B, n), complex))
+        y = np.empty((2 * M + 1, len(p.ells), B, n), complex)
+        np.matmul(table, kron.view(float).reshape(2 * M + 1, d1, 2 * B * n),
+                  out=y.view(float).reshape(2 * M + 1, len(p.ells), -1))
         for i, (l, c) in enumerate(zip(p.ells, p.starts)):
             out[l][:, :, c:c + n] = y[M - l:M + l + 1, i]
     return CovariantActivation.from_m_major(F.bandlimit, out)
@@ -275,13 +272,11 @@ def backward_cg_gather(G_bar, F, mixes, out_ell_max=None):
     Gb = [np.ascontiguousarray(a.transpose(1, 0, 2)) for a in G_bar]
     plan = network._cg_plan(F.type, out_ell_max)
     F_bar = [np.zeros_like(g) for g in G]
-    k_ws = np.empty(plan.grid_kron_size * B, complex)
-    y_ws = np.empty(plan.grid_y_size * B, complex)
     for p, table in zip(plan.pairs, plan.tables):
         l1, l2, M, d1 = p.l1, p.l2, p.M, 2 * p.l1 + 1
         t1, t2 = G[l1].shape[2], G[l2].shape[2]
         n = t1 * t2
-        y_bar = np.ndarray((2 * M + 1, len(p.ells), B, n), complex, y_ws)
+        y_bar = np.empty((2 * M + 1, len(p.ells), B, n), complex)
         for i, (l, c) in enumerate(zip(p.ells, p.starts)):
             # the mix rows of the pair's kept columns on its full grid,
             # zero for a self-pair's dropped columns
@@ -290,10 +285,10 @@ def backward_cg_gather(G_bar, F, mixes, out_ell_max=None):
             y_bar[:M - l, i] = 0.0
             np.matmul(Gb[l], V.conj().T, out=y_bar[M - l:M + l + 1, i])
             y_bar[M + l + 1:, i] = 0.0
+        k_bar = np.empty((2 * M + 1, d1, B, t1, t2), complex)
         np.matmul(table.transpose(0, 2, 1),
-                  np.ndarray((2 * M + 1, len(p.ells), 2 * B * n), float, y_ws),
-                  out=np.ndarray((2 * M + 1, d1, 2 * B * n), float, k_ws))
-        k_bar = np.ndarray((2 * M + 1, d1, B, t1, t2), complex, k_ws)
+                  y_bar.view(float).reshape(2 * M + 1, len(p.ells), -1),
+                  out=k_bar.view(float).reshape(2 * M + 1, d1, -1))
         G2 = G[l2].take(_gathered_rows(l1, l2, M), axis=0).conj()
         F_bar[l1] += (k_bar @ G2[..., None]).sum(axis=0)[..., 0]
         g2_bar = (G[l1].conj()[:, :, None, :] @ k_bar)[..., 0, :]

@@ -253,7 +253,9 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
     must not reach the result: the bare product (every pair staged), the
     adjoint, the frozen mix, the training forward with its statistics,
     and the weight gradient.  With one producing pair, (3, 3), every unwritten
-    slot is still NaN when the pair reads it."""
+    slot is still NaN when the pair reads it.  At a run budget of one byte
+    every run is one row m, so each run of the adjoint also reads the
+    region its previous run left."""
     F = random_activation(3, tau, batch=2)
     H_bar = random_like(oracles.cg_product(F).fragments)
     weights, norm = frozen_mix(F, None, (2, 1, 3, 2), np.random.default_rng(8))
@@ -269,7 +271,6 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
                 trained.scales,
                 network.cg_weight_gradient(G_bar, F))
 
-    want = run()
     empty = np.empty
 
     def poisoned(*args, **kwargs):
@@ -278,10 +279,50 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
             block.fill(np.nan)
         return block
 
-    monkeypatch.setattr(np, "empty", poisoned)
-    got = run()
-    for a, b in zip(sum(want, []), sum(got, []), strict=True):
-        np.testing.assert_array_equal(a, b)
+    for budget in (network._CACHE_BYTES, 1):
+        monkeypatch.setattr(network, "_CACHE_BYTES", budget)
+        monkeypatch.setattr(np, "empty", empty)
+        want = run()
+        monkeypatch.setattr(np, "empty", poisoned)
+        got = run()
+        for a, b in zip(sum(want, []), sum(got, []), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("batch", [2, 7])
+def test_cg_kernels_ignore_the_run_budget(monkeypatch, batch):
+    """The kernels form each pair's Kronecker rows in runs of rows m, and
+    each row's multiply and matmul keep their shapes however the rows are
+    grouped: one row per run (a budget of one byte), a few rows with a
+    shorter last run, and one run per pair all give the default budget's
+    bytes, for the bare product, the adjoint, the frozen mix, the training
+    forward with its scales, and the weight gradient, at cap L and 0."""
+    rng = np.random.default_rng(batch)
+    F = random_activation(3, (2, 0, 3, 1), batch=batch, rng=rng)
+    default = network._CACHE_BYTES
+    for cap, out_tau in ((3, (2, 1, 3, 2)), (0, (2, 0, 0, 0))):
+        weights, norm = frozen_mix(F, cap, out_tau, rng)
+        mixes = norm.fold(weights)
+        G_bar = random_like(cg_nonlinearity(F, cap, mixes).fragments, rng)
+
+        def run():
+            trained = norm.copy()
+            return (oracles.cg_product(F, cap).fragments,
+                    backward_cg(G_bar, F, mixes, cap),
+                    cg_nonlinearity(F, cap, mixes).fragments,
+                    cg_nonlinearity(F, cap, weights, trained).fragments,
+                    trained.scales,
+                    network.cg_weight_gradient(G_bar, F, cap))
+
+        want = run()
+        # at cap L, pair (2, 3) takes its 7 rows m 2 at a time in 1000
+        # bytes at B=2, and 5 at a time in 10,000 bytes at B=7
+        for budget in (1, 1000, 10_000, 1 << 30):
+            monkeypatch.setattr(network, "_CACHE_BYTES", budget)
+            got = run()
+            monkeypatch.setattr(network, "_CACHE_BYTES", default)
+            for a, b in zip(sum(want, []), sum(got, []), strict=True):
+                assert np.array_equal(a, b)
 
 
 def kernel_taus(L):
@@ -359,8 +400,9 @@ def test_band_cg_call_allocates_only_its_buffers():
     """A band layer-1 training forward (L=8, tau=8, B=32, width 8) peaks at
     no more than its accumulator and its scratch block, plus 1 MB: no
     region the size of the CG output, which is 16x wider, is allocated,
-    and no buffer of every degree's rows repeated max(tau) times (3.2 MB
-    here) either."""
+    no buffer of every degree's rows repeated max(tau) times (3.2 MB
+    here), and no Kronecker region for more than one run of rows m (the
+    largest pair's rows whole are 5.3 MB here)."""
     L, t, B = 8, 8, 32
     F = random_activation(L, (t,) * (L + 1), batch=B)
     weights, norm = frozen_mix(F, None, (t,) * (L + 1),
@@ -376,8 +418,8 @@ def test_band_cg_call_allocates_only_its_buffers():
     plan = network._cg_plan(F.type, None)
     n_mix = sum(plan.out_type.tau)
     acc = (L + 1) * (2 * L + 1) * B * t
-    scratch = B * (plan.kron_size + plan.y_size + plan.l1_size
-                   + plan.l2_size + plan.mix_size * t) \
+    scratch = network._run_size(B, *plan.kron) \
+        + B * (plan.y_size + plan.l1_size + plan.l2_size + plan.mix_size * t) \
         + (2 * n_mix + 1) * t + plan.stat_size + n_mix
     assert plan.staging(t)[2] == 0  # no pair is narrower than its mix
     assert peak <= 16 * (acc + scratch) + 2 ** 20
@@ -594,35 +636,47 @@ def test_loss_and_grad_matches_unfused_stages(spec, batch, dead):
         assert np.all(norms[1].scales[2][::2] < NORM_EPS)
 
 
-def test_band_step_holds_no_wide_copy():
-    """A band step at B=32 builds no wide post-CG activation: the forward
-    mixes each pair's product in place and the weight gradient recomputes
-    the products, so the step peaks below half of layer 1's CG output."""
-    spec, B = band_spec(), 32
+def band_step_peak(B, seed, labels=None):
+    """The tracemalloc peak of one band-shaped ``loss_and_grad(training=
+    True)`` at batch ``B``, on coefficients drawn from ``seed`` and
+    ``labels`` (by default drawn after them), after one untraced step that
+    builds the memoized plans and CG tables."""
+    spec = band_spec()
     weights = init_weights(spec, n_out=4, seed=0)
     norms = make_norm_states(spec)
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     coeffs = random_activation(8, spec.input_type().tau, batch=B, rng=rng)
-    labels = rng.integers(0, 4, size=B)
-    # builds the memoized CG tables outside the measurement
+    if labels is None:
+        labels = rng.integers(0, 4, size=B)
     loss_and_grad(coeffs, labels, weights, norms, training=True)
     tracemalloc.start()
     try:
         loss_and_grad(coeffs, labels, weights, norms, training=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_band_step_holds_no_wide_copy():
+    """A band step at B=32 builds no wide post-CG activation: the forward
+    mixes each pair's product in place and the weight gradient recomputes
+    the products, so the step peaks below half of layer 1's CG output."""
+    B = 32
     wide = 16 * B * sum((2 * ell + 1) * t
-                        for ell, t in enumerate(spec.cg_input_type(1).tau))
-    assert peak < 0.5 * wide
+                        for ell, t in enumerate(band_spec().cg_input_type(1).tau))
+    assert band_step_peak(B, 3) < 0.5 * wide
 
 
 # the tracemalloc peak of one band training step at B=4 (numpy 2.4); with
 # a row for every column of each self-pair's grid it was 13,335,279 bytes,
 # with each layer's CG output built for the statistics and the weight
-# gradient 11,942,327, and with a buffer of every degree's rows repeated
-# max(tau) times 9,014,642
-BAND_STEP_PEAK_B4 = 7_589_396
+# gradient 11,942,327, with a buffer of every degree's rows repeated
+# max(tau) times 9,014,642, and with each pair's Kronecker rows whole in
+# the Kronecker regions 7,589,396
+BAND_STEP_PEAK_B4 = 6_668_052
+# the same at B=32, where each pair's Kronecker rows whole in the
+# Kronecker regions gave 25,383,452
+BAND_STEP_PEAK_B32 = 16_470_844
 
 
 def test_band_step_peak_is_pinned():
@@ -631,21 +685,14 @@ def test_band_step_peak_is_pinned():
     the benchmark's peak RSS moves with the allocator's layout: a change
     that widens a column-sized array, or keeps one alive longer, fails
     here."""
-    spec, B = band_spec(), 4
-    weights = init_weights(spec, n_out=4, seed=0)
-    norms = make_norm_states(spec)
-    rng = np.random.default_rng(1)
-    coeffs = random_activation(8, spec.input_type().tau, batch=B, rng=rng)
-    labels = np.arange(B) % 4
-    # builds the memoized plans and CG tables outside the measurement
-    loss_and_grad(coeffs, labels, weights, norms, training=True)
-    tracemalloc.start()
-    try:
-        loss_and_grad(coeffs, labels, weights, norms, training=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.02 * BAND_STEP_PEAK_B4
+    assert band_step_peak(4, 1, np.arange(4) % 4) <= 1.02 * BAND_STEP_PEAK_B4
+
+
+def test_band_step_peak_at_batch_32_is_pinned():
+    """The band step at the benchmark's batch, B=32, peaks within 2% of its
+    pinned tracemalloc peak too: there each pair's Kronecker rows whole
+    are megabytes, so a kernel that sizes a region by them fails here."""
+    assert band_step_peak(32, 3) <= 1.02 * BAND_STEP_PEAK_B32
 
 
 SCHEDULE_SPEC = NetworkSpec(3, 1, (tau_schedule(3, 5), tau_schedule(3, 5),

@@ -380,7 +380,7 @@ def test_type_queries_build_no_cg_table(monkeypatch):
     assert [len(n.scales) for n in norms] == [L + 1, L + 1]
 
 
-def test_one_frozen_plan_per_type_and_cap():
+def test_one_frozen_plan_per_type_and_cap(monkeypatch):
     """A (type, cap) has one memoized ``CGPlan``; it is frozen, its pairs
     hold the column offsets, widths, top degree and read-only kept (i, j)
     of each producing pair, and its tables are read-only, corrupted ones
@@ -406,9 +406,23 @@ def test_one_frozen_plan_per_type_and_cap():
     # 0..3, degree 1 rows 4..8, zero row 9): kept columns, then its grid
     assert plan.mix_rows.tolist() == [0, 4, 5, 1, 2, 3, 6, 7, 8]
     assert plan.grid_rows.tolist() == [0, 4, 5, 1, 2, 9, 3, 6, 7, 9, 8]
-    # the forward works on the kept columns, the adjoint on the grid
-    assert (plan.kron_size, plan.y_size) == (3 * 3 * 3, 3 * 3 * 2)
-    assert (plan.grid_kron_size, plan.grid_y_size) == (3 * 3 * 4, 3 * 4 * 2)
+    # the forward works on the kept columns, the adjoint on the grid; of
+    # the Kronecker rows, each holds (1,1)'s: its row m and its 3 rows
+    assert (plan.kron, plan.y_size) == ((3 * 3, 3 * 3 * 3), 3 * 3 * 2)
+    assert (plan.grid_kron, plan.grid_y_size) == ((3 * 4, 3 * 3 * 4),
+                                                  3 * 4 * 2)
+    # a run holds what the budget holds, at least one row and at most the
+    # pair: at B=2, the whole of (1,1)'s 3 rows of 18 elements; with a
+    # budget of 40 elements 2 rows of them and (0,1)'s 3 rows of 4, so a
+    # region of 40; with a budget of one byte one row, and a region of 18
+    assert network._run_size(2, *plan.kron) == 54
+    monkeypatch.setattr(network, "_CACHE_BYTES", 16 * 40)
+    assert [network._run_size(2, 9, 27) // 18,
+            network._run_size(2, 2, 6) // 4] == [2, 3]
+    assert network._run_size(2, *plan.kron) == 40
+    monkeypatch.setattr(network, "_CACHE_BYTES", 1)
+    assert network._run_size(2, 9, 27) // 18 == 1
+    assert network._run_size(2, *plan.kron) == 18
     # (1,1)'s 3 rows on i, and its 3 rows on j between M + l1 - l2 = 1
     # spare row at each end
     assert (plan.l1_size, plan.l2_size) == (3 * 3, (1 + 3 + 1) * 3)

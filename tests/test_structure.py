@@ -95,7 +95,7 @@ def test_cg_kernels_allocate_nothing_per_pair():
                         found.append(f"{name}:{node.lineno} take")
     assert found == []
     assert helpers == {"_column_power", "_average", "_fold_rows",
-                       "_reciprocals", "_divisors"}
+                       "_reciprocals", "_divisors", "_run_size"}
     # each pair's l1 rows on i and l2 rows on j, one take each
     assert takes == ["_products", "_products"]
 
@@ -112,3 +112,44 @@ def test_one_function_holds_the_epsilon_rule():
                if isinstance(node, ast.Name) and node.id == "NORM_EPS"
                and isinstance(node.ctx, ast.Load)]
     assert readers == ["_divisors"]
+
+
+def test_cg_kernels_share_one_run_rule():
+    """One helper, ``_run_size``, holds the run rule of the CG kernels: it
+    alone reads ``_CACHE_BYTES``; ``_products`` and ``backward_cg`` each
+    take a pair's rows m in runs of the sizes it gives, in one loop per
+    pair; and the plan's Kronecker sizes (``kron``, ``grid_kron``: the
+    widest row m and the largest pair) reach a kernel only as its
+    arguments, for the region a scratch block cuts, so no kernel cuts a
+    region for a whole pair's Kronecker rows."""
+    tree = ast.parse((SRC / "network.py").read_text())
+    inside = {id(node): function.name for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef)
+              for node in ast.walk(function)}
+    readers = [inside.get(id(node), "<module>") for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "_CACHE_BYTES"
+               and isinstance(node.ctx, ast.Load)]
+    assert readers == ["_run_size"]
+    loops, functions = per_pair_loops(SRC / "network.py",
+                                      ("_products", "backward_cg"))
+    for name, (loop,) in loops.items():
+        steps = [ast.unparse(node.value) for node in ast.walk(loop)
+                 if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "step"]
+        runs = [ast.unparse(node.iter) for node in ast.walk(loop)
+                if isinstance(node, ast.For) and node is not loop
+                and "step" in ast.unparse(node.iter)]
+        assert len(steps) == 1 and steps[0].startswith("_run_size("), name
+        assert runs == ["range(0, 2 * M + 1, step)"], name
+    regions = {
+        name: [ast.unparse(arg) for call in ast.walk(functions[name])
+               if isinstance(call, ast.Call) and called_name(call) == "scratch"
+               for arg in call.args if "kron" in ast.unparse(arg)]
+        for name in ("cg_nonlinearity", "cg_weight_gradient", "backward_cg")}
+    assert regions == {"cg_nonlinearity": ["_run_size(B, *plan.kron)"],
+                       "cg_weight_gradient": ["_run_size(B, *plan.kron)"],
+                       "backward_cg": ["_run_size(B, *plan.grid_kron)"]}
+    reads = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("kron", "grid_kron")]
+    assert sorted(reads) == ["plan.grid_kron", "plan.kron", "plan.kron"]

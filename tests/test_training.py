@@ -253,7 +253,11 @@ def test_manifest_key_checked(tmp_path, key, damage):
                                         ("n_out", "0"), ("n_out", "-2"),
                                         ("hidden", "0"), ("n_in", "0"),
                                         ("bandlimit", "65"),
-                                        ("bandlimit", "-1")])
+                                        ("bandlimit", "-1"),
+                                        ("head_width", "-1"),
+                                        ("head_width", "nan"),
+                                        ("head_width", "16"),
+                                        ("blob_order", "head first")])
 def test_manifest_values_that_make_no_network(tmp_path, key, value):
     _, _, _, weights, norms, adam = make_toy_problem()
     ckpt = tmp_path / "ckpt"
