@@ -63,13 +63,19 @@ def batched_activation(dataset: Dataset, L: int) -> CovariantActivation:
         L, [blk.T[:, :, None] for blk in coeffs.blocks])
 
 
-def _check_labels(dataset: Dataset, n_classes: int, prefix) -> None:
-    """Reject labels the model has no output class for."""
+def _check_dataset(dataset: Dataset, weights, prefix) -> None:
+    """Reject labels the model has no output class for, and a grid too
+    coarse for the model's degrees, naming the file."""
+    n_classes, L = weights.head.b2.shape[0], weights.spec.bandlimit
     bad = dataset.labels[dataset.labels >= n_classes]
     if bad.size:
         raise ValueError(
             f"{Path(prefix).with_suffix('.labels')}: label {bad[0]} is not "
             f"below the model's class count {n_classes}")
+    if L >= (b := dataset.signal.bandwidth):
+        raise ValueError(
+            f"{Path(prefix).with_suffix('.sph')}: grid bandwidth b={b} is "
+            f"too coarse for the model's bandlimit L={L}; need b > L")
 
 
 def _check_resume(cfg, config_path, weights, ckpt) -> None:
@@ -121,7 +127,6 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data_dir = Path(args.data) if args.data else out
     train = read_dataset(data_dir / "train")
-    acts = batched_activation(train, cfg.bandlimit)
 
     if args.resume:
         weights, norm_states, adam, _ = load_checkpoint(args.resume)
@@ -135,14 +140,15 @@ def cmd_train(args) -> int:
         adam = AdamState.for_weights(
             weights, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
             eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-    _check_labels(train, weights.head.b2.shape[0], data_dir / "train")
+    _check_dataset(train, weights, data_dir / "train")
+    acts = batched_activation(train, weights.spec.bandlimit)
 
     steps = args.steps if args.steps is not None else cfg.steps
     log_path = out / "train.log"
     with open(log_path, "a") as log:
         train_loop(acts, train.labels, weights, norm_states, adam,
                    steps=steps, batch_size=cfg.batch_size,
-                   seed=cfg.seed + adam.step, log_file=log)
+                   seed=cfg.seed, log_file=log)
     ckpt = out / "checkpoint"
     save_checkpoint(ckpt, weights, norm_states, adam,
                     extra={"steps_trained": adam.step})
@@ -156,7 +162,7 @@ def cmd_eval(args) -> int:
     if len(dataset) == 0:
         raise ValueError(f"dataset {args.data} is empty")
     n_out = weights.head.b2.shape[0]
-    _check_labels(dataset, n_out, args.data)
+    _check_dataset(dataset, weights, args.data)
     L = weights.spec.bandlimit
     acts = batched_activation(dataset, L)
     tape = forward_with_tape(acts, weights, norm_states, training=False)
@@ -225,6 +231,12 @@ def cmd_audit(args) -> int:
             print(f"error: --corrupt-cg {args.corrupt_cg}: not a CG block "
                   f"L1,L2,L the network evaluates, plus an entry IDX",
                   file=sys.stderr)
+            return EXIT_USAGE
+        entries = len(cg_block(l1, l2, l).entries)
+        if not 0 <= idx < entries:
+            print(f"error: --corrupt-cg {args.corrupt_cg}: entry IDX={idx} "
+                  f"is not in 0..{entries - 1}: block ({l1}, {l2}, {l}) has "
+                  f"{entries} entries", file=sys.stderr)
             return EXIT_USAGE
         corrupt_cg_entry(l1, l2, l, idx)
     try:

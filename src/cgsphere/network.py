@@ -17,10 +17,12 @@ is (-1)^l times column (i, j), so the weights, the normalization
 statistics and every column-sized array carry no mirrored column.  Each
 kernel call takes all its scratch from one block that ``CGPlan.scratch``
 lays out, so repeated calls reuse the heap pages of the calls before them
-instead of faulting in fresh ones.  No kernel builds the wide CG output H:
-``cg_nonlinearity`` mixes each pair's product in place, in training after
-updating the normalization statistics from it, and ``cg_weight_gradient``
-recomputes each pair's product from the layer input.
+instead of faulting in fresh ones.  No kernel builds a CG output H wider
+than its mix: ``cg_nonlinearity`` builds H only where every pair is
+narrower than the mix, and mixes it with ``covariant_linear``; everywhere
+else it mixes each pair's product in place, in training after updating
+the normalization statistics from it; ``cg_weight_gradient`` recomputes
+each pair's product from the layer input.
 """
 
 from __future__ import annotations
@@ -176,8 +178,7 @@ class CGPlan:
     pair's full tau_l1 x tau_l2 grid: one run of the Kronecker cotangent
     (``grid_kron``), the per-m table-product cotangent, and the three
     mat-vec results.  ``_cg_plan`` builds one per (type, cap), and building
-    it builds no CG table; the staging layout of each mix width is memoized
-    on the plan (``staging``).
+    it builds no CG table.
     """
 
     out_type: ActivationType
@@ -191,7 +192,6 @@ class CGPlan:
     grid_y_size: int
     vec_size: int
     stat_size: int
-    _staged: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def tables(self) -> tuple:
@@ -231,33 +231,6 @@ class CGPlan:
         self-pair's dropped columns reading the zero row (the adjoint's
         mix, so its cotangents stay on the full grid)."""
         return self._degree_rows(grid=True)
-
-    def staging(self, width: int) -> tuple:
-        """Where the forward kernel stages the pairs narrower than a mix
-        of ``width`` columns (n < width), memoized per width: for each
-        pair, None, or the first staged column of each of its blocks within
-        its degree; each degree's staged column count, and their
-        per-example size; and, degree by degree, the staged columns'
-        pair-ordered mixing rows, as one read-only index array.
-        ``_per_degree`` cuts the staging region.  A staged pair takes its
-        statistics and folds its mix rows in the pair loop like any other,
-        so the staged columns are only mixed after it."""
-        if width not in self._staged:
-            counts = [0] * len(self.out_type.tau)
-            cols, rows = [], [[] for _ in counts]
-            for p in self.pairs:
-                narrow = p.n < width
-                cols.append(tuple(counts[l] for l in p.ells) if narrow
-                            else None)
-                for i, l in enumerate(p.ells if narrow else ()):
-                    counts[l] += p.n
-                    rows[l] += range(p.mix_row + i * p.n,
-                                     p.mix_row + (i + 1) * p.n)
-            taken = np.array(sum(rows, []), dtype=np.intp)
-            taken.flags.writeable = False
-            size = sum((2 * l + 1) * c for l, c in enumerate(counts))
-            self._staged[width] = (tuple(cols), tuple(counts), size, taken)
-        return self._staged[width]
 
     @staticmethod
     def scratch(*sizes: int) -> list:
@@ -470,39 +443,59 @@ def _products(plan: CGPlan, G: list, kron_ws: np.ndarray, y_ws: np.ndarray,
         yield p
 
 
+def _cg_output(plan: CGPlan, F: CovariantActivation) -> CovariantActivation:
+    """The CG output H of ``F``: each pair's product (``_products``) copies
+    its blocks' valid rows into their columns (``CGPair.starts``) of H,
+    whose m-major degrees are the last region of the products' one scratch
+    block."""
+    B, widths = F.batch_size, plan.out_type.tau
+    *regions, h_ws = plan.scratch(
+        _run_size(B, *plan.kron), plan.y_size * B, plan.l1_size * B,
+        plan.l2_size * B,
+        B * sum((2 * l + 1) * t for l, t in enumerate(widths)))
+    H = _per_degree(h_ws, B, widths)
+    for p in _products(plan, F.m_major, *regions):
+        M, n = p.M, p.n
+        y = np.ndarray((len(p.ells), 2 * M + 1, B, n), complex, regions[1])
+        for i, (l, c) in enumerate(zip(p.ells, p.starts)):
+            H[l][:, :, c:c + n] = y[i, M - l:M + l + 1]
+    return CovariantActivation.from_m_major(F.bandlimit, H)
+
+
 def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
                     mixes: list, norm: NormState | None = None
                     ) -> CovariantActivation:
     """Tensor-product nonlinearity followed by the layer's mix: all
     pairwise Kronecker products, decomposed into irreducible fragments by
-    the CG selection rule (``_products``), each mixed in place, so the CG
-    output H is never built.  Returns ``covariant_linear(H, mixes)``;
-    identity mixes give H itself, exactly.
+    the CG selection rule (``_products``).  Returns
+    ``covariant_linear(H, mixes)`` of the CG output H; identity mixes give
+    H itself, exactly.
 
     ``mixes`` are a layer's per-degree mixes, one row per CG column: with
     frozen statistics (eval, audit) its folded weights
     (``NormState.fold``).  ``norm``, the layer's state, makes the call the
-    forward of a training step, and ``mixes`` the unfolded weights W:
-    while each pair's product is in cache, one ``_column_power`` call over
-    the whole degree-major product (block l's rows |m| > l are zeros,
-    which leave each column's sum unchanged) updates ``norm``'s expanding
-    average for the pair's columns (each column belongs to one pair, so
-    the scales are those ``NormState.update(H)`` would give, bit for bit),
-    and the pair's mix rows are folded with the new scales, as
-    ``NormState.fold`` folds them; ``norm.count`` advances once.  Every
-    pair takes its statistics and its fold in the pair loop.
+    forward of a training step, and ``mixes`` the unfolded weights W,
+    folded with the scales this batch updates; ``norm.count`` advances
+    once.
 
-    The mixes are stacked once per call in pair order
-    (``CGPlan.mix_rows``), padded with zero columns to the widest, and each
-    pair's degree-major product is mixed by its rows in one batched
+    One rule per call picks how to mix.  Where every pair is narrower than
+    the widest mix (n < width, such as every pair of a first layer with one
+    input channel), a pair's mix would be an outer product as wide as the
+    mix, and H is no wider than the mix: the call builds H
+    (``_cg_output``), in training takes ``NormState.update`` and
+    ``NormState.fold``, and returns ``covariant_linear``.  Every other call
+    builds no H.  It stacks the mixes once in pair order
+    (``CGPlan.mix_rows``), padded with zero columns to the widest, and
+    mixes each pair's degree-major product by its rows in one batched
     matmul, whose blocks are added into a degree-stacked accumulator (the
-    rows |m| > l of block l are zero and land outside degree l's rows).  A
-    pair narrower than its mix (n < width, such as every pair of a first
-    layer with one input channel) would make that matmul an outer product
-    as wide as the mix: it copies its blocks' valid rows into a staging
-    region instead (``CGPlan.staging``), and after the pairs the staged
-    columns of each degree, whose rows are already folded, are only mixed,
-    by one matmul.
+    rows |m| > l of block l are zero and land outside degree l's rows).
+    In training, while each pair's product is in cache, one
+    ``_column_power`` call over it (the zero rows leave each column's sum
+    unchanged) updates ``norm``'s expanding average for the pair's columns
+    (each column belongs to one pair, so the scales are those
+    ``NormState.update(H)`` would give, bit for bit), and the pair's mix
+    rows are folded with the new scales, as ``NormState.fold`` folds them,
+    before the pair is mixed.
 
     Every buffer the pairs work in, one run of Kronecker rows m among
     them (``_run_size``), is a region of one scratch block, which is freed
@@ -523,25 +516,26 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
         raise ValueError("norm state widths do not match the CG output "
                          "widths")
     width = max(w.shape[1] for w in mixes)
+    if all(p.n < width for p in plan.pairs):
+        H = _cg_output(plan, F)
+        if training:
+            norm.update(H)
+            mixes = norm.fold(mixes)
+        return covariant_linear(H, mixes)
     # the degrees with CG columns are 0..top; degree l of the mixed output
     # is rows (top - l .. top + l) * B of acc[l]
-    top = max((p.M for p in plan.pairs), default=0)
+    top = max(p.M for p in plan.pairs)
     acc = np.zeros((top + 1, (2 * top + 1) * B, width), complex)
-    staged_cols, staged_widths, staged_size, staged_rows = \
-        plan.staging(width)
     n_mix = sum(plan.out_type.tau)
     # in training the scales in pair order, and each pair's squares and
     # column powers, as floats
     n_stat = n_mix + 3 * plan.stat_size if training else 0
-    *regions, by_degree, stacked, mixed_ws, stage_ws, staged_mix, stat_ws = \
-        plan.scratch(
-            _run_size(B, *plan.kron), plan.y_size * B, plan.l1_size * B,
-            plan.l2_size * B, (n_mix + 1) * width, n_mix * width,
-            plan.mix_size * B * width, staged_size * B,
-            len(staged_rows) * width, (n_stat + 1) // 2)
+    *regions, by_degree, stacked, mixed_ws, stat_ws = plan.scratch(
+        _run_size(B, *plan.kron), plan.y_size * B, plan.l1_size * B,
+        plan.l2_size * B, (n_mix + 1) * width, n_mix * width,
+        plan.mix_size * B * width, (n_stat + 1) // 2)
     y_ws = regions[1]
     stacked = _stack_mixes(mixes, plan.mix_rows, by_degree, stacked)
-    stage = _per_degree(stage_ws, B, staged_widths) if staged_size else []
     if training:
         stat = np.ndarray((n_stat,), float, stat_ws)
         scales = np.take(np.concatenate(norm.scales), plan.mix_rows,
@@ -549,7 +543,7 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
         work = stat[n_mix:]
         # the (m, example) rows of each degree
         dims = (2.0 * np.arange(top + 1)[:, None] + 1.0) * B
-    for cols, p in zip(staged_cols, _products(plan, G, *regions)):
+    for p in _products(plan, G, *regions):
         M, n, k = p.M, p.n, len(p.ells)
         R = (2 * M + 1) * B
         rows = slice(p.mix_row, p.mix_row + k * n)
@@ -562,28 +556,11 @@ def cg_nonlinearity(F: CovariantActivation, out_ell_max: int | None,
             s = scales[rows].reshape(k, n)
             norm._average(s, power, dims[p.ells[0]:M + 1])
             _fold_rows(stacked[rows], _reciprocals(s, out=power).ravel())
-        if cols is not None:
-            y = np.ndarray((k, 2 * M + 1, B, n), complex, y_ws)
-            for i, (l, c) in enumerate(zip(p.ells, cols)):
-                stage[l][:, :, c:c + n] = y[i, M - l:M + l + 1]
-            continue
         # each block's (m, example) rows are one matrix
         mixed = np.matmul(np.ndarray((k, R, n), complex, y_ws),
                           stacked[rows].reshape(k, n, width),
                           out=np.ndarray((k, R, width), complex, mixed_ws))
         acc[p.ells[0]:M + 1, (top - M) * B:(top + M + 1) * B] += mixed
-    if staged_size:
-        # the staged columns' mix rows, degree by degree
-        V = np.take(stacked, staged_rows, axis=0, mode="clip",
-                    out=staged_mix.reshape(-1, width))
-        first = 0
-        for l, c in enumerate(staged_widths):
-            if not c:
-                continue
-            acc[l, (top - l) * B:(top + l + 1) * B] += np.matmul(
-                stage[l].reshape((2 * l + 1) * B, c), V[first:first + c],
-                out=mixed_ws[:(2 * l + 1) * B * width].reshape(-1, width))
-            first += c
     if training:
         flat = np.empty(n_mix)
         flat[plan.mix_rows] = scales
@@ -606,8 +583,8 @@ def cg_weight_gradient(G_bar: list, F: CovariantActivation,
     its degree's conjugated cotangent in one matmul over the block's valid
     (m, example) rows, written straight into the block's rows of the
     gradient.  Unlike the forward's mix, this matmul gives only n x width
-    entries, so a pair narrower than the cotangent (n < width) is not
-    staged.  Cotangents are in the convention of ``gradients``.  Returns
+    entries, so a pair narrower than the cotangent (n < width) takes it
+    too.  Cotangents are in the convention of ``gradients``.  Returns
     per-degree (columns, width_l) arrays.
     """
     B, G = F.batch_size, F.m_major
@@ -721,8 +698,9 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
 # --- covariant linear mixing ---
 
 def covariant_linear(F: CovariantActivation, weights: list) -> CovariantActivation:
-    """Mix fragments degree by degree: G_l = F_l @ W_l (the unfused
-    reference: the forward pass mixes inside ``cg_nonlinearity``)."""
+    """Mix fragments degree by degree: G_l = F_l @ W_l (the mix of a CG
+    layer whose every pair is narrower than its mix, see
+    ``cg_nonlinearity``; every other layer mixes inside the kernel)."""
     if len(weights) != F.bandlimit + 1:
         raise ValueError("need one weight matrix per degree")
     out = []
@@ -783,9 +761,10 @@ def _reciprocals(scales: np.ndarray, out: np.ndarray | None = None
 class NormState:
     """Expanding-average fragment scales for one layer's post-CG activation.
 
-    A training forward updates them pair by pair inside
-    ``cg_nonlinearity``, one ``_column_power`` call over each pair's CG
-    product; ``update`` does the same from a whole activation, for
+    A training forward updates them inside ``cg_nonlinearity``: from the
+    CG output H with ``update``, where every pair of the layer is narrower
+    than its mix, and otherwise pair by pair, one ``_column_power`` call
+    over each pair's CG product.  ``update`` also serves
     ``covariant_normalize``.  Both take the one expanding-average step
     ``_average``, so they agree bit for bit, and ``count`` advances once
     per update of the layer.  Every divisor comes from ``_divisors``.
@@ -951,12 +930,11 @@ def network_forward(coeffs: CovariantActivation, weights: list,
 
     ``weights[s]`` is the per-degree weight list of layer s and
     ``norm_states[s]`` its ``NormState``.  Each layer is one
-    ``cg_nonlinearity`` call, which mixes each pair's CG product in place,
-    so no layer builds its CG output H: with frozen statistics it takes
-    the weights folded with the layer's normalization
-    (``NormState.fold``); in training mode it takes the state and the
-    unfolded weights, updates the state from each pair's product and
-    folds the pair's weights with the new scales.
+    ``cg_nonlinearity`` call, so no layer builds a CG output H wider than
+    its mix: with frozen statistics it takes the weights folded with the
+    layer's normalization (``NormState.fold``); in training mode it takes
+    the state and the unfolded weights, updates the state from this
+    batch's CG products and folds the weights with the new scales.
     Returns ``(features, outputs)``: the invariant features (B,
     head_width) and the per-layer outputs.
     """

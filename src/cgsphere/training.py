@@ -85,16 +85,19 @@ def train_loop(coeffs: CovariantActivation, labels: np.ndarray,
                log_file=None) -> list:
     """Minibatch training; deterministic for a fixed seed and data order.
 
-    Weight decay is applied by the optimizer.  Returns the per-step
-    (loss, accuracy) history and writes one tab-separated log line per step:
-    ``step  loss  train_acc  lr  wall_ms``.
+    Each step's batch is drawn from ``np.random.default_rng((seed, k))``,
+    where k is ``adam.step`` before the step, so a run cut after any step
+    and resumed from its checkpoint with the same seed draws the batches
+    an uninterrupted run would.  Weight decay is applied by the optimizer.
+    Returns the per-step (loss, accuracy) history and writes one
+    tab-separated log line per step: ``step  loss  train_acc  lr  wall_ms``.
     """
-    rng = np.random.default_rng(seed)
     n = labels.shape[0]
     history = []
     for _ in range(steps):
         t0 = time.perf_counter()
-        idx = rng.choice(n, size=min(batch_size, n), replace=False)
+        idx = np.random.default_rng((seed, adam.step)).choice(
+            n, size=min(batch_size, n), replace=False)
         batch = CovariantActivation(
             coeffs.bandlimit, [f[idx] for f in coeffs.fragments])
         loss, grads, logits = loss_and_grad(

@@ -83,16 +83,18 @@ def test_training_step_spans_see_the_fused_stages():
         tracer.uninstall()
     calls = {name: entry["calls_setup"]
              for name, entry in tracer.summary().items()}
-    # the mix runs inside the CG kernel: a training step builds no CG
-    # output for covariant_linear to mix
-    for name in ("network.cg_nonlinearity", "gradients.backward_cg"):
+    # layer 1 mixes inside the CG kernel, and layer 0, with one input
+    # channel, builds its narrow CG output for covariant_linear to mix
+    for name in ("network.cg_nonlinearity", "network.covariant_linear",
+                 "gradients.backward_cg"):
         assert calls.get(name, 0) > 0, name
 
 
 def test_eval_and_audit_spans_see_the_cg_kernel():
-    # infer-desk's eval request and audit trial mix each CG product inside
-    # the kernel; they must still reach it through the module attribute
-    # --trace 1 wraps, or its per-layer metric reads 0
+    # infer-desk's eval request and audit trial mix layer 1's CG products
+    # inside the kernel and layer 0's CG output with covariant_linear; they
+    # must still reach both through the module attributes --trace 1 wraps,
+    # or their per-layer metrics read 0
     spec = NetworkSpec(2, 1, (ActivationType((2, 2, 2)),
                               ActivationType((2, 0, 0))))
     weights = gradients.init_weights(spec, n_out=3, hidden=4, seed=2)
@@ -110,5 +112,6 @@ def test_eval_and_audit_spans_see_the_cg_kernel():
             run()
         finally:
             tracer.uninstall()
-        calls = tracer.summary().get("network.cg_nonlinearity", {})
-        assert calls.get("calls_setup", 0) > 0
+        summary = tracer.summary()
+        for name in ("network.cg_nonlinearity", "network.covariant_linear"):
+            assert summary.get(name, {}).get("calls_setup", 0) > 0, name

@@ -104,6 +104,24 @@ def test_train_resume_extends_log(workspace, capsys):
     assert lines[-1].split("\t")[0] == "35"
 
 
+def test_resumed_train_writes_the_uninterrupted_checkpoint(workspace,
+                                                           tmp_path):
+    # each step's batch comes from (seed, step), so 15 steps, a checkpoint
+    # and 15 resumed steps draw the batches of 30 straight steps
+    common = ["--config", str(workspace["cfg"]), "--data",
+              str(workspace["data"])]
+    straight, cut = tmp_path / "straight", tmp_path / "cut"
+    assert main(["train", *common, "--out", str(straight),
+                 "--steps", "30"]) == EXIT_OK
+    assert main(["train", *common, "--out", str(cut),
+                 "--steps", "15"]) == EXIT_OK
+    assert main(["train", *common, "--out", str(cut), "--steps", "15",
+                 "--resume", str(cut / "checkpoint")]) == EXIT_OK
+    for blob in ("model.manifest", "weights.bin", "norm.bin", "adam.bin"):
+        assert (straight / "checkpoint" / blob).read_bytes() == \
+            (cut / "checkpoint" / blob).read_bytes(), blob
+
+
 def test_audit_passes_on_trained_checkpoint(workspace, capsys):
     code = main(["audit", "--checkpoint", str(workspace["ckpt"]),
                  "--trials", "5"])
@@ -122,11 +140,14 @@ def test_audit_detects_corrupted_coefficient(workspace, capsys):
         assert "AUDIT FAILED" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["1,1,5,0", "4,4,4,0", "1,1", "1,1,x,0"])
+@pytest.mark.parametrize("value", [
+    "1,1,5,0", "4,4,4,0", "1,1", "1,1,x,0", "1,1,1,6", "1,1,1,999",
+    "1,1,1,-1"])
 def test_audit_rejects_unused_or_malformed_corruption(workspace, capsys,
                                                       value):
-    # a triangle violation, a degree above the band limit, and two values
-    # that are not four integers: nothing would be corrupted
+    # a triangle violation, a degree above the band limit, two values that
+    # are not four integers, and entries the 6-entry block (1,1,1) does not
+    # have: nothing, or another entry than named, would be corrupted
     try:
         code = main(["audit", "--checkpoint", str(workspace["ckpt"]),
                      "--trials", "1", "--corrupt-cg", value])
@@ -454,6 +475,32 @@ def test_bad_label_rejected_naming_file(workspace, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert str(bad_file) in err
     assert label in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_grid_too_coarse_rejected_naming_file(workspace, tmp_path,
+                                                      capsys, command):
+    # a b=2 grid cannot carry the L=2 model's degrees
+    cfg = tmp_path / "coarse.txt"
+    cfg.write_text(SMALL_CFG.replace("bandlimit = 2", "bandlimit = 1")
+                   .replace("grid_bandwidth = 4", "grid_bandwidth = 2"))
+    data = tmp_path / "coarse"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) \
+        == EXIT_OK
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--config", str(workspace["cfg"]),
+                "--out", str(tmp_path / "run"), "--data", str(data),
+                "--steps", "1"]
+        bad_file = data / "train.sph"
+    else:
+        argv = ["eval", "--checkpoint", str(workspace["ckpt"]),
+                "--data", str(data / "test")]
+        bad_file = data / "test.sph"
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert str(bad_file) in err
+    assert "bandwidth b=2" in err and "bandlimit L=2" in err
 
 
 def test_cli_import_does_not_load_scipy():

@@ -245,17 +245,19 @@ def frozen_mix(F, cap, out_tau, rng):
     return weights, norm
 
 
-@pytest.mark.parametrize("tau", [(2, 1, 2, 1), (0, 0, 0, 2)])
+@pytest.mark.parametrize("tau", [(2, 1, 2, 1), (0, 0, 0, 2), (1, 1, 1, 1)])
 def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
     """The CG kernels reuse one scratch block across pairs and never clear
     it; whatever it held before (NaN here, in every element, so also in
     the spare rows of the l2 regions, which the kernels zero themselves)
-    must not reach the result: the bare product (every pair staged), the
-    adjoint, the frozen mix, the training forward with its statistics,
-    and the weight gradient.  With one producing pair, (3, 3), every unwritten
-    slot is still NaN when the pair reads it.  At a run budget of one byte
-    every run is one row m, so each run of the adjoint also reads the
-    region its previous run left."""
+    must not reach the result: the bare product, the adjoint, the frozen
+    mix, the training forward with its statistics, and the weight
+    gradient.  The bare product builds H (``network._cg_output``) at
+    (2, 1, 2, 1), and so do both mixes, whose every pair is then narrower
+    than the mix, at (1, 1, 1, 1).  With one producing pair, (3, 3),
+    every unwritten slot is still NaN when the pair reads it.  At a run
+    budget of one byte every run is one row m, so each run of the adjoint
+    also reads the region its previous run left."""
     F = random_activation(3, tau, batch=2)
     H_bar = random_like(oracles.cg_product(F).fragments)
     weights, norm = frozen_mix(F, None, (2, 1, 3, 2), np.random.default_rng(8))
@@ -421,7 +423,7 @@ def test_band_cg_call_allocates_only_its_buffers():
     scratch = network._run_size(B, *plan.kron) \
         + B * (plan.y_size + plan.l1_size + plan.l2_size + plan.mix_size * t) \
         + (2 * n_mix + 1) * t + plan.stat_size + n_mix
-    assert plan.staging(t)[2] == 0  # no pair is narrower than its mix
+    assert not any(p.n < t for p in plan.pairs)  # none builds H
     assert peak <= 16 * (acc + scratch) + 2 ** 20
 
 

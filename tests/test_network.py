@@ -672,9 +672,10 @@ def test_network_forward_layer_composition():
 
 
 def test_training_forward_updates_norm_states_as_normalize_does():
-    """The training forward's per-pair statistics (and the staged ones of
-    layer 0, whose pairs are narrower than its mix) give the scales that
-    ``covariant_normalize`` gives from each layer's whole CG output H."""
+    """The training forward's per-pair statistics (and ``NormState.update``
+    from the CG output H at layer 0, whose pairs are all narrower than its
+    mix) give the scales that ``covariant_normalize`` gives from each
+    layer's whole CG output H."""
     spec = desk_spec()
     weights, norms = build_network(spec)
     by_normalize = [n.copy() for n in norms]
@@ -697,8 +698,8 @@ def test_frozen_forward_repeats_the_training_forward(n_in):
     """With the statistics a training forward leaves, a frozen forward on
     the same input gives its features and layer outputs byte for byte:
     the training forward folds each pair's mix rows with the new scales as
-    ``NormState.fold`` does, the staged pairs of layer 0 included (with
-    one input channel every pair there is narrower than its mix)."""
+    ``NormState.fold`` does, and layer 0, which with one input channel
+    mixes its CG output H, folds its mixes with ``NormState.fold``."""
     spec = desk_spec(L=5, n_in=n_in)
     weights, norms = build_network(spec)
     for _ in range(2):  # the second pass takes the expanding average
@@ -710,6 +711,68 @@ def test_frozen_forward_repeats_the_training_forward(n_in):
     for got, want in zip(frozen, outputs):
         for a, b in zip(got.m_major, want.m_major):
             assert a.tobytes() == b.tobytes()
+
+
+def spy_cg_output(monkeypatch) -> list:
+    """The input type of every later ``network._cg_output`` call."""
+    built, original = [], network._cg_output
+
+    def spy(plan, F):
+        built.append(F.type)
+        return original(plan, F)
+
+    monkeypatch.setattr(network, "_cg_output", spy)
+    return built
+
+
+@pytest.mark.parametrize("text, batch", [
+    ("bandlimit = 8\ngrid_bandwidth = 16\nlayers = 3\ntau = 8\n", 2),
+    ("bandlimit = 5\ngrid_bandwidth = 8\nlayers = 3\ntau = 4\n", 3)])
+def test_only_a_layer_of_narrow_pairs_builds_its_cg_output(monkeypatch,
+                                                           text, batch):
+    """With one input channel every pair of layer 0 is narrower than its
+    mix, and no pair of a later layer is: a training step and a frozen
+    forward build H (``_cg_output``) at layer 0 and nowhere else."""
+    spec = parse_config(text).network_spec()
+    weights = init_weights(spec, 3, 8, seed=4)
+    norms = make_norm_states(spec)
+    built = spy_cg_output(monkeypatch)
+    F = random_activation(spec.bandlimit, spec.input_type().tau, batch=batch)
+    loss_and_grad(F, np.arange(batch) % 3, weights, norms, training=True)
+    assert built == [spec.input_type()]
+    built.clear()
+    network_forward(F, weights.layers, norms)
+    assert built == [spec.input_type()]
+
+
+def test_layer_of_narrow_and_wide_pairs_mixes_in_place(monkeypatch):
+    """A layer where some pairs are narrower than the widest mix and some
+    are not mixes each pair in place, frozen and in training, and gives
+    the mix of its CG output H."""
+    tau, out = (2, 1, 2, 1), (2, 1, 3, 2)
+    F = random_activation(3, tau, batch=3)
+    plan = network._cg_plan(F.type, None)
+    assert {p.n < max(out) for p in plan.pairs} == {True, False}
+    cg = plan.out_type.tau
+    rng = np.random.default_rng(6)
+    mixes = [rng.standard_normal((c, w)) + 1j * rng.standard_normal((c, w))
+             for c, w in zip(cg, out)]
+    H = oracles.cg_product(F)
+    norm = NormState([rng.random(c) + 0.5 for c in cg], 2)
+    by_normalize = norm.copy()
+    want = [covariant_linear(H, mixes),
+            covariant_linear(covariant_normalize(H, by_normalize, True),
+                             mixes)]
+    built = spy_cg_output(monkeypatch)
+    got = [network.cg_nonlinearity(F, None, mixes),
+           network.cg_nonlinearity(F, None, mixes, norm)]
+    assert built == []
+    for g, w in zip(got, want):
+        for a, b in zip(g.m_major, w.m_major):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+    assert norm.count == by_normalize.count == 3
+    for a, b in zip(norm.scales, by_normalize.scales):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_network_forward_shapes():

@@ -49,26 +49,27 @@ def called_name(call: ast.Call):
 def test_cg_kernels_allocate_nothing_per_pair():
     """Every temporary of a CG kernel call is a region of its one scratch
     block: the per-pair loops of ``_products`` (the CG table products),
-    ``cg_nonlinearity`` (the training statistics, the fold, the staging
-    copies and the mix), ``cg_weight_gradient`` and ``backward_cg`` hold no
-    ``@`` (which allocates its result) and call none of the allocating
-    ``repeat``, ``conj``, ``empty``, ``zeros``, ``pad`` or
-    ``concatenate``; every ``einsum``, ``matmul``, ``take`` and arithmetic
-    ufunc there, and in the module's own helpers those loops call (the
-    column powers, the expanding-average step, the fold), writes into a
-    region with ``out=``.  ``_products`` gathers each pair's factors with
-    exactly two ``take``s (degree l1's rows on the kept i, degree l2's on
-    the kept j), and each also passes ``mode="clip"``: in the default mode
-    numpy takes into a buffered copy of ``out``."""
+    ``_cg_output`` (the copies into H), ``cg_nonlinearity`` (the training
+    statistics, the fold and the mix), ``cg_weight_gradient`` and
+    ``backward_cg`` hold no ``@`` (which allocates its result) and call
+    none of the allocating ``repeat``, ``conj``, ``empty``, ``zeros``,
+    ``pad`` or ``concatenate``; every ``einsum``, ``matmul``, ``take`` and
+    arithmetic ufunc there, and in the module's own helpers those loops
+    call (the column powers, the expanding-average step, the fold), writes
+    into a region with ``out=``.  ``_products`` gathers each pair's
+    factors with exactly two ``take``s (degree l1's rows on the kept i,
+    degree l2's on the kept j), and each also passes ``mode="clip"``: in
+    the default mode numpy takes into a buffered copy of ``out``."""
     allocating = {"repeat", "conj", "empty", "zeros", "pad", "concatenate"}
     writing = {"einsum", "matmul", "take", "multiply", "add", "divide",
                "sqrt", "sum", "conjugate"}
     loops, functions = per_pair_loops(
         SRC / "network.py",
-        ("_products", "cg_nonlinearity", "cg_weight_gradient", "backward_cg"))
+        ("_products", "_cg_output", "cg_nonlinearity", "cg_weight_gradient",
+         "backward_cg"))
     assert {name: len(found) for name, found in loops.items()} == {
-        "_products": 1, "cg_nonlinearity": 1, "cg_weight_gradient": 1,
-        "backward_cg": 1}
+        "_products": 1, "_cg_output": 1, "cg_nonlinearity": 1,
+        "cg_weight_gradient": 1, "backward_cg": 1}
     found, takes, helpers = [], [], set()
     for name, kernel_loops in loops.items():
         nodes = [n for loop in kernel_loops for n in ast.walk(loop)]
@@ -145,11 +146,14 @@ def test_cg_kernels_share_one_run_rule():
         name: [ast.unparse(arg) for call in ast.walk(functions[name])
                if isinstance(call, ast.Call) and called_name(call) == "scratch"
                for arg in call.args if "kron" in ast.unparse(arg)]
-        for name in ("cg_nonlinearity", "cg_weight_gradient", "backward_cg")}
-    assert regions == {"cg_nonlinearity": ["_run_size(B, *plan.kron)"],
+        for name in ("_cg_output", "cg_nonlinearity", "cg_weight_gradient",
+                     "backward_cg")}
+    assert regions == {"_cg_output": ["_run_size(B, *plan.kron)"],
+                       "cg_nonlinearity": ["_run_size(B, *plan.kron)"],
                        "cg_weight_gradient": ["_run_size(B, *plan.kron)"],
                        "backward_cg": ["_run_size(B, *plan.grid_kron)"]}
     reads = [ast.unparse(node) for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)
              and node.attr in ("kron", "grid_kron")]
-    assert sorted(reads) == ["plan.grid_kron", "plan.kron", "plan.kron"]
+    assert sorted(reads) == ["plan.grid_kron", "plan.kron", "plan.kron",
+                             "plan.kron"]

@@ -162,7 +162,9 @@ def test_checkpoint_without_adam(tmp_path):
 
 
 def test_checkpoint_resume_equivalence(tmp_path):
-    """Train 10 steps straight vs. 5 + checkpoint + resume + 5."""
+    """Train 10 steps straight vs. 5 + checkpoint + resume + 5, all at one
+    seed: each step draws its batch from (seed, step), so the two runs end
+    with the same parameters, statistics and moments, bit for bit."""
     _, coeffs, labels, w_full, n_full, a_full = make_toy_problem(seed=2)
     train_loop(coeffs, labels, w_full, n_full, a_full,
                steps=10, batch_size=8, seed=9)
@@ -172,18 +174,18 @@ def test_checkpoint_resume_equivalence(tmp_path):
                steps=5, batch_size=8, seed=9)
     save_checkpoint(tmp_path / "half", w_half, n_half, a_half)
     w_res, n_res, a_res, _ = load_checkpoint(tmp_path / "half")
-    # the loop RNG restarts, so replay the remaining steps with a fresh seed
-    # on both sides for a like-for-like comparison
     train_loop(coeffs2, labels2, w_res, n_res, a_res,
-               steps=5, batch_size=8, seed=10)
-
-    _, coeffs3, labels3, w_ref, n_ref, a_ref = make_toy_problem(seed=2)
-    train_loop(coeffs3, labels3, w_ref, n_ref, a_ref,
                steps=5, batch_size=8, seed=9)
-    train_loop(coeffs3, labels3, w_ref, n_ref, a_ref,
-               steps=5, batch_size=8, seed=10)
-    for a, b in zip(w_res.arrays(), w_ref.arrays()):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+
+    assert a_res.step == a_full.step == 10
+    for a, b in zip(w_res.arrays(), w_full.arrays()):
+        assert np.array_equal(a, b)
+    for a, b in zip(a_res.m + a_res.v, a_full.m + a_full.v):
+        assert np.array_equal(a, b)
+    for a, b in zip(n_res, n_full):
+        assert a.count == b.count
+        for x, y in zip(a.scales, b.scales):
+            assert np.array_equal(x, y)
 
 
 def test_checkpoint_bad_format(tmp_path):
