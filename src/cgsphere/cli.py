@@ -78,10 +78,13 @@ def _check_dataset(dataset: Dataset, weights, prefix) -> None:
             f"too coarse for the model's bandlimit L={L}; need b > L")
 
 
-def _check_resume(cfg, config_path, weights, ckpt) -> None:
+def _check_resume(cfg, config_path, weights, ckpt, manifest) -> None:
     """Raise a ``ConfigError`` naming both files and the first field where
     the config's network, classes or hidden width differ from the
-    checkpoint's."""
+    checkpoint's, or naming the manifest where the run's seed differs from
+    the one its batches were drawn with (a manifest without a seed passes).
+    """
+    where = Path(ckpt) / "model.manifest"
     spec, head = weights.spec, weights.head
     for name, ours, theirs in (
             ("bandlimit", cfg.bandlimit, spec.bandlimit),
@@ -92,7 +95,12 @@ def _check_resume(cfg, config_path, weights, ckpt) -> None:
         if ours != theirs:
             raise ConfigError(
                 f"{config_path}: {name} = {getattr(cfg, name)} does not "
-                f"match the network of {Path(ckpt) / 'model.manifest'}")
+                f"match the network of {where}")
+    if manifest.get("seed", str(cfg.seed)) != str(cfg.seed):
+        raise ConfigError(
+            f"{where}: seed={manifest['seed']} does not match this run's "
+            f"seed {cfg.seed}; resume with --seed {manifest['seed']} to "
+            f"continue its batch stream")
 
 
 def cmd_gen_data(args) -> int:
@@ -129,10 +137,10 @@ def cmd_train(args) -> int:
     train = read_dataset(data_dir / "train")
 
     if args.resume:
-        weights, norm_states, adam, _ = load_checkpoint(args.resume)
+        weights, norm_states, adam, manifest = load_checkpoint(args.resume)
         if adam is None:
             raise ValueError(f"checkpoint {args.resume} has no optimizer state")
-        _check_resume(cfg, args.config, weights, args.resume)
+        _check_resume(cfg, args.config, weights, args.resume, manifest)
     else:
         spec = cfg.network_spec()
         weights = init_weights(spec, cfg.classes, cfg.hidden, seed=cfg.seed)
@@ -151,7 +159,7 @@ def cmd_train(args) -> int:
                    seed=cfg.seed, log_file=log)
     ckpt = out / "checkpoint"
     save_checkpoint(ckpt, weights, norm_states, adam,
-                    extra={"steps_trained": adam.step})
+                    extra={"steps_trained": adam.step, "seed": cfg.seed})
     print(f"trained {steps} steps; checkpoint at {ckpt}, log at {log_path}")
     return EXIT_OK
 

@@ -146,7 +146,22 @@ class CGPair:
     ``cols`` holds the i and j of the pair's n kept columns (i, j), in
     row-major order, as the rows of one read-only (2, n) index array: the
     whole tau_l1 x tau_l2 grid for l1 < l2, and the n = tau (tau + 1) / 2
-    columns with i <= j for a self-pair (``cg_pairs``)."""
+    columns with i <= j for a self-pair (``cg_pairs``).
+
+    ``blocks`` holds, per table row m + M, the bounds of the row's nonzero
+    table block as three tuples (lo, hi, first): lo and hi bound its m1 +
+    l1 window, the m1 in [max(-l1, m - l2), min(l1, m + l2)] with a valid
+    m2, and first is the index in ``ells`` of its first degree l >= |m|.
+    Each bound is widened to keep two m1 and two degrees where the pair
+    has them, because numpy hands a one-row matmul operand to BLAS gemv,
+    whose sums round differently from gemm's.  A run of rows a..z
+    (``_run_size``) multiplies the block from lo[a] to hi[z] and from the
+    first of its row nearest m = 0, so a row's contraction length depends
+    on the run it falls in.  OpenBLAS's AVX-512 dgemm sums fewer than 16
+    terms in an order that does not depend on the operands' shapes, but
+    not always 16 or more; so a pair of 16 or more m1 (l1 >= 8; no pair
+    has more degrees than m1) keeps its whole table in every row, until
+    the tables take one fixed shape per row m."""
 
     l1: int
     l2: int
@@ -157,6 +172,7 @@ class CGPair:
     mix_row: int
     grid_row: int
     cols: np.ndarray = field(compare=False)
+    blocks: tuple
 
 
 @dataclass(frozen=True)
@@ -260,9 +276,18 @@ def _cg_plan(tau: ActivationType, out_ell_max: int | None) -> CGPlan:
         cols = np.array(np.triu_indices(t1) if l1 == l2
                         else np.indices((t1, t2)).reshape(2, -1))
         cols.flags.writeable = False
-        n = cols.shape[1]
+        n, M, d1 = cols.shape[1], ells[-1], 2 * l1 + 1
+        m = range(-M, M + 1)
+        if d1 >= 16:  # the whole table (``CGPair.blocks``)
+            blocks = ((0,) * len(m), (d1,) * len(m), (0,) * len(m))
+        else:
+            blocks = (
+                tuple(min(max(0, k + l1 - l2), max(0, d1 - 2)) for k in m),
+                tuple(max(min(d1, k + l1 + l2 + 1), min(2, d1)) for k in m),
+                tuple(min(max(0, abs(k) - ells[0]), max(0, len(ells) - 2))
+                      for k in m))
         pairs.append(CGPair(l1, l2, ells, tuple(widths[l] for l in ells), n,
-                            ells[-1], sum(widths), grid_row, cols))
+                            M, sum(widths), grid_row, cols, blocks))
         grid_row += len(ells) * t1 * t2
         for l in ells:
             widths[l] += n
@@ -342,9 +367,12 @@ def cg_madd_count(tau: ActivationType, policy: str = "unordered",
     """Multiply-add count of the CG transform for one example under the
     paper's cost model: each stored nonzero CG coefficient touches each of
     its pair's kept columns once, tau_l1 * tau_l2 of them, or tau (tau + 1)
-    / 2 for a self-pair (``CGPair.n``).  The kernel in ``cg_nonlinearity``
-    multiplies by its padded tables, a bounded constant factor more (about
-    2x at L = 8).  ``policy`` must be ``NetworkSpec.pair_policy``.
+    / 2 for a self-pair (``CGPair.n``).  The padded tables hold about 2x
+    as many entries at L = 8, but each run of rows m in the kernels
+    multiplies only its nonzero block (``CGPair.blocks``): with one row
+    per run the blocks come to about 1.10-1.14x the count at band, whose
+    pair (8, 8) keeps its whole table, and 1.09x at desk.
+    ``policy`` must be ``NetworkSpec.pair_policy``.
     """
     if policy != NetworkSpec.pair_policy:
         raise ValueError(f"pair policy {policy!r} is not unordered")
@@ -411,8 +439,12 @@ def _products(plan: CGPlan, G: list, kron_ws: np.ndarray, y_ws: np.ndarray,
     Kronecker product is then a multiply of two operands whose (B, n)
     blocks are contiguous, followed by a batched matmul over m with the
     pair's table, both on runs of rows m (``_run_size``), so that the
-    table reads each run from cache.  In block l of the product the rows
-    |m| > l are exact zeros, because the table is."""
+    table reads each run from cache.  Both work only on the run's block
+    (``CGPair.blocks``): the m1 window of its rows, and the degrees l >=
+    |m| of its row nearest m = 0, so the matmul skips the table's zero
+    padding; the product's rows at the degrees below the block are
+    zeroed.  In block l of the product the rows |m| > l are exact zeros,
+    because the table is."""
     B, item = G[0].shape[1], l2_ws.itemsize
     # the l2 rows m - m1 with no valid m2 read zeros or an earlier pair's
     # finite rows, which the CG table weighs by zero
@@ -433,13 +465,23 @@ def _products(plan: CGPlan, G: list, kron_ws: np.ndarray, y_ws: np.ndarray,
                        y_ws).transpose(1, 0, 2)
         # a run of rows m at a time, whose Kronecker rows are still in
         # cache when the real table acts on their re/im float view
+        los, his, firsts = p.blocks
         step = _run_size(B, d1 * n, (2 * M + 1) * d1 * n) // (d1 * B * n)
         for a in range(0, 2 * M + 1, step):
-            m = G2[a:a + step]
-            np.multiply(G1, m, out=np.ndarray(m.shape, complex, kron_ws))
-            np.matmul(table[a:a + step],
-                      np.ndarray((len(m), d1, 2 * B * n), float, kron_ws),
-                      out=y[a:a + step])
+            # run a..z's block (``CGPair.blocks``); its row nearest m = 0
+            # is z below row M, a above it, and otherwise M
+            z = a + step - 1 if a + step <= 2 * M else 2 * M
+            k0, k1 = los[a], his[z]
+            i = firsts[z if z < M else a if a > M else M]
+            m = G2[a:z + 1, k0:k1]
+            np.multiply(G1[k0:k1], m,
+                        out=np.ndarray(m.shape, complex, kron_ws))
+            if i:  # the degrees below the block are zero at every row
+                y[a:z + 1, :i] = 0.0
+            np.matmul(table[a:z + 1, i:, k0:k1],
+                      np.ndarray((z + 1 - a, k1 - k0, 2 * B * n), float,
+                                 kron_ws),
+                      out=y[a:z + 1, i:])
         yield p
 
 
@@ -622,15 +664,20 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
     written straight into the degree-major (#ells, 2M+1, B, n) workspace,
     whose transposed view the transposed table maps back to the Kronecker
     rows (m, m1) in runs of rows m (``_run_size``), on which each factor's
-    cotangent is a batched mat-vec with the other factor's conjugate.  Every
-    degree of ``F`` is conjugated once per call; per pair, the conjugated l2
-    rows are copied into the l2 region below M + l1 - l2 rows and read as
-    rows m - m1 through the same sheared view as in ``_products``.  After
-    the runs, the l1 cotangent is summed over m, and the l2 cotangent is
-    added back to its rows m2 = m - m1 in one slice per m1.  As in
-    ``cg_nonlinearity``, every buffer the pairs work in, the conjugated
-    mixes included, is a region of one scratch block, and the cotangents are
-    views of one zeroed output block.  Returns m-major views.
+    cotangent is a batched mat-vec with the other factor's conjugate.  As
+    in ``_products``, each run's table matmul and both mat-vecs work only
+    on the run's block (``CGPair.blocks``); each run zeroes the l1
+    cotangent's (m, m1) cells outside its m1 window, because the sum over
+    m reads them, while the l2 slice-adds read only cells with a valid m2,
+    which every block holds.  Every degree of ``F`` is conjugated
+    once per call; per pair, the conjugated l2 rows are copied into the l2
+    region below M + l1 - l2 rows and read as rows m - m1 through the same
+    sheared view as in ``_products``.  After the runs, the l1 cotangent is
+    summed over m, and the l2 cotangent is added back to its rows m2 = m -
+    m1 in one slice per m1.  As in ``cg_nonlinearity``, every buffer the
+    pairs work in, the conjugated mixes included, is a region of one
+    scratch block, and the cotangents are views of one zeroed output block.
+    Returns m-major views.
     """
     B, G, tau = F.batch_size, F.m_major, F.type.tau
     Gb = CovariantActivation(F.bandlimit, G_bar).m_major
@@ -679,14 +726,26 @@ def backward_cg(G_bar: list, F: CovariantActivation, mixes: list,
         g2_bar = np.ndarray((2 * M + 1, d1, B, 1, t2), complex, vec_ws,
                             kg.nbytes + kg_sum.nbytes)
         # a run of rows m at a time, still in cache when the mat-vecs read it
+        los, his, firsts = p.blocks
         step = _run_size(B, d1 * n, (2 * M + 1) * d1 * n) // (d1 * B * n)
         for a in range(0, 2 * M + 1, step):
-            t = table[a:a + step]
-            np.matmul(t.transpose(0, 2, 1), y[a:a + step],
-                      out=np.ndarray((len(t), d1, 2 * B * n), float, k_ws))
-            k_bar = np.ndarray((len(t), d1, B, t1, t2), complex, k_ws)
-            np.matmul(k_bar, G2[a:a + step], out=kg[a:a + step])
-            np.matmul(G1, k_bar, out=g2_bar[a:a + step])
+            # run a..z's block (``CGPair.blocks``); its row nearest m = 0
+            # is z below row M, a above it, and otherwise M
+            z = a + step - 1 if a + step <= 2 * M else 2 * M
+            k0, k1 = los[a], his[z]
+            i = firsts[z if z < M else a if a > M else M]
+            # the m-sum reads kg outside the run's m1 window too
+            if k0:
+                kg[a:z + 1, :k0] = 0.0
+            if k1 < d1:
+                kg[a:z + 1, k1:] = 0.0
+            t = table[a:z + 1, i:, k0:k1]
+            np.matmul(t.transpose(0, 2, 1), y[a:z + 1, i:],
+                      out=np.ndarray((len(t), k1 - k0, 2 * B * n), float,
+                                     k_ws))
+            k_bar = np.ndarray((len(t), k1 - k0, B, t1, t2), complex, k_ws)
+            np.matmul(k_bar, G2[a:z + 1, k0:k1], out=kg[a:z + 1, k0:k1])
+            np.matmul(G1[k0:k1], k_bar, out=g2_bar[a:z + 1, k0:k1])
         F_bar[l1] += np.sum(kg, axis=0, out=kg_sum)[..., 0]
         c = l1 + l2 - M  # [m + M, m1 + l1] reads row m2 + l2 = j - k + c
         for k in range(d1):

@@ -1,5 +1,6 @@
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,40 @@ def test_resume_rejects_config_of_another_network(workspace, capsys, tmp_path,
         f"error: {cfg}: {field} = {value} does not match the network of "
         f"{workspace['ckpt'] / 'model.manifest'}\n")
     assert not (out / "checkpoint").exists()
+
+
+def test_resume_rejects_another_seed(workspace, capsys, tmp_path):
+    """The checkpoint records the seed its batches were drawn from (the
+    config's 0); a resume under another seed would draw another stream, so
+    it stops before it trains, naming the manifest and the seed."""
+    manifest = workspace["ckpt"] / "model.manifest"
+    assert "seed=0" in manifest.read_text().splitlines()
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(workspace["cfg"]), "--out",
+                 str(out), "--data", str(workspace["data"]), "--seed", "3",
+                 "--resume", str(workspace["ckpt"]), "--steps", "1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: seed=0 does not match this run's seed 3; "
+        f"resume with --seed 0 to continue its batch stream\n")
+    assert not (out / "checkpoint").exists()
+
+
+def test_resume_accepts_a_manifest_without_a_seed(workspace, tmp_path):
+    """A checkpoint whose manifest has no seed line, as manifests had
+    before, resumes under any seed, and the new checkpoint records it."""
+    old = tmp_path / "old"
+    shutil.copytree(workspace["ckpt"], old)
+    manifest = old / "model.manifest"
+    manifest.write_text("".join(
+        line for line in manifest.read_text().splitlines(keepends=True)
+        if not line.startswith("seed=")))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(workspace["cfg"]), "--out",
+                 str(out), "--data", str(workspace["data"]), "--seed", "3",
+                 "--resume", str(old), "--steps", "1"]) == EXIT_OK
+    assert "seed=3" in \
+        (out / "checkpoint" / "model.manifest").read_text().splitlines()
 
 
 @pytest.mark.parametrize("corrupt", [None, (1, 1, 1, 0), (1, 2, 1, 0)])

@@ -291,18 +291,36 @@ def test_cg_kernels_ignore_workspace_contents(monkeypatch, tau):
             np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("batch", [2, 7])
-def test_cg_kernels_ignore_the_run_budget(monkeypatch, batch):
+@pytest.mark.parametrize("tau, batch, out_tau, budgets", [
+    pytest.param((2, 0, 3, 1), 2, (2, 1, 3, 2), (1, 1000, 10_000, 1 << 30),
+                 id="2"),
+    pytest.param((2, 0, 3, 1), 7, (2, 1, 3, 2), (1, 1000, 10_000, 1 << 30),
+                 id="7"),
+    pytest.param((2,) * 9, 3, (2,) * 9, (1,), id="band-3")])
+def test_cg_kernels_ignore_the_run_budget(monkeypatch, tau, batch, out_tau,
+                                          budgets):
     """The kernels form each pair's Kronecker rows in runs of rows m, and
-    each row's multiply and matmul keep their shapes however the rows are
-    grouped: one row per run (a budget of one byte), a few rows with a
-    shorter last run, and one run per pair all give the default budget's
-    bytes, for the bare product, the adjoint, the frozen mix, the training
-    forward with its scales, and the weight gradient, at cap L and 0."""
+    each run multiplies only its block of the pair's table (``CGPair``):
+    one row per run (a budget of one byte), a few rows with a shorter last
+    run, and one run per pair all give the default budget's bytes, for the
+    bare product, the adjoint, the frozen mix, the training forward with
+    its scales, and the weight gradient, at cap L and 0.
+
+    On the band-shaped layer (L=8, tau=2, B=3) a pair's one run at the
+    default budget straddles m = 0, and at one row per run the top rows'
+    blocks are widened to two m1 and two degrees.  Its pair (8, 8), with
+    17 m1 over 2Bn = 18 columns, keeps its whole table in every row.
+
+    A row's block, and so its contraction length, depends on the run it
+    falls in, so this equality rests on the BLAS summing the fewer than
+    16 terms of a trimmed pair's row in an order that does not depend on
+    the operands' shapes, as OpenBLAS's AVX-512 dgemm does; another BLAS
+    may differ in the last bit here (``CGPair.blocks``)."""
     rng = np.random.default_rng(batch)
-    F = random_activation(3, (2, 0, 3, 1), batch=batch, rng=rng)
+    L = len(tau) - 1
+    F = random_activation(L, tau, batch=batch, rng=rng)
     default = network._CACHE_BYTES
-    for cap, out_tau in ((3, (2, 1, 3, 2)), (0, (2, 0, 0, 0))):
+    for cap, out_tau in ((L, out_tau), (0, out_tau[:1] + (0,) * L)):
         weights, norm = frozen_mix(F, cap, out_tau, rng)
         mixes = norm.fold(weights)
         G_bar = random_like(cg_nonlinearity(F, cap, mixes).fragments, rng)
@@ -319,7 +337,7 @@ def test_cg_kernels_ignore_the_run_budget(monkeypatch, batch):
         want = run()
         # at cap L, pair (2, 3) takes its 7 rows m 2 at a time in 1000
         # bytes at B=2, and 5 at a time in 10,000 bytes at B=7
-        for budget in (1, 1000, 10_000, 1 << 30):
+        for budget in budgets:
             monkeypatch.setattr(network, "_CACHE_BYTES", budget)
             got = run()
             monkeypatch.setattr(network, "_CACHE_BYTES", default)
@@ -344,7 +362,11 @@ def test_cg_kernels_match_row_gather_oracles(L, batch):
     every cap (B=32 stops at L=8 to keep the suite fast).  At B=1 the
     oracle adjoint's per-m cotangent products are vector-matrix products,
     which numpy hands to BLAS gemv rather than to the gemm that one
-    (2l+1)-row product uses; the two agree to rounding."""
+    (2l+1)-row product uses; the two agree to rounding.  The oracles read
+    the whole tables and the kernels each run's block, so the equality
+    rests on the BLAS summing fewer than 16 terms in an order that does
+    not depend on the operands' shapes, as OpenBLAS's AVX-512 dgemm does
+    (``CGPair.blocks``)."""
     rng = np.random.default_rng(L * 100 + batch)
     for tau in kernel_taus(L):
         F = random_activation(L, tau, batch=batch, rng=rng)

@@ -331,6 +331,64 @@ def test_kernel_tables_follow_the_cost_model(text):
                                              cap)
 
 
+def block_layers(text, name):
+    """The (type, cap) of every layer of a config, as pytest params."""
+    spec = parse_config(text).network_spec()
+    return [pytest.param(*spec._layer_cg(s), id=f"{name}-{s}")
+            for s in range(spec.n_layers)]
+
+
+# every desk and band layer, and a 2-layer L=16 tau = 1 network's first
+BLOCK_LAYERS = (
+    block_layers("bandlimit = 5\ngrid_bandwidth = 8\nlayers = 3\ntau = 4\n",
+                 "desk")
+    + block_layers("bandlimit = 8\ngrid_bandwidth = 16\nlayers = 3\ntau = 8\n",
+                   "band")
+    + [pytest.param(ActivationType((1,) * 17), 16, id="L16")])
+
+
+@pytest.mark.parametrize("tau, out_ell_max", BLOCK_LAYERS + [
+    pytest.param(ActivationType(p.values[0]), *p.values[1:], id=p.id)
+    for p in LAYOUT_CASES])
+def test_row_blocks_hold_every_table_nonzero(tau, out_ell_max):
+    """Each table row's block (``CGPair.blocks``) holds every nonzero of
+    the row and keeps two m1 and two degrees where the pair has them.  lo
+    and hi never fall and first falls to row m = 0 and then rises, so a
+    run's block, from its first row's lo, its last row's hi and its
+    nearest row's first, holds the blocks of all its rows.  A pair of 16
+    or more m1 keeps its whole table in every row."""
+    plan = network._cg_plan(tau, out_ell_max)
+    for p, table in zip(plan.pairs, plan.tables):
+        d1, k, M = 2 * p.l1 + 1, len(p.ells), p.M
+        los, his, firsts = p.blocks
+        assert len(los) == len(his) == len(firsts) == 2 * M + 1
+        for row, lo, hi, first in zip(table, los, his, firsts):
+            outside = np.ones(row.shape, bool)
+            outside[first:, lo:hi] = False
+            assert not row[outside].any()
+            assert hi - lo >= min(2, d1) and k - first >= min(2, k)
+        assert list(los) == sorted(los) and list(his) == sorted(his)
+        assert list(firsts[:M + 1]) == sorted(firsts[:M + 1], reverse=True)
+        assert list(firsts[M:]) == sorted(firsts[M:])
+        if d1 >= 16:
+            assert p.blocks == ((0,) * (2 * M + 1), (d1,) * (2 * M + 1),
+                                (0,) * (2 * M + 1))
+
+
+@pytest.mark.parametrize("tau, out_ell_max", BLOCK_LAYERS)
+def test_row_blocks_follow_the_cost_model(tau, out_ell_max):
+    """With a run of one row m each, the table matmuls of the pairs of
+    fewer than 16 m1 multiply their blocks, within 1.1x of the cost
+    model's multiply-adds for those pairs at every desk and band layer and
+    at L=16 (their whole tables are 1.9-2.0x); the pairs of 16 or more m1
+    keep their whole tables (``CGPair.blocks``)."""
+    plan = network._cg_plan(tau, out_ell_max)
+    trimmed = [(p, t) for p, t in zip(plan.pairs, plan.tables) if p.l1 < 8]
+    blocks = sum((len(p.ells) - first) * (hi - lo) * p.n for p, _ in trimmed
+                 for lo, hi, first in zip(*p.blocks))
+    assert blocks <= 1.1 * sum(np.count_nonzero(t) * p.n for p, t in trimmed)
+
+
 @pytest.mark.parametrize("tau, out_ell_max", LAYOUT_CASES)
 def test_cg_madd_count_recounts_stored_entries(tau, out_ell_max):
     L = len(tau) - 1
